@@ -68,7 +68,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def bits_tuple(mask: int) -> tuple[int, ...]:
     """Return the elements of ``mask`` as a sorted tuple."""
-    return tuple(iter_bits(mask))
+    elements = []
+    while mask:
+        low = mask & -mask
+        elements.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(elements)
 
 
 def lowest_bit(mask: int) -> int:

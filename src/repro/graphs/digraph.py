@@ -125,8 +125,11 @@ class Digraph:
     def _in(self) -> tuple[int, ...]:
         rows = [0] * self._n
         for u, out in enumerate(self._out):
-            for v in iter_bits(out):
-                rows[v] |= bit(u)
+            here = 1 << u
+            while out:
+                low = out & -out
+                rows[low.bit_length() - 1] |= here
+                out ^= low
         return tuple(rows)
 
     def in_mask(self, v: int) -> int:

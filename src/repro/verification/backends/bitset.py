@@ -9,12 +9,13 @@ The traversal order is identical to the reference backend — ascending
 value index at every node, same fail-first tie-breaking — so the two
 produce the *same witness*, not merely the same verdict.
 
-The subsumption reduction is bitmask-native too, and that matters more
-than the backtracker: on the heaviest enumerable classes the quadratic
-``frozenset`` containment scan dominates the reference backend's time.
-Here rows are masks grouped by popcount (a row can only be strictly
-contained in a strictly larger one), and containment is one integer
-comparison ``small | big == big``.
+The subsumption reduction matters more than the backtracker: on the
+heaviest enumerable classes the reference backend's pairwise
+``frozenset`` containment scan dominates its time.  Here it is an
+inverted index instead — one int bitset of rows per view, so the rows
+containing a row are the AND of its views' bitsets, and a row is
+dropped when that AND holds any row but itself.  Its cost grows with
+the rows times their views, not with the pairs of rows.
 """
 
 from __future__ import annotations
@@ -29,35 +30,63 @@ def reduce_executions(
 ) -> list[tuple[int, ...]]:
     """Drop rows strictly contained in another row; keep original order.
 
-    The caller has already deduplicated, so containment plus unequal size
-    is strict containment.  Scanning in decreasing-popcount order means a
-    row only needs testing against kept rows of strictly larger popcount
-    (the ``barrier`` prefix) — equal-size distinct masks never contain
-    each other.
+    Rows are compared as sets of views, so copies of a row (and rows that
+    list the same views in another order) are kept, as equal rows are not
+    strict supersets of each other.
     """
-    masks = [mask_of(row) for row in executions]
-    order = sorted(
-        range(len(masks)), key=lambda i: masks[i].bit_count(), reverse=True
-    )
-    kept: list[int] = []
-    kept_masks: list[int] = []
-    barrier = 0
-    current_size = -1
-    for i in order:
-        m = masks[i]
-        size = m.bit_count()
-        if size != current_size:
-            barrier = len(kept_masks)
-            current_size = size
-        for j in range(barrier):
-            big = kept_masks[j]
-            if m | big == big:
+    kept = _undominated(executions)
+    if kept is None:
+        sets = [tuple(sorted(set(row))) for row in executions]
+        kept = _undominated(sets)
+        return [row for row, views in zip(executions, sets) if kept[views]]
+    return [row for row in executions if kept[row]]
+
+
+def _undominated(
+    rows: list[tuple[int, ...]],
+) -> dict[tuple[int, ...], bool] | None:
+    """Whether each distinct row is not strictly contained in another row.
+
+    Inverted index: one int bitset per view, with bit ``i`` set when the
+    ``i``-th distinct row contains the view.  The AND of a row's view
+    bitsets is the set of rows that contain it, itself included, so the
+    row is dominated exactly when the AND has any other bit.  Bitsets are
+    filled in a ``bytearray`` and converted once (linear, where growing
+    an int by ``|=`` is quadratic); each row ANDs its rarest views first
+    and stops as soon as only its own bit is left.  Returns ``None`` when
+    a row is not a strictly increasing tuple, since only then are
+    distinct rows distinct sets.
+    """
+    flags = dict.fromkeys(rows, False)
+    size = (len(flags) + 7) >> 3
+    postings: dict[int, bytearray] = {}
+    for i, row in enumerate(flags):
+        byte, bit = i >> 3, 1 << (i & 7)
+        previous = -1
+        for view in row:
+            if view <= previous:
+                return None
+            previous = view
+            posting = postings.get(view)
+            if posting is None:
+                posting = postings[view] = bytearray(size)
+            posting[byte] |= bit
+    rows_with = {
+        view: int.from_bytes(posting, "little")
+        for view, posting in postings.items()
+    }
+    rarity = {view: holders.bit_count() for view, holders in rows_with.items()}
+    everyone = (1 << len(flags)) - 1
+    own = 1
+    for row in flags:
+        common = everyone
+        for view in sorted(row, key=rarity.__getitem__):
+            common &= rows_with[view]
+            if common == own:
                 break
-        else:
-            kept.append(i)
-            kept_masks.append(m)
-    kept.sort()
-    return [executions[i] for i in kept]
+        flags[row] = common == own
+        own <<= 1
+    return flags
 
 
 def solve(

@@ -18,11 +18,10 @@ SAT ⟹ oblivious SAT.)
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from itertools import product
 
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
-from .solvability import SolvabilityResult, _solve_csp
+from .solvability import SolvabilityResult, _solve_csp, index_views
 
 __all__ = ["decide_one_round_solvability_colored"]
 
@@ -56,19 +55,6 @@ def decide_one_round_solvability_colored(
     if len(values) < 2:
         raise VerificationError("need at least two values")
 
-    index: dict = {}
-    domains: list[tuple] = []
-    executions: list[tuple[int, ...]] = []
-    for g in graphs:
-        in_neighbors = [g.in_neighbors(p) for p in range(n)]
-        for assignment in product(values, repeat=n):
-            exec_vars = set()
-            for p in range(n):
-                view = frozenset((q, assignment[q]) for q in in_neighbors[p])
-                key = (p, view)
-                if key not in index:
-                    index[key] = len(index)
-                    domains.append(tuple(sorted({v for _, v in view})))
-                exec_vars.add(index[key])
-            executions.append(tuple(sorted(exec_vars)))
+    index, executions = index_views(graphs, values, colored=True)
+    domains = [tuple(sorted({v for _, v in view})) for _, view in index]
     return _solve_csp(index, executions, k, domains=domains, backend=backend)

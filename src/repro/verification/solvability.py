@@ -35,7 +35,9 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from itertools import product
+from operator import or_
 
+from .._bitops import bits_tuple
 from ..agreement.views import ObliviousView
 from ..engine.cache import cached_kernel
 from ..engine.canonical import graph_set_key
@@ -43,7 +45,12 @@ from ..errors import VerificationError
 from ..graphs.digraph import Digraph
 from .backends import CSP_BACKEND_VARIANTS, resolve_backend, solve_csp
 
-__all__ = ["SolvabilitySearch", "decide_one_round_solvability", "SolvabilityResult"]
+__all__ = [
+    "SolvabilitySearch",
+    "decide_one_round_solvability",
+    "SolvabilityResult",
+    "index_views",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,83 @@ class SolvabilityResult:
             f"{self.k}-set agreement ({self.rounds} {word}): {verdict} "
             f"[{self.view_count} views, {self.execution_count} executions]"
         )
+
+
+class _RowTuples(dict):
+    """OR of one-hot view bits -> the sorted tuple of those views' indices,
+    computed once per distinct row and shared by every execution with it."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        row = self[mask] = bits_tuple(mask)
+        return row
+
+
+def index_views(
+    graphs: Sequence[Digraph],
+    values: Sequence[Hashable],
+    colored: bool = False,
+) -> tuple[dict, list[tuple[int, ...]]]:
+    """Index the views of every one-round execution of ``graphs``.
+
+    An execution is a graph and an input assignment from
+    ``product(values, repeat=n)``; its row is the sorted tuple of the
+    indices of its processes' views.  Views are indexed in order of first
+    appearance over (graph, assignment, process) and keyed by the
+    oblivious view ``frozenset((q, a[q]) for q in In(p))`` — or by
+    ``(p, view)`` when ``colored``.  Returns ``(index, rows)``.
+
+    Packing: every assignment is one int with one nonzero digit per
+    process, the digit of a value being its rank among the distinct
+    values (by equality, first occurrence wins, as in a ``frozenset``).
+    A process's view is that int masked to the digits of its
+    in-neighbours, so view equality is int equality, and the views of one
+    in-neighbourhood (a *column*: one view per assignment) never collide
+    with another's — their nonzero digits spell it out.  A graph whose
+    columns all appeared in earlier graphs costs no per-view work: its
+    rows are ORs of its columns' one-hot view bits.  A ``frozenset`` view
+    is built once per distinct view, from the assignment it first
+    appears in.
+    """
+    n = graphs[0].n
+    digits: dict[Hashable, int] = {}
+    for value in values:
+        digits.setdefault(value, len(digits) + 1)
+    width = len(digits).bit_length()
+    field = (1 << width) - 1
+    assignments = list(product(values, repeat=n))
+    packed = [
+        sum(digits[a[q]] << width * q for q in range(n)) for a in assignments
+    ]
+    index: dict = {}  # packed view (colored: (p, packed view)) -> index
+    view_index: dict = {}  # frozenset view (colored: (p, view)) -> index
+    columns: dict[object, list[int]] = {}  # column key -> view bits
+    row_of = _RowTuples()
+    rows: list[tuple[int, ...]] = []
+    for g in graphs:
+        in_masks = [g.in_mask(p) for p in range(n)]
+        keys = list(enumerate(in_masks)) if colored else in_masks
+        new = [p for p in range(n) if keys[p] not in columns]
+        if new:
+            # Index the new columns' views in first-appearance order.
+            heard = {p: bits_tuple(in_masks[p]) for p in new}
+            masks = {p: sum(field << width * q for q in heard[p]) for p in new}
+            fresh = {keys[p]: [0] * len(packed) for p in new}
+            for i, code in enumerate(packed):
+                for p in new:
+                    key = (p, code & masks[p]) if colored else code & masks[p]
+                    idx = index.get(key)
+                    if idx is None:
+                        idx = index[key] = len(view_index)
+                        a = assignments[i]
+                        view = frozenset((q, a[q]) for q in heard[p])
+                        view_index[(p, view) if colored else view] = idx
+                    fresh[keys[p]][i] = 1 << idx
+            columns.update(fresh)
+        bits = columns[keys[0]]
+        for key in keys[1:]:
+            bits = map(or_, bits, columns[key])
+        rows.extend(map(row_of.__getitem__, bits))
+    return view_index, rows
 
 
 def _solve_csp(
@@ -147,28 +231,15 @@ class SolvabilitySearch:
                 "and breaks the validity-restriction argument)"
             )
         self._graphs = graphs
-        self._n = n
         self._k = k
         self._values = values
         self._build_csp()
 
     def _build_csp(self) -> None:
         """Index distinct views and the per-execution constraint rows."""
-        view_index: dict[ObliviousView, int] = {}
-        executions: list[tuple[int, ...]] = []
-        for g in self._graphs:
-            in_neighbors = [g.in_neighbors(p) for p in range(self._n)]
-            for assignment in product(self._values, repeat=self._n):
-                exec_views = set()
-                for p in range(self._n):
-                    view = frozenset(
-                        (q, assignment[q]) for q in in_neighbors[p]
-                    )
-                    idx = view_index.setdefault(view, len(view_index))
-                    exec_views.add(idx)
-                executions.append(tuple(sorted(exec_views)))
-        self._view_index = view_index
-        self._raw_executions = executions
+        self._view_index, self._raw_executions = index_views(
+            self._graphs, self._values
+        )
 
     # ------------------------------------------------------------------
     def solve(self, backend: str | None = None) -> SolvabilityResult:

@@ -4,7 +4,9 @@ The contract of the backends PR: every backend — ``reference`` (the
 original search), ``bitset`` (the bitmask re-encoding) and ``sat`` (the
 CNF encoding, when `python-sat` is installed) — returns the same verdict
 with a valid witness on the same instance, and no two backends ever
-share memoized rows in either cache tier.
+share memoized rows in either cache tier.  The one-round builder that
+hands every backend its rows is pinned here too, against a frozenset
+builder kept in this file.
 """
 
 from __future__ import annotations
@@ -19,18 +21,24 @@ import repro.store as store_pkg
 from repro.engine import KERNEL_CACHE, KERNEL_VERSION_VARIANTS
 from repro.errors import VerificationError
 from repro.graphs import Digraph, cycle, star
+from repro.graphs.generators import iter_all_digraphs
+from repro.graphs.symmetry import iter_isomorphism_classes
+from repro.models import symmetric_closed_above
 from repro.verification import (
     SolvabilitySearch,
     decide_one_round_solvability,
+    decide_one_round_solvability_colored,
     resolve_backend,
     sat_available,
 )
+from repro.verification import colored as colored_module
 from repro.verification.backends import (
     CSP_BACKEND_VARIANTS,
     available_backends,
     witness_ok,
 )
 from repro.verification.backends.bitset import reduce_executions
+from repro.verification.solvability import _solve_csp
 
 needs_sat = pytest.mark.skipif(
     not sat_available(), reason="python-sat not installed"
@@ -156,26 +164,35 @@ class TestReduceExecutions:
         assert reduce_executions(rows) == [(0, 1, 2), (2, 3), (0, 3)]
 
     def test_equal_rows_both_kept(self):
-        # Dedup is the caller's job; incomparable rows all survive.
+        # Incomparable rows all survive, and so do copies of a row: equal
+        # rows are not strict supersets of each other.  Rows compare as
+        # sets, so the same views in another order, or one view twice,
+        # make equal rows too.
         rows = [(0, 1), (1, 2), (0, 2)]
         assert reduce_executions(rows) == rows
+        rows = [(0, 1), (0, 1), (2,)]
+        assert reduce_executions(rows) == rows
+        rows = [(1, 0), (0, 1), (0, 0, 1), (0,)]
+        assert reduce_executions(rows) == rows[:3]
+
+    def test_empty_row(self):
+        assert reduce_executions([()]) == [()]
+        assert reduce_executions([(), (1,)]) == [(1,)]
 
     def test_matches_reference_reduction(self):
+        # Rows are drawn with repeats: the reduction must keep every copy
+        # of an undominated row.
         rng = random.Random(11)
         for _ in range(50):
             universe = rng.randint(3, 8)
-            rows = list(
-                dict.fromkeys(
-                    tuple(
-                        sorted(
-                            rng.sample(
-                                range(universe), rng.randint(1, universe)
-                            )
-                        )
+            rows = [
+                tuple(
+                    sorted(
+                        rng.sample(range(universe), rng.randint(1, universe))
                     )
-                    for _ in range(rng.randint(1, 12))
                 )
-            )
+                for _ in range(rng.randint(1, 12))
+            ]
             sets = [frozenset(r) for r in rows]
             expected = [
                 rows[i]
@@ -185,6 +202,98 @@ class TestReduceExecutions:
                 )
             ]
             assert reduce_executions(rows) == expected
+
+
+# ----------------------------------------------------------------------
+# View construction: packed keys against frozenset views
+# ----------------------------------------------------------------------
+
+def _frozenset_build(graphs, values, colored=False):
+    """The one-round CSP built one ``frozenset`` view per (graph,
+    assignment, process): the definition the packed-key builder must
+    reproduce exactly, view indices and rows alike."""
+    n = graphs[0].n
+    index = {}
+    rows = []
+    for g in graphs:
+        in_neighbors = [g.in_neighbors(p) for p in range(n)]
+        for assignment in product(values, repeat=n):
+            row = set()
+            for p in range(n):
+                view = frozenset((q, assignment[q]) for q in in_neighbors[p])
+                key = (p, view) if colored else view
+                row.add(index.setdefault(key, len(index)))
+            rows.append(tuple(sorted(row)))
+    return index, rows
+
+
+def _elements(view_index):
+    # ``1 == True``: compare which of the two each view actually holds.
+    return [sorted(map(repr, view)) for view in view_index]
+
+
+class TestViewConstruction:
+    VALUE_SETS = (
+        (0, 1),
+        (0, 1, 2),
+        ("a", "b"),
+        ("b", "a", "c"),
+        (0, 0, 1),
+        (1, True, 2),
+    )
+
+    def test_matches_frozenset_builder(self):
+        rng = random.Random(0xB11D)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            graphs = [
+                Digraph(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            values = rng.choice(self.VALUE_SETS)
+            search = SolvabilitySearch(graphs, 1, values)
+            index, rows = _frozenset_build(graphs, values)
+            assert list(search._view_index.items()) == list(index.items())
+            assert _elements(search._view_index) == _elements(index)
+            assert search._raw_executions == rows
+
+    def test_equal_values_share_a_digit(self):
+        result = _solve([cycle(3)], 1, (1, True, 2), "bitset")
+        assert result.describe() == (
+            "1-set agreement (1 round): IMPOSSIBLE [12 views, 8 executions]"
+        )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_colored_matches_frozenset_builder_on_n3_classes(
+        self, k, monkeypatch
+    ):
+        # The colored search must hand the solver exactly the CSP the
+        # frozenset builder makes; its view count, verdict and witness
+        # are then that CSP's.  Spying on the hand-over keeps this to one
+        # solve per class (one class takes seconds at k = 2).
+        handed = []
+
+        def spy(index, rows, k, domains, backend):
+            handed.append((index, rows, domains))
+            return _solve_csp(index, rows, k, domains=domains, backend=backend)
+
+        monkeypatch.setattr(colored_module, "_solve_csp", spy)
+        values = tuple(range(k + 1))
+        for g in iter_isomorphism_classes(iter_all_digraphs(3)):
+            graphs = list(symmetric_closed_above([g]).iter_graphs())
+            result = decide_one_round_solvability_colored(graphs, k)
+            index, rows, domains = handed.pop()
+            want_index, want_rows = _frozenset_build(
+                graphs, values, colored=True
+            )
+            assert list(index.items()) == list(want_index.items())
+            assert rows == want_rows
+            assert domains == [
+                tuple(sorted({v for _, v in view})) for _, view in want_index
+            ]
+            assert result.view_count == len(want_index)
+            if result.solvable:
+                assert list(result.decision_map) == list(want_index)
 
 
 # ----------------------------------------------------------------------
