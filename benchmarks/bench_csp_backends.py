@@ -6,8 +6,8 @@ frontier's wall-clock:
 
 * the **heaviest n=3 class** (the empty-graph generator, whose symmetric
   closed-above model is all 64 graphs), searching every candidate
-  ``k = 1..3`` over the full model — exactly what the monolithic
-  ``solvability_shard`` kernel does;
+  ``k = 1..3`` over the full model (the sweep's ``solvability_subshard``
+  jobs run the same searches, answering ``k = 3`` without one);
 * a **sampled n=4 tail class** (the sparsest 2-edge representative,
   first 256 graphs of its enumerated model, ``k = 1..2``) — the shape of
   the sub-shards the n=4 sweep spends its time in.

@@ -1,7 +1,7 @@
 """Benchmarks and acceptance checks for the distributed executor.
 
 The headline measurement: the full n=3 solvability frontier (16
-isomorphism-class shards, the E10 workload) executed serially, on a
+isomorphism classes, 64 jobs, the E10 workload) executed serially, on a
 2-process pool, and distributed over localhost to two
 ``python -m repro worker`` subprocesses — all three from a cold kernel
 cache and with the persistent store off, so every run pays the real CSP
@@ -20,12 +20,7 @@ Acceptance (plain functions, run in CI with ``--benchmark-disable``):
   finish the same frontier at least 2x faster than the same two workers
   unseeded — the store-seeding handshake replaces every CSP search with
   a seed-tier hit, so the seeded run is pure queue service and table
-  assembly;
-* **splitting wins**: the heaviest ``n = 3`` class (the empty-graph
-  generator, whose model is all 64 graphs), decomposed into per-``k``
-  sub-shards and distributed over two workers, beats its monolithic
-  single-job shard by at least 1.5x with an identical row — the
-  load-imbalance scenario dynamic sub-shard scheduling exists for.
+  assembly.
 
 Timing goes through :func:`repro.bench.measure` (the ``bench run``
 variance engine): worker spawning and the interpreter head start happen
@@ -237,87 +232,6 @@ def test_seeded_dist_beats_unseeded():
     assert seeded * 2 <= unseeded, (
         f"seeded (2 workers) {seeded:.2f}s vs unseeded {unseeded:.2f}s "
         f"({unseeded / seeded:.2f}x)"
-    )
-
-
-def _heaviest_n3_class():
-    """The sparsest n=3 representative: the class that dominates E10."""
-    from repro.graphs.generators import iter_all_digraphs
-    from repro.graphs.symmetry import iter_isomorphism_classes
-
-    representatives = sorted(
-        iter_isomorphism_classes(iter_all_digraphs(3)),
-        key=lambda g: (-g.proper_edge_count, g.out_rows),
-    )
-    return representatives[-1]
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="a 2-worker split speedup needs at least 2 cores",
-)
-def test_split_subshards_beat_monolithic_on_heaviest_class():
-    """Acceptance: sub-sharding the heaviest n=3 class over two workers
-    beats the monolithic shard by >=1.5x, with an identical row.
-
-    The monolithic shard runs every candidate k's CSP in sequence inside
-    one indivisible job — the single worker holding it is the sweep's
-    critical path.  The split plan turns the same class into a bounds
-    job plus one job per candidate k: the UNSAT searches distribute
-    across the two workers, and k >= n is answered analytically (every
-    valid map decides at most n values), skipping the class's single
-    most expensive search outright.  Measured locally: ~0.47s monolithic
-    vs ~0.1s split end-to-end over two workers (~4.5x); 1.5x leaves
-    room for loaded CI machines and queue overhead.
-    """
-    from repro.analysis.sweeps import plan_sweep, sweep_row
-
-    g = _heaviest_n3_class()
-    state: dict = {"spawned": [], "port": None}
-
-    def _reap() -> None:
-        for worker in state["spawned"]:
-            try:
-                worker.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-        state["spawned"] = []
-
-    def split_setup() -> None:
-        _reap()
-        KERNEL_CACHE.clear()
-        state["port"] = _free_port()
-        state["spawned"] = _spawn_workers(("127.0.0.1", state["port"]), 2)
-        time.sleep(2.0)  # interpreter head start, outside the window
-
-    def split_run():
-        plan = plan_sweep([g], 3, split_threshold=1)
-        result = DistExecutor(f"127.0.0.1:{state['port']}").run(
-            list(plan.tasks), reductions=plan.reductions
-        )
-        (reduced,) = result.reduction_results
-        return reduced.value
-
-    with store_pkg.RESULT_STORE.disabled():
-        mono_measurement = measure(
-            lambda: sweep_row(g, 3),
-            config=_COLD_2,
-            setup=KERNEL_CACHE.clear,
-        )
-        mono, mono_row = mono_measurement.min, mono_measurement.value
-
-        try:
-            split_measurement = measure(
-                split_run, config=_COLD_2, setup=split_setup
-            )
-        finally:
-            _reap()
-        split, split_row = split_measurement.min, split_measurement.value
-    KERNEL_CACHE.clear()
-    assert split_row == mono_row
-    assert split * 1.5 <= mono, (
-        f"split (2 workers) {split:.2f}s vs monolithic {mono:.2f}s "
-        f"({mono / split:.2f}x)"
     )
 
 

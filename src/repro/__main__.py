@@ -10,8 +10,7 @@ Usage::
                                 [--trace FILE]
     python -m repro cache-stats [--n 5] [--passes 3] [--json]
     python -m repro sweep --n 4 [--jobs 4 | --distributed :7071] [--limit K]
-                          [--split-threshold 2048] [--subshard on|off]
-                          [--backend bitset|reference|sat|check]
+                          [--budget 4096] [--backend bitset|reference|sat|check]
                           [--trace FILE]
                           [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
@@ -70,6 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import graphs as graph_families
 from .agreement import FloodMin, KSetAgreement
@@ -81,6 +81,16 @@ from .verification import decide_one_round_solvability, verify_algorithm
 _FAMILIES = graph_families.FAMILY_NAMES
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Print one line on stderr and exit 2.
+
+    Exit 2 keeps errors apart from verdicts: ``search`` and ``verify``
+    exit 1 for "not solvable" / "failed".
+    """
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _build_graph(args: argparse.Namespace) -> Digraph:
     from .errors import GraphError
 
@@ -90,7 +100,7 @@ def _build_graph(args: argparse.Namespace) -> Digraph:
     try:
         return graph_families.build_family(args.family, args.n, centers)
     except GraphError as exc:
-        raise SystemExit(str(exc)) from exc
+        _usage_error(str(exc))
 
 
 def _generators(args: argparse.Namespace) -> list[Digraph]:
@@ -107,19 +117,26 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .errors import ReproError
+
     generators = _generators(args)
-    if args.full:
-        model = (
-            symmetric_closed_above(generators)
-            if args.symmetric
-            else simple_closed_above(generators[0])
+    try:
+        if args.full:
+            model = (
+                symmetric_closed_above(generators)
+                if args.symmetric
+                else simple_closed_above(generators[0])
+            )
+            pool = sorted(model.iter_graphs(max_graphs=args.budget))
+            scope = f"full model ({len(pool)} graphs)"
+        else:
+            pool = generators
+            scope = f"generators ({len(pool)} graphs)"
+        result = decide_one_round_solvability(
+            pool, args.k, backend=args.backend
         )
-        pool = sorted(model.iter_graphs(max_graphs=args.budget))
-        scope = f"full model ({len(pool)} graphs)"
-    else:
-        pool = generators
-        scope = f"generators ({len(pool)} graphs)"
-    result = decide_one_round_solvability(pool, args.k, backend=args.backend)
+    except ReproError as exc:
+        _usage_error(f"search: {exc}")
     print(f"[{scope}] {result.describe()}")
     if not args.full and result.solvable:
         print(
@@ -227,22 +244,14 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.render import render_table
     from .analysis.sweeps import solvability_sweep
-
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be a positive integer, got {args.jobs}")
-    if args.split_threshold < 1:
-        raise SystemExit(
-            f"--split-threshold must be a positive integer, "
-            f"got {args.split_threshold}"
-        )
     from .config import SweepConfig
     from .errors import ConfigError, DistError
 
-    trace_path = _start_trace(args)
     try:
         config = SweepConfig.from_args(args)
     except ConfigError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
+    trace_path = _start_trace(args)
     try:
         report = solvability_sweep(
             config=config,
@@ -263,12 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "resumed": report.resumed,
             "replayed": report.replayed,
             "checkpoint_dropped": report.checkpoint_dropped,
-            "split_threshold": report.split_threshold,
-            "subshard": report.subshard,
             "backend": report.backend,
-            "cost_model": report.cost_model,
-            "splits": report.splits,
-            "subshards": report.subshards,
             "classes": [cls.to_dict() for cls in report.classes],
             "headers": report.headers,
             "rows": [[repr(cell) for cell in row] for row in report.rows],
@@ -906,28 +910,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--budget", type=int, default=1 << 12,
-        help="cap on each shard's fully enumerated model",
-    )
-    p_sweep.add_argument(
-        "--split-threshold", type=int, default=1 << 11,
-        help="estimated enumerated-model size at which a class's shard "
-        "is split into per-k sub-shards that persist, resume, and "
-        "distribute independently (default: 2048 — at n=4 only the "
-        "sparse giants split)",
-    )
-    p_sweep.add_argument(
-        "--subshard", choices=("on", "off"), default="on",
-        help="dynamic sub-shard scheduling: 'off' forces every class "
-        "onto the monolithic one-job-per-class path (the reference the "
-        "equivalence tests compare against; default: on)",
-    )
-    p_sweep.add_argument(
-        "--cost-model", choices=("static", "observed"), default="static",
-        help="per-class cost estimator feeding job ordering and split "
-        "decisions: 'static' uses the 2^missing proxy, 'observed' "
-        "prefers wall-clock timings banked by earlier sweeps and bench "
-        "runs, falling back to static for unseen classes (default: "
-        "static)",
+        help="cap on each class's fully enumerated model",
     )
     p_sweep.add_argument(
         "--checkpoint", metavar="FILE", default=None,

@@ -4,44 +4,34 @@ The E10 experiment asks, for *every* symmetric closed-above model
 generated by a single graph on ``n`` processes (one representative per
 isomorphism class), for the exact smallest solvable ``k`` — ground truth
 the paper's bound interval is measured against.  At ``n = 3`` this is 16
-shards and minutes of CSP search; at ``n = 4`` it is 218 shards and hours,
-which is only practical because every layer below persists:
+classes and seconds of CSP search; at ``n = 4`` it is 218 classes and
+hours, which is only practical because every layer below persists:
 
-* each shard's verdict is a versioned cached kernel keyed on the
-  *isomorphism class* (``iso_key``), so the verdict is computed once per
-  class ever, machine-wide, when the result store is in ``rw`` mode;
-* shards fan out over :func:`~repro.engine.batch.run_batch`, whose parent
-  process persists each shard as it completes — a sweep killed midway
+* every verdict is a versioned cached kernel keyed on the *isomorphism
+  class* (``iso_key``), so it is computed once per class ever,
+  machine-wide, when the result store is in ``rw`` mode;
+* jobs fan out over :func:`~repro.engine.batch.run_batch`, whose parent
+  process persists each job as it completes — a sweep killed midway
   resumes exactly where it stopped, recomputing nothing;
-* a rerun over a warm store is pure table assembly (every shard hits).
+* a rerun over a warm store is pure table assembly (every job hits).
 
-**Dynamic sub-shard scheduling.**  A class's wall-clock is dominated by
-its enumerated model size, and the sparse tail (few proper edges, so the
-closed-above model approaches all ``2^(n(n-1))`` graphs) produces a few
-giant classes that would otherwise strand one worker for hours while the
-rest of the cluster idles.  :func:`plan_sweep` therefore estimates each
-class's cost (:func:`estimate_class_cost`: enumerated-model count capped
-by ``budget``) and, above ``split_threshold``, decomposes the monolithic
-``solvability_shard`` into independently schedulable **sub-shards**: one
-``solvability_bounds`` job (the paper's interval) plus one
-``solvability_subshard`` job per candidate ``k`` (is ``k``-set agreement
-one-round solvable on the full model?).  Each sub-shard is its own
-``@cached_kernel`` with a canonical store fingerprint, so sub-verdicts
-persist, resume after a kill, and network-seed to distributed workers
-*independently* of their siblings.  A pure reducer
-(:func:`reduce_sweep_row`, a :class:`~repro.engine.batch.Reduction`)
-fires in the batch parent the moment a class's last sub-shard lands,
-folds the sub-verdicts into exactly the ``(lo, hi, exact)`` row the
-monolithic shard produces, and banks the merged verdict under the
-monolithic kernel's identity so later runs — split or not — start warm.
-Jobs are emitted heaviest-first (estimated cost descending), which the
-FIFO coordinator of :mod:`repro.dist` turns into heaviest-first
-scheduling across workers.
+**One verdict path per class.**  :func:`plan_sweep` turns every class
+into the same two-phase plan: one ``solvability_bounds`` job (the
+paper's interval), one ``solvability_subshard`` job per candidate ``k =
+1..n`` (is ``k``-set agreement one-round solvable on the full model?),
+and one :func:`reduce_sweep_row` :class:`~repro.engine.batch.Reduction`
+that fires in the batch parent the moment the class's last job lands
+and folds the verdicts into the ``(lo, hi, exact)`` row.  Each job is
+its own ``@cached_kernel`` with a canonical store fingerprint, so
+per-``k`` verdicts persist, resume after a kill, and network-seed to
+distributed workers independently of their siblings.  Jobs are emitted
+heaviest-first by :func:`estimate_class_cost`, which the FIFO
+coordinator of :mod:`repro.dist` turns into heaviest-first scheduling
+across workers.
 
 ``python -m repro sweep --n 4 --jobs N`` is the CLI entry point
-(``--distributed HOST:PORT`` fans the shards out to ``python -m repro
-worker`` processes instead, same results; ``--split-threshold`` and
-``--subshard on|off`` steer the decomposition);
+(``--distributed HOST:PORT`` fans the jobs out to ``python -m repro
+worker`` processes instead, same results);
 :func:`repro.analysis.tables.e10_solvability_frontier_table` delegates
 here so the experiment table and the sweep never diverge.
 """
@@ -63,95 +53,24 @@ from ..verification.backends import CSP_BACKEND_VARIANTS, resolve_backend
 from ..verification.solvability import decide_one_round_solvability
 
 __all__ = [
-    "COST_MODELS",
     "DEFAULT_BUDGET",
-    "DEFAULT_SPLIT_THRESHOLD",
-    "OBSERVED_SECONDS_PER_UNIT",
     "SweepClassReport",
     "SweepPlan",
     "SweepReport",
     "estimate_class_cost",
-    "observed_class_cost",
     "plan_fingerprint",
     "plan_sweep",
-    "record_class_observation",
     "reduce_sweep_row",
     "solvability_sweep",
     "sweep_headers",
-    "sweep_row",
 ]
 
-#: Cap on the fully enumerated model a shard searches over (mirrors the
+#: Cap on the fully enumerated model a class searches over (mirrors the
 #: ``search --budget`` CLI default; every model on ``n <= 4`` fits).
 DEFAULT_BUDGET = 1 << 12
 
-#: Estimated enumerated-model size at which a class's shard is split into
-#: sub-shards.  At ``n = 3`` every class estimates <= 64, so nothing
-#: splits by default (the monolithic path is already seconds); at
-#: ``n = 4`` only the sparse giants (<= 1 proper edge, models in the
-#: thousands of graphs) decompose — exactly the tail that dominates the
-#: frontier's wall-clock.
-DEFAULT_SPLIT_THRESHOLD = 1 << 11
 
-#: The cost models :func:`estimate_class_cost` understands: ``static``
-#: is the ``2^missing`` proxy above; ``observed`` prefers a measured
-#: per-class wall-clock banked by an earlier sweep (falling back to
-#: ``static`` for classes never timed).
-COST_MODELS = ("static", "observed")
-
-#: Calibration constant converting an observed per-class wall-clock into
-#: the static estimate's unit (enumerated graphs): roughly the measured
-#: per-graph cost of one bitset-backend CSP shard on the development
-#: container.  Only *relative* magnitudes matter — estimates order jobs
-#: and pick sides of ``split_threshold`` — so the constant just keeps
-#: observed estimates on the same scale the threshold was tuned for.
-OBSERVED_SECONDS_PER_UNIT = 1e-4
-
-
-@cached_kernel(
-    name="observed_class_cost",
-    key=lambda g, n, budget: (iso_key(g), n, budget),
-    version="1",
-)
-def observed_class_cost(g: Digraph, n: int, budget: int) -> float:
-    """Observation bank: a class's measured shard wall-clock in seconds.
-
-    This kernel is **seed-only**: values arrive exclusively via
-    :func:`record_class_observation` (the ``seed`` API, so an observation
-    persists as an ordinary store row under this kernel's
-    ``(name, version, key)`` identity) and are consulted via ``peek``,
-    which never computes.  Calling the wrapper on a cold key is a
-    programming error — there is nothing to compute, only to have
-    measured — hence the raise.
-    """
-    raise RuntimeError(
-        "observed_class_cost is an observation bank: record timings with "
-        "record_class_observation(), read them with "
-        "observed_class_cost.peek() — never call it"
-    )
-
-
-def record_class_observation(
-    g: Digraph, n: int, elapsed: float, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Bank a class's measured shard wall-clock for the observed model.
-
-    First observation wins (the ``seed`` contract): estimates must be
-    identical in every process of a run, and a value that flapped with
-    machine load would make the planner disagree with itself across
-    coordinator restarts.  Returns True when this call installed the
-    observation.
-    """
-    return observed_class_cost.seed(float(elapsed), g, n, budget)
-
-
-def estimate_class_cost(
-    g: Digraph,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    cost_model: str = "static",
-) -> int:
+def estimate_class_cost(g: Digraph, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Estimated enumerated-model size of ``g``'s class, capped by budget.
 
     The up-set of ``g`` alone holds ``2**m`` graphs, where ``m`` counts
@@ -160,67 +79,16 @@ def estimate_class_cost(
     ``2**m`` is a cheap lower bound on the fully enumerated model, whose
     enumeration (and every CSP over it) is capped at ``budget`` graphs
     anyway.  No enumeration, no CSP: one popcount, which is what lets
-    the planner make *identical* split decisions in every process,
-    serial or distributed.
-
-    ``cost_model="observed"`` prefers a measured wall-clock banked by an
-    earlier sweep (:func:`record_class_observation`, persisted like any
-    kernel result), converted to the static unit via
-    :data:`OBSERVED_SECONDS_PER_UNIT` and clamped to ``[1, budget]``;
-    classes never timed fall back to the static proxy.  Either model
-    only steers *scheduling* (job order, split decisions) — the rows a
-    sweep produces are pinned byte-identical across models.
+    every process — serial or distributed — order jobs and size leases
+    identically.  It steers scheduling only, never the rows.
     """
-    if cost_model not in COST_MODELS:
-        raise ValueError(
-            f"cost_model must be one of {COST_MODELS}, got {cost_model!r}"
-        )
     missing = n * (n - 1) - g.proper_edge_count
-    static = min(1 << missing, budget)
-    if cost_model == "static":
-        return static
-    found, seconds = observed_class_cost.peek(g, n, budget)
-    if not found:
-        return static
-    units = int(round(seconds / OBSERVED_SECONDS_PER_UNIT))
-    return max(1, min(units, budget))
+    return min(1 << missing, budget)
 
 
 # ----------------------------------------------------------------------
-# Kernels: the monolithic shard and its sub-shard decomposition
+# Kernels: a class's bounds and its per-k verdicts
 # ----------------------------------------------------------------------
-
-@cached_kernel(
-    name="solvability_shard",
-    key=lambda g, n, budget, backend=None: (iso_key(g), n, budget),
-    version="1",
-    variant=lambda g, n, budget, backend=None: resolve_backend(backend),
-    variants=CSP_BACKEND_VARIANTS,
-)
-def _shard_verdict(
-    g: Digraph, n: int, budget: int, backend: str | None = None
-) -> tuple[int, int, int | None]:
-    """One isomorphism class's verdict: ``(lower k, upper k, exact k)``.
-
-    Everything returned is invariant under relabelling of ``g`` (bounds
-    and solvability of a symmetric closed-above model don't see labels),
-    which is what makes ``iso_key`` a sound cache key — and what lets a
-    warm store answer for any relabelled representative.  ``backend``
-    selects the CSP compute backend; the verdict is backend-independent
-    but memoized per backend (the version suffix), so equivalence runs
-    never read each other's rows.
-    """
-    sym = sorted(symmetric_closure([g]))
-    model = symmetric_closed_above([g])
-    report = bound_report(sym)
-    full = sorted(model.iter_graphs(max_graphs=budget))
-    exact = None
-    for k in range(1, n + 1):
-        if decide_one_round_solvability(full, k, backend=backend).solvable:
-            exact = k
-            break
-    return (report.best_lower.k, report.best_upper.k, exact)
-
 
 @cached_kernel(
     name="solvability_bounds",
@@ -230,9 +98,9 @@ def _shard_verdict(
 def _class_bounds(g: Digraph, n: int) -> tuple[int, int]:
     """The paper's ``(lower k, upper k)`` interval for ``g``'s class.
 
-    The cheap half of a split shard: bound computation never enumerates
-    the model, so it is its own sub-shard only to keep the reducer pure —
-    but it persists independently all the same.
+    Bound computation never enumerates the model; it is a job of its
+    own only to keep the reducer pure, and persists independently all
+    the same.
     """
     sym = sorted(symmetric_closure([g]))
     report = bound_report(sym)
@@ -249,8 +117,15 @@ def _class_bounds(g: Digraph, n: int) -> tuple[int, int]:
 def _subshard_solvable(
     g: Digraph, n: int, budget: int, k: int, backend: str | None = None
 ) -> bool:
-    """One sub-shard: is ``k``-set agreement one-round solvable on the
-    full model of ``g``'s class?
+    """Is ``k``-set agreement one-round solvable on the full model of
+    ``g``'s class?
+
+    Everything here is invariant under relabelling of ``g`` (solvability
+    of a symmetric closed-above model doesn't see labels), which is what
+    makes ``iso_key`` a sound cache key.  ``backend`` selects the CSP
+    compute backend; the verdict is backend-independent but memoized per
+    backend (the version suffix), so equivalence runs never read each
+    other's rows.
 
     ``k >= n`` is answered analytically: every graph in this universe
     carries all self-loops (a :class:`~repro.graphs.digraph.Digraph`
@@ -259,11 +134,8 @@ def _subshard_solvable(
     distinct values per execution — ``k``-set agreement with ``k >= n``
     is solvable by *every* valid map.  The CSP would confirm this at the
     cost of building and subsumption-reducing the largest execution set
-    of the class (the dominant cost of the heaviest shards, measured at
-    ~80% of the monolithic wall-clock on the sparsest ``n = 3`` class),
-    so the analytic answer is a large part of what makes the per-``k``
-    split win.  The verdict is identical either way, which is what the
-    split == monolithic equivalence tests pin.
+    of the class.  The guard stays in the kernel (not the planner)
+    because :mod:`repro.serve` calls it with any ``k``.
     """
     if k >= n:
         return True
@@ -272,11 +144,16 @@ def _subshard_solvable(
     return bool(decide_one_round_solvability(full, k, backend=backend).solvable)
 
 
-def _row_from_verdict(
-    g: Digraph, verdict: tuple[int, int, int | None]
-) -> list[object]:
-    """Format one table row from a class verdict (shared by both paths)."""
-    lo, hi, exact = verdict
+def reduce_sweep_row(values: tuple, g: Digraph) -> list[object]:
+    """Pure reducer: fold a class's verdicts into its table row.
+
+    ``values`` is ``((lo, hi), solvable@k=1, ..., solvable@k=n)`` in the
+    job order of :func:`plan_sweep`.  ``exact`` is the smallest solvable
+    ``k``: solvability is monotone in ``k``, so the per-``k`` verdicts
+    are a staircase and its first step is the exact answer.
+    """
+    (lo, hi), *flags = values
+    exact = next((k for k, flag in enumerate(flags, start=1) if flag), None)
     return [
         sorted(g.proper_edges()),
         f"({lo}, {hi}]",
@@ -284,44 +161,6 @@ def _row_from_verdict(
         exact is not None and lo < exact <= hi,
         exact == lo + 1,
     ]
-
-
-def sweep_row(
-    g: Digraph,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
-) -> list[object]:
-    """One table row of the sweep; the batch job behind an unsplit shard."""
-    return _row_from_verdict(g, _shard_verdict(g, n, budget, backend=backend))
-
-
-def reduce_sweep_row(
-    values: tuple, g: Digraph, n: int, budget: int, backend: str | None = None
-) -> list[object]:
-    """Pure reducer: fold a split class's sub-verdicts into its table row.
-
-    ``values`` is ``((lo, hi), solvable@k=1, ..., solvable@k=n)`` in the
-    sub-shard job order of :func:`plan_sweep`.  ``exact`` is the smallest
-    solvable ``k`` (solvability is monotone in ``k``, so the per-``k``
-    verdicts are a staircase and the merge is exact, not approximate) —
-    byte-identical to the row the monolithic :func:`sweep_row` produces.
-
-    The merged verdict is also banked under the monolithic kernel's
-    identity (``solvability_shard``) via the kernel ``seed`` API: a later
-    run — monolithic, split, or with a different threshold — finds the
-    class warm, and store-side accounting (banked-shard counts in the
-    scheduled ``n = 4`` workflow) stays truthful for split classes.
-    """
-    (lo, hi), *flags = values
-    exact = None
-    for k, flag in enumerate(flags, start=1):
-        if flag:
-            exact = k
-            break
-    verdict = (lo, hi, exact)
-    _shard_verdict.seed(verdict, g, n, budget, backend=backend)
-    return _row_from_verdict(g, verdict)
 
 
 def sweep_headers() -> list[str]:
@@ -345,9 +184,8 @@ class _ClassPlan:
     index: int
     generator: Digraph
     estimate: int
-    split: bool
     job_indices: tuple[int, ...]
-    reduction_index: int | None
+    reduction_index: int
 
 
 @dataclass(frozen=True)
@@ -357,14 +195,13 @@ class SweepPlan:
     ``tasks`` are emitted heaviest-first (estimated cost descending, then
     class index for determinism): the batch drivers consume them in
     order and the distributed coordinator's FIFO queue hands the giant
-    sub-shards out first, so no worker ends up alone with the heaviest
-    class after the cheap ones drained.  Row order is *not* affected —
-    assembly maps results back through ``classes``.
+    classes' jobs out first, so no worker ends up alone with the
+    heaviest class after the cheap ones drained.  Row order is *not*
+    affected — assembly maps results back through ``classes``.
     """
 
     n: int
     budget: int
-    split_threshold: int
     classes: tuple[_ClassPlan, ...]
     tasks: tuple[Job, ...]
     reductions: tuple[Reduction, ...]
@@ -376,42 +213,21 @@ class SweepPlan:
     compute — and persist — under the same backend identity.
     """
 
-    cost_model: str = "static"
-    """The :func:`estimate_class_cost` model the estimates came from."""
-
-    @property
-    def splits(self) -> int:
-        """Classes decomposed into sub-shards."""
-        return sum(1 for c in self.classes if c.split)
-
-    @property
-    def subshards(self) -> int:
-        """Total phase-1 jobs belonging to split classes."""
-        return sum(len(c.job_indices) for c in self.classes if c.split)
-
 
 def plan_sweep(
     representatives,
     n: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
-    subshard: bool = True,
     backend: str | None = None,
-    cost_model: str = "static",
 ) -> SweepPlan:
     """Build the two-phase job plan for ``representatives``.
 
-    Classes whose :func:`estimate_class_cost` reaches ``split_threshold``
-    (and ``subshard`` is on) decompose into one bounds job plus one
-    per-``k`` solvability job, tied together by a
-    :class:`~repro.engine.batch.Reduction` that fires as the last
-    sub-shard lands; everything else stays one monolithic
-    :func:`sweep_row` job.  The decision depends only on ``(g, n,
-    budget, split_threshold)`` — plus, under ``cost_model="observed"``,
-    the banked timing observations, which live in the same store every
-    process reads — so every process — serial reference, pool parent,
-    coordinator, remote worker — plans identically.
+    Every class becomes one bounds job plus one job per ``k = 1..n``,
+    tied together by a :class:`~repro.engine.batch.Reduction` that fires
+    as the last of them lands.  The plan depends only on ``(g, n,
+    budget, backend)``, so every process — serial reference, pool
+    parent, coordinator, remote worker — plans identically.
 
     ``backend`` is resolved here, once, and the concrete name rides in
     every job's argument tuple: a distributed worker must run the exact
@@ -422,57 +238,16 @@ def plan_sweep(
     with TRACER.span(
         "sweep:plan", cat="sweep", n=n, backend=backend
     ) as _plan_span:
-        plan = _plan_sweep(
-            representatives,
-            n,
-            budget=budget,
-            split_threshold=split_threshold,
-            subshard=subshard,
-            backend=backend,
-            cost_model=cost_model,
-        )
-        _plan_span.set(
-            classes=len(plan.classes),
-            jobs=len(plan.tasks),
-            reductions=len(plan.reductions),
-        )
-    return plan
-
-
-def _plan_sweep(
-    representatives,
-    n: int,
-    *,
-    budget: int,
-    split_threshold: int,
-    subshard: bool,
-    backend: str,
-    cost_model: str = "static",
-) -> SweepPlan:
-    """The planning proper, with ``backend`` already resolved."""
-    entries = [
-        (index, g, estimate_class_cost(g, n, budget, cost_model=cost_model))
-        for index, g in enumerate(representatives)
-    ]
-    tasks: list[Job] = []
-    reductions: list[Reduction] = []
-    classes: list[_ClassPlan | None] = [None] * len(entries)
-    for index, g, estimate in sorted(
-        entries, key=lambda entry: (-entry[2], entry[0])
-    ):
-        split = bool(subshard) and estimate >= split_threshold
-        if not split:
-            job_indices = (len(tasks),)
-            tasks.append(
-                Job(
-                    name=f"sweep:n={n}:{index}",
-                    fn=sweep_row,
-                    args=(g, n, budget, backend),
-                    cost=float(estimate),
-                )
-            )
-            reduction_index = None
-        else:
+        entries = [
+            (index, g, estimate_class_cost(g, n, budget))
+            for index, g in enumerate(representatives)
+        ]
+        tasks: list[Job] = []
+        reductions: list[Reduction] = []
+        classes: list[_ClassPlan | None] = [None] * len(entries)
+        for index, g, estimate in sorted(
+            entries, key=lambda entry: (-entry[2], entry[0])
+        ):
             job_indices = [len(tasks)]
             tasks.append(
                 Job(
@@ -492,56 +267,54 @@ def _plan_sweep(
                         fn=_subshard_solvable,
                         args=(g, n, budget, k, backend),
                         # k >= n is answered analytically (no CSP), so
-                        # only the searching sub-shards carry the class's
+                        # only the searching jobs carry the class's
                         # estimated weight.
                         cost=1.0 if k >= n else float(estimate),
                     )
                 )
-            job_indices = tuple(job_indices)
-            reduction_index = len(reductions)
+            classes[index] = _ClassPlan(
+                index=index,
+                generator=g,
+                estimate=estimate,
+                job_indices=tuple(job_indices),
+                reduction_index=len(reductions),
+            )
             reductions.append(
                 Reduction(
                     name=f"sweep:n={n}:{index}:reduce",
                     fn=reduce_sweep_row,
-                    over=job_indices,
-                    args=(g, n, budget, backend),
+                    over=tuple(job_indices),
+                    args=(g,),
                 )
             )
-        classes[index] = _ClassPlan(
-            index=index,
-            generator=g,
-            estimate=estimate,
-            split=split,
-            job_indices=job_indices,
-            reduction_index=reduction_index,
+        plan = SweepPlan(
+            n=n,
+            budget=budget,
+            classes=tuple(classes),
+            tasks=tuple(tasks),
+            reductions=tuple(reductions),
+            backend=backend,
         )
-    return SweepPlan(
-        n=n,
-        budget=budget,
-        split_threshold=split_threshold,
-        classes=tuple(classes),
-        tasks=tuple(tasks),
-        reductions=tuple(reductions),
-        backend=backend,
-        cost_model=cost_model,
-    )
+        _plan_span.set(
+            classes=len(plan.classes),
+            jobs=len(plan.tasks),
+            reductions=len(plan.reductions),
+        )
+    return plan
 
 
 def plan_fingerprint(plan: SweepPlan) -> str:
     """12-hex identity of a sweep plan, for checkpoint resume.
 
     Hashes exactly the parameters that pin *which rows* a plan produces —
-    ``(n, budget, backend, class count)`` — and deliberately nothing
-    that only steers *scheduling*: not the cost model, not the split
-    threshold or decisions, not the task names.  Under
-    ``cost_model="observed"`` a re-built plan may order or decompose
-    classes differently than the plan that wrote a checkpoint; those two
-    plans still describe the same sweep, so resume must accept the
-    checkpoint (completed names the new plan lacks are dropped with a
-    count — see :func:`repro.dist.checkpoint.resume_completed` — at the
-    cost of a warm store hit, not a kernel).  A mismatch in anything
-    hashed here means the checkpoint belongs to a genuinely different
-    sweep, and resuming is refused.
+    ``(n, budget, backend, class count)`` — and nothing that only steers
+    scheduling, such as job order or task names.  A checkpoint whose
+    completed names the re-built plan lacks (one written by an older
+    plan layout) is still accepted; those names are dropped with a count
+    (see :func:`repro.dist.checkpoint.resume_completed`) at the cost of
+    a warm store hit, not a kernel.  A mismatch in anything hashed here
+    means the checkpoint belongs to a genuinely different sweep, and
+    resuming is refused.
     """
     core = (
         "sweep-plan",
@@ -558,11 +331,7 @@ def plan_fingerprint(plan: SweepPlan) -> str:
 # ----------------------------------------------------------------------
 
 #: Kernels whose per-job hit/miss deltas decide warm-vs-computed below.
-_SWEEP_KERNELS = (
-    "solvability_shard",
-    "solvability_subshard",
-    "solvability_bounds",
-)
+_SWEEP_KERNELS = ("solvability_subshard", "solvability_bounds")
 
 
 def _job_warm(result) -> bool:
@@ -586,18 +355,17 @@ def _job_warm(result) -> bool:
 
 @dataclass(frozen=True)
 class SweepClassReport:
-    """One class's accounting: split decision, cost estimate, timing."""
+    """One class's accounting: cost estimate, job count, timing."""
 
     index: int
     edges: int
     """Proper edge count of the class representative (density)."""
     estimate: int
-    """:func:`estimate_class_cost` — the split heuristic's input."""
-    split: bool
+    """:func:`estimate_class_cost` — the scheduling order's input."""
     subshards: int
-    """Phase-1 jobs behind this class (1 when monolithic)."""
+    """Phase-1 jobs behind this class (bounds plus one per ``k``)."""
     elapsed: float
-    """Compute seconds across the class's jobs (plus its reduction)."""
+    """Compute seconds across the class's jobs plus its reduction."""
     resumed: bool
     """True when every lookup was warm — no CSP ran for this class."""
 
@@ -607,7 +375,6 @@ class SweepClassReport:
             "index": self.index,
             "edges": self.edges,
             "estimate": self.estimate,
-            "split": self.split,
             "subshards": self.subshards,
             "elapsed": self.elapsed,
             "resumed": self.resumed,
@@ -616,25 +383,20 @@ class SweepClassReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """A sweep's table plus the shard/split/resume accounting."""
+    """A sweep's table plus the per-class and resume accounting."""
 
     n: int
     headers: list[str]
     rows: list[list[object]]
     total_classes: int
     sharded: int
-    """Shards actually run this call (``limit`` may skip the tail)."""
+    """Classes actually run this call (``limit`` may skip the tail)."""
     batch: BatchResult
-    """Timings and merged cache/store statistics of the shard batch."""
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-    subshard: bool = True
+    """Timings and merged cache/store statistics of the job batch."""
     classes: tuple[SweepClassReport, ...] = ()
-    """Per-class split decisions, cost estimates and timings."""
+    """Per-class cost estimates and timings."""
     backend: str = "bitset"
-    """The resolved CSP compute backend every shard ran under."""
-
-    cost_model: str = "static"
-    """The cost model that ordered jobs and picked splits this run."""
+    """The resolved CSP compute backend every job ran under."""
 
     config_fingerprint: str = ""
     """12-hex digest of the :class:`~repro.config.SweepConfig` this run
@@ -647,29 +409,15 @@ class SweepReport:
     store (a pure hit, no kernel recompute) instead of re-dispatched."""
 
     checkpoint_dropped: int = 0
-    """Checkpointed completions the re-built plan no longer names
-    (observed-cost-model drift, a shrunken ``--limit``); re-run warm."""
+    """Checkpointed completions the re-built plan no longer names (a
+    checkpoint written by an older plan layout); re-run warm."""
 
     @property
     def resumed(self) -> int:
-        """Shards answered without running the CSP search this call.
-
-        A monolithic class counts when its ``solvability_shard`` lookup
-        hit the kernel cache (same process) or the persistent store
-        (earlier, possibly killed, run); a split class counts when every
-        one of its sub-shards came back warm.
-        """
+        """Classes answered without running the CSP search this call:
+        every one of their jobs hit the kernel cache (same process) or
+        the persistent store (earlier, possibly killed, run)."""
         return sum(1 for c in self.classes if c.resumed)
-
-    @property
-    def splits(self) -> int:
-        """Classes whose shard was split into sub-shards this call."""
-        return sum(1 for c in self.classes if c.split)
-
-    @property
-    def subshards(self) -> int:
-        """Total sub-shard jobs behind the split classes."""
-        return sum(c.subshards for c in self.classes if c.split)
 
     def describe(self) -> str:
         within = sum(1 for row in self.rows if row[3])
@@ -678,11 +426,6 @@ class SweepReport:
             f"isomorphism classes, {self.resumed} resumed (no recompute), "
             f"{within}/{len(self.rows)} within the paper's bounds"
         )
-        if self.splits:
-            text += (
-                f"; {self.splits} class(es) split into {self.subshards} "
-                f"sub-shards (threshold {self.split_threshold})"
-            )
         if self.replayed:
             text += f"; {self.replayed} job(s) replayed from checkpoint"
         return text
@@ -695,43 +438,29 @@ def solvability_sweep(
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
     executor=None,
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
-    subshard: bool = True,
     backend: str | None = None,
-    cost_model: str = "static",
     config=None,
     checkpoint_path: str | None = None,
     resume_from: str | None = None,
 ) -> SweepReport:
     """Run (or resume) the exhaustive solvability sweep on ``n`` processes.
 
-    Classes are one shard each, selected deterministically from densest
-    generator to sparsest; ``limit`` takes the first ``K`` classes in
-    that fixed order, so incremental runs keep their meaning across
-    invocations.  Within the selection, *jobs* are scheduled
-    heaviest-first, and classes whose estimated cost reaches
-    ``split_threshold`` are decomposed into independently persisted
-    sub-shards with a reduction that fires as the last one lands (see
-    :func:`plan_sweep`) — so distributed workers share the giant classes
-    instead of stranding on them.  Resume is per shard *and* per
-    sub-shard: anything persisted by any earlier run, in any order and
-    under either decomposition, is skipped.  ``budget`` caps each
-    shard's enumerated model exactly like ``search --budget``.
-    ``executor`` (:func:`repro.dist.make_executor`) overrides ``jobs``:
-    a ``DistExecutor`` runs the same plan across every connected
-    ``python -m repro worker``, with the coordinator persisting each
-    (sub-)shard as it completes and firing the reductions itself —
-    identical results, identical resumability.  ``backend`` selects the
-    CSP compute backend (resolved once, at plan time, so every worker
-    runs the same one); the rows are backend-independent — the
-    equivalence tests and the CI ``backends-smoke`` job pin it.
-    ``cost_model`` selects the :func:`estimate_class_cost` model the
-    planner schedules with (``"observed"`` prefers wall-clocks banked by
-    earlier sweeps); whichever model runs, each class that actually
-    computed this call has its measured wall-clock recorded via
-    :func:`record_class_observation` — so plain static sweeps feed the
-    observed model without opting in, and rows stay byte-identical
-    across models (pinned by the cost-model equivalence tests).
+    Classes are selected deterministically from densest generator to
+    sparsest; ``limit`` takes the first ``K`` classes in that fixed
+    order, so incremental runs keep their meaning across invocations.
+    Within the selection, *jobs* are scheduled heaviest-first (see
+    :func:`plan_sweep`), so distributed workers share the giant classes
+    instead of stranding on them.  Resume is per job: any bounds or
+    per-``k`` verdict persisted by an earlier run, in any order, is
+    skipped.  ``budget`` caps each class's enumerated model exactly like
+    ``search --budget``.  ``executor`` (:func:`repro.dist.make_executor`)
+    overrides ``jobs``: a ``DistExecutor`` runs the same plan across
+    every connected ``python -m repro worker``, with the coordinator
+    persisting each job as it completes and firing the reductions
+    itself — identical results, identical resumability.  ``backend``
+    selects the CSP compute backend (resolved once, at plan time, so
+    every worker runs the same one); the rows are backend-independent —
+    the equivalence tests and the CI ``backends-smoke`` job pin it.
     ``config`` (:class:`repro.config.SweepConfig`) supersedes every other
     argument except ``executor`` when given; either way the run's config
     fingerprint is stamped into the trace and the returned report.
@@ -758,27 +487,21 @@ def solvability_sweep(
             n=n,
             limit=limit,
             budget=budget,
-            split_threshold=split_threshold,
-            subshard=subshard,
             backend=backend,
-            cost_model=cost_model,
             executor=ExecutorConfig(jobs=max(jobs, 1)),
         )
     else:
         n = config.n
         limit = config.limit
         budget = config.budget
-        split_threshold = config.split_threshold
-        subshard = config.subshard
         backend = config.backend
-        cost_model = config.cost_model
         jobs = config.executor.jobs
         if executor is None and config.executor.distributed is not None:
             executor = config.executor.make()
     fingerprint = config.fingerprint()
     TRACER.instant(
         "sweep:config", cat="sweep", fingerprint=fingerprint, n=n,
-        budget=budget, cost_model=cost_model,
+        budget=budget,
     )
 
     representatives = sorted(
@@ -788,15 +511,7 @@ def solvability_sweep(
     total = len(representatives)
     if limit is not None:
         representatives = representatives[:limit]
-    plan = plan_sweep(
-        representatives,
-        n,
-        budget=budget,
-        split_threshold=split_threshold,
-        subshard=subshard,
-        backend=backend,
-        cost_model=cost_model,
-    )
+    plan = plan_sweep(representatives, n, budget=budget, backend=backend)
     completed_indices: tuple[int, ...] = ()
     writer = None
     dropped = 0
@@ -842,34 +557,20 @@ def solvability_sweep(
     class_reports: list[SweepClassReport] = []
     for cls in plan.classes:
         job_results = [batch.results[i] for i in cls.job_indices]
-        if cls.split:
-            reduced = batch.reduction_results[cls.reduction_index]
-            rows.append(reduced.value)
-            elapsed = sum(r.elapsed for r in job_results) + reduced.elapsed
-            # Warm only if *every* sub-shard was served from a cache
-            # tier: one recomputed sub-verdict means a CSP ran.
-            warm = all(_job_warm(result) for result in job_results)
-        else:
-            rows.append(job_results[0].value)
-            elapsed = job_results[0].elapsed
-            warm = _job_warm(job_results[0])
+        reduced = batch.reduction_results[cls.reduction_index]
+        rows.append(reduced.value)
         class_reports.append(
             SweepClassReport(
                 index=cls.index,
                 edges=cls.generator.proper_edge_count,
                 estimate=cls.estimate,
-                split=cls.split,
                 subshards=len(cls.job_indices),
-                elapsed=elapsed,
-                resumed=warm,
+                elapsed=sum(r.elapsed for r in job_results) + reduced.elapsed,
+                # Warm only if *every* job was served from a cache tier:
+                # one recomputed verdict means a CSP ran.
+                resumed=all(_job_warm(result) for result in job_results),
             )
         )
-        # Feed the scheduler: a class that actually computed this call
-        # (warm classes measured a cache lookup, not a CSP) banks its
-        # wall-clock for later observed-model plans.  First observation
-        # wins, so reruns never flap the estimates.
-        if not warm and elapsed > 0.0:
-            record_class_observation(cls.generator, n, elapsed, budget)
     return SweepReport(
         n=n,
         headers=sweep_headers(),
@@ -877,11 +578,8 @@ def solvability_sweep(
         total_classes=total,
         sharded=len(representatives),
         batch=batch,
-        split_threshold=split_threshold,
-        subshard=subshard,
         classes=tuple(class_reports),
         backend=plan.backend,
-        cost_model=cost_model,
         config_fingerprint=fingerprint,
         replayed=len(completed_indices),
         checkpoint_dropped=dropped,

@@ -4,7 +4,7 @@ The committed perf record of this repo is a sequence of schema-versioned
 JSON *trajectory points* (``benchmarks/BENCH_<rev>.json``), each one
 produced by ``python -m repro bench run``: named scenarios
 (:data:`~repro.bench.scenarios.SCENARIOS`) executed over a declared
-``{executor, workers, seeding, split-threshold, backend}`` matrix, timed
+``{executor, workers, seeding, backend}`` matrix, timed
 by the adaptive variance engine (:func:`~repro.bench.variance.measure`:
 warmups, then repeat until the CV settles), and attributed by an
 embedded :mod:`repro.obs` trace digest per cell.

@@ -3,10 +3,10 @@
 A **scenario** is one workload shape that matters to the frontier's
 wall-clock (the E10 sweep, the heaviest ``n = 3`` class, the ``n = 4``
 tail, store warm/cold, seeded dist); a **cell** is one point of the
-declared ``{executor, workers, seeding, split-threshold, backend}``
-matrix that scenario runs under.  The registry is static data — ``bench
-list`` and CI read the same :data:`SCENARIOS` the runner executes, so
-the docs cannot drift from what actually runs.
+declared ``{executor, workers, seeding, backend}`` matrix that scenario
+runs under.  The registry is static data — ``bench list`` and CI read
+the same :data:`SCENARIOS` the runner executes, so the docs cannot
+drift from what actually runs.
 
 Every cell builder returns a :class:`CellRun` whose ``setup`` hook makes
 repeats independent (cold kernel cache, fresh or deliberately warm
@@ -54,28 +54,19 @@ class Cell:
     """Store posture: ``none`` (store off), ``cold`` (fresh rw store per
     repeat), ``warm`` (pre-populated rw store), ``seeded`` (warm
     coordinator store streamed to store-less workers at handshake)."""
-    split_threshold: int | None = None
-    """``None`` = the sweep default; an int forces that threshold."""
     backend: str = "bitset"
     quick: bool = False
     """Part of the ``--quick`` matrix (the CI smoke subset)?"""
 
     @property
     def cell_id(self) -> str:
-        split = "default" if self.split_threshold is None else str(
-            self.split_threshold
-        )
-        return (
-            f"{self.executor}:w{self.workers}:{self.seeding}"
-            f":split={split}:{self.backend}"
-        )
+        return f"{self.executor}:w{self.workers}:{self.seeding}:{self.backend}"
 
     def to_dict(self) -> dict:
         return {
             "executor": self.executor,
             "workers": self.workers,
             "seeding": self.seeding,
-            "split_threshold": self.split_threshold,
             "backend": self.backend,
         }
 
@@ -238,14 +229,9 @@ def _spawn_workers(address: tuple[str, int], count: int) -> list:
 def _build_e10_sweep(cell: Cell) -> CellRun:
     import repro.store as store_pkg
 
-    from ..analysis.sweeps import DEFAULT_SPLIT_THRESHOLD, solvability_sweep
+    from ..analysis.sweeps import solvability_sweep
 
     stack = contextlib.ExitStack()
-    threshold = (
-        DEFAULT_SPLIT_THRESHOLD
-        if cell.split_threshold is None
-        else cell.split_threshold
-    )
 
     def prepare() -> None:
         stack.enter_context(store_pkg.RESULT_STORE.disabled())
@@ -255,13 +241,11 @@ def _build_e10_sweep(cell: Cell) -> CellRun:
         report = solvability_sweep(
             3,
             executor=_executor_for(cell),
-            split_threshold=threshold,
             backend=cell.backend,
         )
         return {
             "classes": len(report.rows),
             "within": sum(1 for row in report.rows if row[3]),
-            "splits": report.splits,
             "rows": _rows_fingerprint(report.rows),
         }
 
@@ -447,16 +431,12 @@ SCENARIOS: tuple[Scenario, ...] = (
         name="e10_sweep",
         description=(
             "the full n=3 solvability frontier (16 classes), cold caches, "
-            "store off — serial / pool / forced-split / dist executors"
+            "store off — serial / pool / dist executors"
         ),
         cells=(
             Cell(executor="serial", workers=1, backend="bitset", quick=True),
             Cell(executor="pool", workers=2, backend="bitset", quick=True),
             Cell(executor="serial", workers=1, backend="reference"),
-            Cell(
-                executor="serial", workers=1, backend="bitset",
-                split_threshold=1,
-            ),
             Cell(executor="dist", workers=2, backend="bitset"),
         ),
         builder=_build_e10_sweep,

@@ -1,7 +1,7 @@
 """Layered, frozen run-configuration objects — one knob surface, composed.
 
 Every run in this repo is shaped by the same handful of knobs — executor
-(serial / pool / distributed), store mode, seeding, sweep granularity,
+(serial / pool / distributed), store mode, seeding, sweep size,
 backend — but until now they travelled as an ever-growing keyword list
 (``make_executor(jobs, distributed, seed_store, ...)``) plus environment
 variables read at scattered call sites.  This module gives each layer one
@@ -55,10 +55,9 @@ __all__ = [
 #: scope: config must stay importable before any heavy layer).
 _STORE_MODES = ("off", "ro", "rw")
 
-#: Default sweep knobs, mirrored from :mod:`repro.analysis.sweeps` (which
-#: asserts the mirror in its own test so the two cannot drift silently).
+#: Default sweep budget, mirrored from :mod:`repro.analysis.sweeps` (a
+#: test asserts the mirror so the two cannot drift silently).
 DEFAULT_BUDGET = 1 << 12
-DEFAULT_SPLIT_THRESHOLD = 1 << 11
 
 
 def config_fingerprint(value) -> str:
@@ -180,6 +179,16 @@ def _env_float(env: Mapping[str, str], name: str, default: float) -> float:
         raise ConfigError(f"{name}={raw!r} is not a number") from None
 
 
+def _arg(args, name: str, default):
+    """``args.name``, or ``default`` when the flag is absent or ``None``.
+
+    Only ``None`` means unset: a falsy value such as ``--budget 0`` must
+    reach validation and be rejected, not silently become the default.
+    """
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _tristate(value, default: bool) -> bool:
     """Map CLI on/off strings (or booleans, or None) onto a bool."""
     if value is None:
@@ -230,10 +239,10 @@ class ExecutorConfig(_Config):
     def from_args(cls, args) -> "ExecutorConfig":
         """Lift the CLI's ``--jobs/--distributed/--seed-store`` flags."""
         return cls(
-            jobs=getattr(args, "jobs", 1) or 1,
+            jobs=_arg(args, "jobs", 1),
             distributed=getattr(args, "distributed", None),
             seed_store=_tristate(getattr(args, "seed_store", None), True),
-            lease_timeout=getattr(args, "lease_timeout", None) or 60.0,
+            lease_timeout=_arg(args, "lease_timeout", 60.0),
         )
 
     def make(self, *, log=None, on_bound=None):
@@ -312,10 +321,7 @@ class SweepConfig(_Config):
     n: int = 4
     limit: int | None = None
     budget: int = DEFAULT_BUDGET
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-    subshard: bool = True
     backend: str | None = None
-    cost_model: str = "static"
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
 
     def __post_init__(self):
@@ -325,10 +331,6 @@ class SweepConfig(_Config):
             raise ConfigError(f"budget must be positive, got {self.budget!r}")
         if self.limit is not None and self.limit < 1:
             raise ConfigError(f"limit must be positive, got {self.limit!r}")
-        if self.cost_model not in ("static", "observed"):
-            raise ConfigError(
-                f"cost_model must be static|observed, got {self.cost_model!r}"
-            )
         if isinstance(self.executor, dict):  # tolerate asdict round trips
             object.__setattr__(self, "executor", ExecutorConfig(**self.executor))
 
@@ -348,13 +350,8 @@ class SweepConfig(_Config):
         return cls(
             n=getattr(args, "n", 4),
             limit=getattr(args, "limit", None),
-            budget=getattr(args, "budget", None) or DEFAULT_BUDGET,
-            split_threshold=(
-                getattr(args, "split_threshold", None) or DEFAULT_SPLIT_THRESHOLD
-            ),
-            subshard=_tristate(getattr(args, "subshard", None), True),
+            budget=_arg(args, "budget", DEFAULT_BUDGET),
             backend=getattr(args, "backend", None),
-            cost_model=getattr(args, "cost_model", None) or "static",
             executor=ExecutorConfig.from_args(args),
         )
 
@@ -413,14 +410,10 @@ class ServeConfig(_Config):
         return cls(
             http=getattr(args, "http", None) or "127.0.0.1:8080",
             distributed=getattr(args, "distributed", None),
-            workers=(
-                 getattr(args, "workers", None)
-                 if getattr(args, "workers", None) is not None
-                 else 1
-            ),
-            budget=getattr(args, "budget", None) or DEFAULT_BUDGET,
+            workers=_arg(args, "workers", 1),
+            budget=_arg(args, "budget", DEFAULT_BUDGET),
             backend=getattr(args, "backend", None),
-            wait_delay=getattr(args, "wait_delay", None) or 0.05,
-            lease_timeout=getattr(args, "lease_timeout", None) or 60.0,
+            wait_delay=_arg(args, "wait_delay", 0.05),
+            lease_timeout=_arg(args, "lease_timeout", 60.0),
             store=StoreConfig.from_args(args),
         )

@@ -19,11 +19,10 @@ already pickled frames within one trust domain — the checkpoint file has
 the same trust boundary as the store file next to it (never load
 checkpoints from untrusted sources).
 
-Completed work is recorded by job *name*, not submission index: under
-the observed cost model a re-built plan may order (or even split) jobs
-differently, and names are the stable identity that survives
-re-planning.  The resume path maps names onto the fresh plan and drops
-(with a count) any names the new plan no longer contains.
+Completed work is recorded by job *name*, not submission index: names
+are the stable identity that survives re-planning, whatever order the
+new plan emits its jobs in.  The resume path maps names onto the fresh
+plan and drops (with a count) any names the new plan no longer contains.
 """
 
 from __future__ import annotations
@@ -213,9 +212,9 @@ def resume_completed(
     Raises :class:`~repro.errors.DistError` on a fingerprint mismatch —
     the checkpoint belongs to a different plan (different n, budget,
     backend, …) and resuming would silently corrupt accounting.
-    Completed names absent from the new plan (observed-cost-model drift
-    re-splitting a shard, a shrunken ``--limit``) are dropped, not
-    fatal: re-running them costs a warm store hit, not a kernel.
+    Completed names absent from the new plan (a checkpoint written by
+    an older plan layout) are dropped, not fatal: re-running them costs
+    a warm store hit, not a kernel.
     """
     if state.fingerprint != fingerprint:
         raise DistError(

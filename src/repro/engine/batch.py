@@ -32,9 +32,9 @@ that fold the values of named phase-1 jobs into one result.  Reductions
 fire *as each group's last input lands* (no barrier between phases) and
 always execute in the batch parent — the store-writing process — so a
 reduction may bank derived rows without touching the single-writer
-invariant.  The sharded sweeps use this to decompose one giant shard
-into independently schedulable sub-shards whose verdicts a pure reducer
-merges back into the monolithic row.
+invariant.  The sweeps use this to plan every class as a bounds job plus
+one job per candidate ``k``, whose verdicts a pure reducer folds into
+the class's table row.
 
 Failures: every job runs to completion regardless of earlier failures,
 and each failure is recorded as a :class:`JobFailure` naming the job that

@@ -428,49 +428,6 @@ def cached_kernel(
                 sp.set(tier=served)
             return value
 
-        def seed(value, *args, **kwargs):
-            """Install a known result for these arguments without computing.
-
-            For callers that assembled this kernel's result from
-            independently computed parts (e.g. a sweep reduction merging
-            per-``k`` sub-verdicts into the monolithic shard verdict):
-            the merged value is banked in the memo cache and — when the
-            persistent store is active — written back under this
-            kernel's ``(name, version, key)`` identity, so later calls
-            are indistinguishable from a computed-and-cached result.
-
-            If either tier already holds a value for the key, that value
-            wins and nothing is overwritten (results are pure functions
-            of the key, so any banked value is already the right one).
-            Returns True when this call installed ``value``; False when
-            the caches are disabled or the key was already banked.
-
-            Statistics: seeding counts like the lookup-then-install it
-            is — a cold seed books a miss plus a store write (the merge
-            *did* produce and bank a fresh row), an already-banked key
-            books a hit.  Kernel counters therefore stay consistent
-            with the write counts observers see.
-            """
-            target = store if store is not None else KERNEL_CACHE
-            if not target.enabled:
-                return False
-            memo_key, store_key, store_version = _identity(args, kwargs)
-            if target.lookup(kernel, memo_key) is not _MISSING:
-                return False
-            installed = True
-            tier = _second_tier()
-            if tier is not None:
-                from ..store.backend import MISS as _STORE_MISS
-
-                stored = tier.load(kernel, store_version, store_key)
-                if stored is _STORE_MISS:
-                    tier.save(kernel, store_version, store_key, value)
-                else:
-                    value = stored
-                    installed = False
-            target.store(kernel, memo_key, value)
-            return installed
-
         def peek(*args, **kwargs):
             """Look the banked value up without ever computing it.
 
@@ -478,14 +435,9 @@ def cached_kernel(
             these arguments, ``(False, None)`` otherwise — including when
             the caches are disabled, since a bypassed run must not observe
             banked state.  A store-tier hit is promoted into the memo
-            cache so repeated peeks (the planner calls this once per
-            class) cost one SQLite read total, not one per call.
-
-            This is the read half of :func:`seed` for kernels that are
-            *observation banks* rather than computations: values arrive
-            only via ``seed`` (e.g. measured per-class wall-clocks) and
-            are consulted via ``peek``, so a missing observation is an
-            ordinary answer, not a trigger to run the kernel body.
+            cache so repeated peeks cost one SQLite read total, not one
+            per call.  The query service answers warm queries this way
+            and enqueues the rest as jobs.
             """
             target = store if store is not None else KERNEL_CACHE
             if not target.enabled:
@@ -506,7 +458,6 @@ def cached_kernel(
 
         wrapper.kernel_name = kernel
         wrapper.kernel_version = kernel_version
-        wrapper.seed = seed
         wrapper.peek = peek
         return wrapper
 

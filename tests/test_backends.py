@@ -329,10 +329,9 @@ class TestResolveBackend:
         assert KERNEL_VERSION_VARIANTS["one_round_solvability"] == tuple(
             f"2+{suffix}" for suffix in CSP_BACKEND_VARIANTS
         )
-        for kernel in ("solvability_shard", "solvability_subshard"):
-            assert KERNEL_VERSION_VARIANTS[kernel] == tuple(
-                f"1+{suffix}" for suffix in CSP_BACKEND_VARIANTS
-            )
+        assert KERNEL_VERSION_VARIANTS["solvability_subshard"] == tuple(
+            f"1+{suffix}" for suffix in CSP_BACKEND_VARIANTS
+        )
 
 
 # ----------------------------------------------------------------------

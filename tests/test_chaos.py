@@ -3,9 +3,7 @@
 Each test here is one scenario of the CI ``chaos-smoke`` matrix (PR 10):
 
 * ``kill-worker-mid-job`` — SIGKILL a worker subprocess while it holds a
-  leased monolithic sweep shard;
-* ``kill-worker-mid-heavy-subshard`` — same, under ``split_threshold=1``
-  so every class is decomposed and the victim dies holding a sub-shard;
+  leased sweep job;
 * ``kill-coordinator-mid-sweep`` — SIGKILL the *coordinator* process of
   a checkpointed distributed sweep, then resume from the checkpoint;
 * ``supervisor-respawn`` — SIGKILL a supervised worker and watch the
@@ -167,7 +165,7 @@ def _assert_nothing_lost(store, limit: int) -> None:
     assert rerun.resumed == limit
 
 
-def _run_kill_worker_scenario(tmp_path, scenario, **sweep_kwargs):
+def _run_kill_worker_scenario(tmp_path, scenario):
     limit = _LIMIT
     rows_ref = _serial_reference(limit)
     store = store_pkg.configure(
@@ -191,9 +189,7 @@ def _run_kill_worker_scenario(tmp_path, scenario, **sweep_kwargs):
     )
     monitor.start()
     try:
-        dist = solvability_sweep(
-            3, limit=limit, executor=executor, **sweep_kwargs
-        )
+        dist = solvability_sweep(3, limit=limit, executor=executor)
     finally:
         outs = [
             _drain_worker(w, scenario, f"worker{i}")
@@ -208,7 +204,6 @@ def _run_kill_worker_scenario(tmp_path, scenario, **sweep_kwargs):
         # leased job must have been requeued and re-served.
         assert executor.last_requeues >= 1
         assert executor.last_metrics["requeues"] >= 1
-    return dist
 
 
 class _Lazy:
@@ -223,21 +218,12 @@ class _Lazy:
 
 
 def test_kill_worker_mid_job(chaos_store):
-    """Scenario 1: SIGKILL a worker holding a monolithic shard lease."""
+    """Scenario 1: SIGKILL a worker holding a sweep job lease."""
     _run_kill_worker_scenario(chaos_store, "kill-worker-mid-job")
 
 
-def test_kill_worker_mid_heavy_subshard(chaos_store):
-    """Scenario 2: every class decomposed (``split_threshold=1``); the
-    victim dies holding a sub-shard of a split class."""
-    dist = _run_kill_worker_scenario(
-        chaos_store, "kill-worker-mid-heavy-subshard", split_threshold=1
-    )
-    assert dist.splits == _LIMIT  # the decomposition really was in force
-
-
 def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
-    """Scenario 3: SIGKILL the coordinator of a checkpointed distributed
+    """Scenario 2: SIGKILL the coordinator of a checkpointed distributed
     sweep mid-run, then resume from the checkpoint — byte-identical rows,
     checkpointed completions replayed, not re-dispatched."""
     scenario = "kill-coordinator-mid-sweep"
@@ -250,7 +236,7 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
     coordinator = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "sweep",
-            "--n", "3", "--limit", str(limit), "--split-threshold", "1",
+            "--n", "3", "--limit", str(limit),
             "--distributed", f"127.0.0.1:{port}",
             "--checkpoint", ckpt, "--json",
         ],
@@ -292,8 +278,7 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
     store = store_pkg.configure(path=store_path, mode="rw")
     KERNEL_CACHE.clear()
     resumed = solvability_sweep(
-        3, limit=limit, split_threshold=1,
-        resume_from=ckpt, checkpoint_path=ckpt,
+        3, limit=limit, resume_from=ckpt, checkpoint_path=ckpt
     )
     assert resumed.rows == rows_ref
     # The first checkpoint write lands on the first completion and the
@@ -304,7 +289,7 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
 
 
 def test_supervisor_respawn_holds_worker_count(chaos_store):
-    """Scenario 4: SIGKILL one of two supervised workers mid-sweep; the
+    """Scenario 3: SIGKILL one of two supervised workers mid-sweep; the
     supervisor respawns it (fleet back at target), the batch completes,
     and both sides surface the respawn in their accounting."""
     limit = _LIMIT
@@ -344,9 +329,7 @@ def test_supervisor_respawn_holds_worker_count(chaos_store):
         threading.Thread(target=chaos, daemon=True).start()
 
     executor = DistExecutor(":0", on_bound=on_bound)
-    dist = solvability_sweep(
-        3, limit=limit, split_threshold=1, executor=executor
-    )
+    dist = solvability_sweep(3, limit=limit, executor=executor)
     holder["thread"].join(timeout=60.0)
     report = holder.get("report")
     assert report is not None, "supervisor did not finish"

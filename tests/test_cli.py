@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,28 @@ class TestSearch:
         )
         assert code == 0
         assert "full model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "cycle", "--n", "4", "--k", "1", "--full",
+              "--budget", "10"], "more than the budget of 10"),
+            (["--family", "nonsense", "--n", "4", "--k", "1"],
+             "unknown family 'nonsense'"),
+            (["--family", "cycle", "--n", "4", "--k", "0"],
+             "k must be positive"),
+        ],
+        ids=["model-over-budget", "unknown-family", "k-zero"],
+    )
+    def test_errors_exit_2_not_unsat(self, capsys, argv, message):
+        """Exit 1 means "not solvable"; an error must not look like one."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestVerify:
@@ -149,7 +175,27 @@ class TestCacheStats:
         assert "domination_number" in kernels
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
 class TestSweep:
+    def test_n3_rows_match_the_committed_e10_table(self):
+        """The CLI from process start reproduces the committed E10 table
+        (the file the repository benchmark checks its sweep ops
+        against); the file is only read, never written."""
+        expected = json.loads(
+            (_ROOT / "perfbench" / "expected" / "e10_rows.json").read_text()
+        )
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+        env["REPRO_STORE"] = "off"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--n", "3", "--json"],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        payload = json.loads(proc.stdout)
+        assert payload["headers"] == expected["headers"]
+        assert payload["rows"] == expected["rows"]
+
     def test_limited_sweep_prints_table(self, capsys, tmp_store):
         assert main(["sweep", "--n", "3", "--limit", "2"]) == 0
         out = capsys.readouterr().out
@@ -168,49 +214,12 @@ class TestSweep:
         assert second["rows"] == first["rows"]
         assert second["store"]["hits"] >= 2
 
-    def test_rejects_non_positive_jobs(self, tmp_store):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--n", "3", "--jobs", "0"])
-
-    def test_rejects_non_positive_split_threshold(self, tmp_store):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--n", "3", "--split-threshold", "0"])
-
-    def test_subshard_json_reports_split_decisions(self, capsys, tmp_store):
-        code = main(
-            ["sweep", "--n", "3", "--limit", "2", "--json",
-             "--split-threshold", "1"]
-        )
-        assert code == 0
-        split = json.loads(capsys.readouterr().out)
-        assert split["split_threshold"] == 1
-        assert split["subshard"] is True
-        assert split["splits"] == 2
-        assert split["subshards"] == 8  # bounds + k=1..3, per class
-        assert len(split["classes"]) == 2
-        for cls in split["classes"]:
-            assert cls["split"] is True and cls["subshards"] == 4
-            assert cls["elapsed"] >= 0
-        # The monolithic reference (--subshard off) agrees row for row.
-        KERNEL_CACHE.clear()
-        store_pkg.configure()  # fresh instance, same file: new process
-        assert main(
-            ["sweep", "--n", "3", "--limit", "2", "--json",
-             "--subshard", "off"]
-        ) == 0
-        mono = json.loads(capsys.readouterr().out)
-        assert mono["rows"] == split["rows"]
-        assert mono["splits"] == 0 and mono["subshards"] == 0
-        # The split run banked the merged verdicts: the monolithic
-        # rerun resumed every class without a CSP search.
-        assert mono["resumed"] == 2
-
-    def test_sweep_text_mentions_splits(self, capsys, tmp_store):
-        assert main(
-            ["sweep", "--n", "3", "--limit", "2", "--split-threshold", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 class(es) split into 8 sub-shards" in out
+    @pytest.mark.parametrize("flag", ["--jobs", "--budget", "--limit"])
+    def test_rejects_non_positive(self, tmp_store, flag):
+        # 0 must be rejected like any other non-positive value, never
+        # read as "unset" and replaced by the default.
+        with pytest.raises(SystemExit, match="positive"):
+            main(["sweep", "--n", "3", flag, "0"])
 
 
 class TestStoreCLI:

@@ -10,7 +10,6 @@ from repro import store as store_pkg
 from repro.analysis import sweeps
 from repro.config import (
     DEFAULT_BUDGET,
-    DEFAULT_SPLIT_THRESHOLD,
     ExecutorConfig,
     ServeConfig,
     StoreConfig,
@@ -30,9 +29,7 @@ class TestMirroredDefaults:
     def test_sweep_constants_cannot_drift(self):
         """config mirrors sweeps' knob defaults without importing it."""
         assert DEFAULT_BUDGET == sweeps.DEFAULT_BUDGET
-        assert DEFAULT_SPLIT_THRESHOLD == sweeps.DEFAULT_SPLIT_THRESHOLD
         assert SweepConfig().budget == sweeps.DEFAULT_BUDGET
-        assert SweepConfig().split_threshold == sweeps.DEFAULT_SPLIT_THRESHOLD
 
 
 class TestBuilders:
@@ -80,8 +77,8 @@ class TestValidation:
     def test_sweep(self):
         with pytest.raises(ConfigError):
             SweepConfig(n=0)
-        with pytest.raises(ConfigError):
-            SweepConfig(cost_model="psychic")
+        with pytest.raises(ConfigError, match="budget"):
+            SweepConfig(budget=0)
 
     def test_serve(self):
         with pytest.raises(ConfigError):
@@ -129,14 +126,12 @@ class TestFromEnv:
 class TestFromArgs:
     def test_sweep_namespace_lifts_cleanly(self):
         args = _ns(
-            n=3, limit=2, budget=512, split_threshold=64, subshard="off",
-            backend="bitset", cost_model="observed", jobs=2,
+            n=3, limit=2, budget=512, backend="bitset", jobs=2,
             distributed=None, seed_store="on",
         )
         config = SweepConfig.from_args(args)
         assert config == SweepConfig(
-            n=3, limit=2, budget=512, split_threshold=64, subshard=False,
-            backend="bitset", cost_model="observed",
+            n=3, limit=2, budget=512, backend="bitset",
             executor=ExecutorConfig(jobs=2),
         )
 
@@ -154,6 +149,15 @@ class TestFromArgs:
     def test_missing_attributes_fall_back_to_defaults(self):
         assert ExecutorConfig.from_args(_ns()) == ExecutorConfig()
         assert ServeConfig.from_args(_ns()) == ServeConfig()
+
+    def test_zero_is_not_unset(self):
+        """Only None falls back to a default; 0 reaches validation."""
+        with pytest.raises(ConfigError, match="budget"):
+            SweepConfig.from_args(_ns(budget=0))
+        with pytest.raises(ConfigError, match="budget"):
+            ServeConfig.from_args(_ns(budget=0))
+        with pytest.raises(ConfigError, match="jobs"):
+            ExecutorConfig.from_args(_ns(jobs=0))
 
 
 class TestFingerprint:

@@ -186,8 +186,7 @@ class TestTracedEquivalence:
 
     def _rows(self, executor=None):
         KERNEL_CACHE.clear()
-        report = solvability_sweep(3, limit=6, split_threshold=1,
-                                   executor=executor)
+        report = solvability_sweep(3, limit=6, executor=executor)
         return json.dumps(
             [[repr(cell) for cell in row] for row in report.rows]
         )
@@ -222,8 +221,7 @@ class TestTracedEquivalence:
         self, no_store, traced
     ):
         KERNEL_CACHE.clear()
-        solvability_sweep(3, limit=6, split_threshold=1,
-                          executor=PoolExecutor(2))
+        solvability_sweep(3, limit=6, executor=PoolExecutor(2))
         count = write_trace()
         assert count > 0
         events = load_trace(traced)

@@ -1,11 +1,11 @@
-"""Tests for dynamic sub-shard scheduling: two-phase plans and sweeps.
+"""Tests for the sweep's two-phase plan and its persistence.
 
-The contract of the sub-sharding PR: splitting a class's shard into
-per-``k`` sub-shards plus a reduction produces rows *byte-identical* to
-the monolithic reference — serial, pool, and distributed; cold and warm
-from the store — while the sub-verdicts persist, resume, and bank
-independently (a sweep killed between a class's sub-shards loses only
-the unfinished ones).
+Every class runs as one bounds job, one job per candidate ``k`` and a
+reduction.  The rows must equal the definition — the paper's bounds and
+the smallest ``k`` whose one-round CSP is solvable on the full model —
+byte for byte: serial, pool, and distributed; cold and warm from the
+store.  The per-``k`` verdicts persist, resume, and bank independently
+(a sweep killed between a class's jobs loses only the unfinished ones).
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ import pytest
 import repro.store as store_pkg
 from repro.analysis.sweeps import (
     DEFAULT_BUDGET,
-    DEFAULT_SPLIT_THRESHOLD,
     _class_bounds,
-    _shard_verdict,
     _subshard_solvable,
     estimate_class_cost,
     plan_sweep,
     solvability_sweep,
-    sweep_row,
 )
-from repro.dist import DistExecutor, PoolExecutor, SerialExecutor
+from repro.bounds.report import bound_report
+from repro.dist import DistExecutor, PoolExecutor
 from repro.dist.worker import run_worker
 from repro.engine import (
     KERNEL_CACHE,
@@ -39,7 +37,9 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.graphs.generators import iter_all_digraphs
-from repro.graphs.symmetry import iter_isomorphism_classes
+from repro.graphs.symmetry import iter_isomorphism_classes, symmetric_closure
+from repro.models.closed_above import symmetric_closed_above
+from repro.verification.solvability import decide_one_round_solvability
 
 
 def _representatives(n: int):
@@ -67,6 +67,24 @@ def isolated_store(tmp_path):
     yield store
     store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
     KERNEL_CACHE.clear()
+
+
+def _reference_row(g, n: int = 3) -> list[object]:
+    """One sweep row by definition, with no plan, kernel or reducer: the
+    paper's interval, then the smallest k whose CSP on the full model is
+    solvable (k = n searched too, not answered analytically)."""
+    report = bound_report(sorted(symmetric_closure([g])))
+    lo, hi = report.best_lower.k, report.best_upper.k
+    model = symmetric_closed_above([g])
+    full = sorted(model.iter_graphs(max_graphs=DEFAULT_BUDGET))
+    exact = None
+    for k in range(1, n + 1):
+        if decide_one_round_solvability(full, k).solvable:
+            exact = k
+            break
+    within = exact is not None and lo < exact <= hi
+    return [sorted(g.proper_edges()), f"({lo}, {hi}]", exact, within,
+            exact == lo + 1]
 
 
 def _fresh_process(store) -> None:
@@ -207,35 +225,19 @@ class TestEstimatorAndPlan:
         assert estimate_class_cost(empty, 3) == 64
         assert estimate_class_cost(empty, 3, budget=16) == 16
 
-    def test_default_threshold_splits_nothing_at_n3(self):
+    def test_every_class_plans_bounds_subshards_and_reduction(self):
         plan = plan_sweep(_representatives(3), 3)
-        assert plan.splits == 0
-        assert len(plan.tasks) == 16
-        assert plan.reductions == ()
-
-    def test_low_threshold_splits_everything(self):
-        reps = _representatives(3)
-        plan = plan_sweep(reps, 3, split_threshold=1)
-        assert plan.splits == 16
         # bounds + one job per candidate k, per class
-        assert plan.subshards == 16 * 4
-        assert len(plan.tasks) == 64
+        assert len(plan.tasks) == 16 * 4
         assert len(plan.reductions) == 16
         for cls in plan.classes:
-            assert cls.split
             assert len(cls.job_indices) == 4
             reduction = plan.reductions[cls.reduction_index]
             assert reduction.over == cls.job_indices
 
-    def test_subshard_off_forces_monolithic(self):
-        plan = plan_sweep(
-            _representatives(3), 3, split_threshold=1, subshard=False
-        )
-        assert plan.splits == 0 and len(plan.tasks) == 16
-
     def test_jobs_emitted_heaviest_first(self):
         reps = _representatives(3)
-        plan = plan_sweep(reps, 3, split_threshold=1)
+        plan = plan_sweep(reps, 3)
         # The first emitted job belongs to the sparsest (heaviest) class,
         # which sits *last* in the densest-first representative order.
         heaviest = plan.classes[len(reps) - 1]
@@ -246,38 +248,28 @@ class TestEstimatorAndPlan:
         estimates = [c.estimate for c in order]
         assert estimates == sorted(estimates, reverse=True)
 
-    def test_split_decision_threshold_boundary(self):
-        reps = _representatives(3)
-        empty = reps[-1]
-        at = plan_sweep([empty], 3, split_threshold=64)
-        above = plan_sweep([empty], 3, split_threshold=65)
-        assert at.splits == 1
-        assert above.splits == 0
-
 
 class TestSubshardEquivalence:
-    """Acceptance: split rows byte-identical to the monolithic reference."""
+    """Acceptance: rows byte-identical to the definition."""
 
     def test_split_serial_matches_monolithic_all_16(self, no_store):
-        mono = solvability_sweep(3, subshard=False)
+        """The monolithic reference is the definition, kept in this file
+        (:func:`_reference_row`): one staircase of CSP searches per class,
+        no plan, no per-k kernels, no reducer."""
+        report = solvability_sweep(3)
         KERNEL_CACHE.clear()
-        split = solvability_sweep(3, split_threshold=1)
-        assert split.rows == mono.rows
-        assert split.headers == mono.headers
-        assert repr(split.rows) == repr(mono.rows)  # byte-identical
-        assert split.splits == 16 and split.subshards == 64
-        assert mono.splits == 0
+        reference = [_reference_row(g) for g in _representatives(3)]
+        assert repr(report.rows) == repr(reference)  # byte-identical
+        assert len(report.rows) == 16
 
     def test_split_pool_matches_serial(self, no_store):
-        serial = solvability_sweep(3, limit=6, split_threshold=1)
+        serial = solvability_sweep(3, limit=6)
         KERNEL_CACHE.clear()
-        pool = solvability_sweep(
-            3, limit=6, split_threshold=1, executor=PoolExecutor(2)
-        )
+        pool = solvability_sweep(3, limit=6, executor=PoolExecutor(2))
         assert pool.rows == serial.rows
 
     def test_split_dist_matches_serial(self, no_store):
-        serial = solvability_sweep(3, limit=6, split_threshold=1)
+        serial = solvability_sweep(3, limit=6)
         KERNEL_CACHE.clear()
 
         def launch(address):
@@ -286,23 +278,16 @@ class TestSubshardEquivalence:
             ).start()
 
         executor = DistExecutor(":0", on_bound=launch)
-        dist = solvability_sweep(
-            3, limit=6, split_threshold=1, executor=executor
-        )
+        dist = solvability_sweep(3, limit=6, executor=executor)
         assert dist.rows == serial.rows
         metrics = dist.batch.dist_metrics
         assert metrics is not None
-        # 6 classes x (bounds + k=1..3) sub-shards, all served remotely.
+        # 6 classes x (bounds + k=1..3) jobs, all served remotely.
         assert sum(w["completed"] for w in metrics["workers"]) >= 24
 
     def test_k_at_least_n_shortcut_matches_the_csp(self, no_store):
         """Pin the analytic k >= n answer against the real search on the
         class where it matters most (the sparsest generator)."""
-        from repro.models.closed_above import symmetric_closed_above
-        from repro.verification.solvability import (
-            decide_one_round_solvability,
-        )
-
         empty = _representatives(3)[-1]
         model = symmetric_closed_above([empty])
         full = sorted(model.iter_graphs(max_graphs=DEFAULT_BUDGET))
@@ -322,10 +307,10 @@ class TestSubshardEquivalence:
 
 class TestSubshardStore:
     def test_warm_split_rerun_resumes_everything(self, isolated_store):
-        cold = solvability_sweep(3, limit=4, split_threshold=1)
+        cold = solvability_sweep(3, limit=4)
         assert cold.resumed == 0
         _fresh_process(isolated_store)
-        warm = solvability_sweep(3, limit=4, split_threshold=1)
+        warm = solvability_sweep(3, limit=4)
         assert warm.rows == cold.rows
         assert repr(warm.rows) == repr(cold.rows)
         assert warm.resumed == 4
@@ -336,51 +321,24 @@ class TestSubshardStore:
         hits, misses = by_kernel["solvability_subshard"]
         assert hits == 4 * 3 and misses == 0
 
-    def test_reduction_banks_the_monolithic_row(self, isolated_store):
-        """A split run leaves the store warm for a later *monolithic* run
-        (threshold raised, --subshard off): the reducer seeds the merged
-        verdict under solvability_shard's own identity."""
-        split = solvability_sweep(3, limit=4, split_threshold=1)
-        db = isolated_store.db_stats()
-        entries = {
-            row["kernel"]: row["entries"] for row in db["kernels"]
-        }
-        assert entries["solvability_shard"] == 4
-        _fresh_process(isolated_store)
-        mono = solvability_sweep(3, limit=4, subshard=False)
-        assert mono.rows == split.rows
-        assert mono.resumed == 4  # zero CSP searches ran
-
-    def test_monolithic_store_warms_split_sub_rows_only_partially(
-        self, isolated_store
-    ):
-        """The other direction: a monolithic run banks no sub-shard rows,
-        so a later split run recomputes per-k verdicts (correctly) —
-        pinning that the two decompositions keep separate identities
-        while producing identical rows."""
-        mono = solvability_sweep(3, limit=2, subshard=False)
-        _fresh_process(isolated_store)
-        split = solvability_sweep(3, limit=2, split_threshold=1)
-        assert split.rows == mono.rows
-
     def test_mid_class_kill_banks_finished_subshards(self, isolated_store):
-        """Satellite acceptance: kill a sweep mid-class — some sub-shards
-        banked, the reduction never fired — and the rerun serves the
-        banked sub-verdicts from the store while recomputing only the
-        missing ones, landing on the uninterrupted run's exact row."""
+        """Kill a sweep mid-class — some jobs banked, the reduction never
+        fired — and the rerun serves the banked verdicts from the store
+        while recomputing only the missing ones, landing on the
+        definition's exact row."""
         reps = _representatives(3)
-        heavy = reps[-1]  # the sparsest class: the one worth splitting
+        heavy = reps[-1]  # the sparsest class: the heaviest one
         index = len(reps) - 1
 
-        # The uninterrupted reference, on a separate store.
+        # The reference row, computed by definition on no store.
         with store_pkg.RESULT_STORE.disabled():
             KERNEL_CACHE.clear()
-            reference_row = sweep_row(heavy, 3, DEFAULT_BUDGET)
+            reference_row = _reference_row(heavy)
         KERNEL_CACHE.clear()
 
         # "Run" only part of the class, as a killed sweep would have:
-        # bounds and two of the three per-k sub-shards reach the store,
-        # the reduction does not fire, no solvability_shard row exists.
+        # bounds and two of the three per-k jobs reach the store, the
+        # reduction does not fire.
         _class_bounds(heavy, 3)
         _subshard_solvable(heavy, 3, DEFAULT_BUDGET, 1)
         _subshard_solvable(heavy, 3, DEFAULT_BUDGET, 2)
@@ -388,11 +346,10 @@ class TestSubshardStore:
         db = store_pkg.active_store().db_stats()
         entries = {row["kernel"]: row["entries"] for row in db["kernels"]}
         assert entries.get("solvability_subshard") == 2
-        assert "solvability_shard" not in entries
 
-        # Rerun the full sweep with forced splitting: the banked
-        # sub-shards must hit the store; only k=3 is computed fresh.
-        report = solvability_sweep(3, split_threshold=1)
+        # Rerun the full sweep: the banked jobs must hit the store; only
+        # k=3 is computed fresh.
+        report = solvability_sweep(3)
         assert report.rows[index] == reference_row
         by_kernel = {
             name: (hits, misses)
@@ -405,40 +362,21 @@ class TestSubshardStore:
 
         # And now the class is fully banked: a fresh process resumes it.
         _fresh_process(store_pkg.active_store())
-        rerun = solvability_sweep(3, split_threshold=1)
+        rerun = solvability_sweep(3)
         assert rerun.rows == report.rows
         assert rerun.resumed == rerun.sharded == 16
 
 
 class TestSweepReportSurface:
-    def test_describe_mentions_splits(self, no_store):
-        report = solvability_sweep(3, limit=2, split_threshold=1)
-        text = report.describe()
-        assert "2 class(es) split into 8 sub-shards" in text
-        assert "threshold 1" in text
-
     def test_class_reports_carry_estimates_and_timings(self, no_store):
-        report = solvability_sweep(3, limit=3, split_threshold=1)
+        report = solvability_sweep(3, limit=3)
         assert len(report.classes) == 3
         for cls in report.classes:
-            assert cls.split and cls.subshards == 4
+            assert cls.subshards == 4
             assert cls.elapsed >= 0.0
             assert cls.estimate >= 1
             payload = cls.to_dict()
             assert set(payload) == {
-                "index", "edges", "estimate", "split", "subshards",
-                "elapsed", "resumed",
+                "index", "edges", "estimate", "subshards", "elapsed",
+                "resumed",
             }
-
-    def test_default_report_matches_pre_split_shape(self, no_store):
-        report = solvability_sweep(3, limit=2)
-        assert report.splits == 0 and report.subshards == 0
-        assert report.split_threshold == DEFAULT_SPLIT_THRESHOLD
-        assert "split" not in report.describe()
-
-    def test_shard_verdict_seed_noop_when_banked(self, no_store):
-        """Seeding an already-computed verdict keeps the banked value."""
-        g = _representatives(3)[0]
-        verdict = _shard_verdict(g, 3, DEFAULT_BUDGET)
-        assert _shard_verdict.seed(("x",), g, 3, DEFAULT_BUDGET) is False
-        assert _shard_verdict(g, 3, DEFAULT_BUDGET) == verdict
