@@ -64,8 +64,8 @@ def _heaviest_n3_model():
 
 
 def _n4_tail_sample():
-    """First 256 graphs of the sparsest enumerable 2-edge n=4 class."""
-    from repro.errors import GraphError
+    """First 256 graphs of the sparsest n=4 class whose up-set fits 2**10."""
+    from repro.graphs.closure import upward_closure_size
     from repro.graphs.generators import iter_all_digraphs
     from repro.graphs.symmetry import iter_isomorphism_classes
     from repro.models.closed_above import symmetric_closed_above
@@ -75,11 +75,9 @@ def _n4_tail_sample():
         key=lambda g: (-g.proper_edge_count, g.out_rows),
     )
     for g in reversed(representatives):
-        try:
-            model = symmetric_closed_above([g])
-            full = sorted(model.iter_graphs(max_graphs=1 << 10))
-        except GraphError:
+        if upward_closure_size(g) > 1 << 10:
             continue  # up-set exceeds the budget; densify
+        full = sorted(symmetric_closed_above([g]).iter_graphs())
         return full[:256]
     raise AssertionError("no enumerable n=4 tail class")
 

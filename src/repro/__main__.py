@@ -696,7 +696,10 @@ def main(argv: list[str] | None = None) -> int:
         "--full", action="store_true",
         help="search over the fully enumerated model (small n only)",
     )
-    p_search.add_argument("--budget", type=int, default=1 << 12)
+    p_search.add_argument(
+        "--budget", type=int, default=1 << 12,
+        help="with --full: cap on the enumerated model's graph count",
+    )
     add_backend_arg(p_search)
     p_search.set_defaults(func=cmd_search)
 

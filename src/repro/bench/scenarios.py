@@ -146,16 +146,14 @@ def _heaviest_n3_model() -> tuple:
 
 @lru_cache(maxsize=None)
 def _n4_tail_sample() -> tuple:
-    """First 256 graphs of the sparsest enumerable 2-edge n=4 class."""
-    from ..errors import GraphError
+    """First 256 graphs of the sparsest n=4 class whose up-set fits 2**10."""
+    from ..graphs.closure import upward_closure_size
     from ..models.closed_above import symmetric_closed_above
 
     for g in reversed(_representatives(4)):
-        try:
-            model = symmetric_closed_above([g])
-            full = sorted(model.iter_graphs(max_graphs=1 << 10))
-        except GraphError:
+        if upward_closure_size(g) > 1 << 10:
             continue  # up-set exceeds the budget; densify
+        full = sorted(symmetric_closed_above([g]).iter_graphs())
         return tuple(full[:256])
     raise RuntimeError("no enumerable n=4 tail class")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
+from itertools import product
 
 from .._bitops import bit, full_mask, iter_supersets
 from ..errors import GraphError
@@ -56,42 +57,63 @@ def upward_closure_size(g: Digraph) -> int:
     return 1 << len(missing_edges(g))
 
 
-def iter_upward_closure(g: Digraph, max_graphs: int | None = 1 << 20) -> Iterator[Digraph]:
-    """Enumerate every graph of ``↑g``, starting from ``g`` itself.
-
-    Raises :class:`GraphError` if the closure has more than ``max_graphs``
-    elements (pass ``None`` to disable the guard).
-    """
+def _check_upset_budget(g: Digraph, max_graphs: int | None) -> None:
     if max_graphs is not None and upward_closure_size(g) > max_graphs:
         raise GraphError(
             f"↑G has {upward_closure_size(g)} graphs, more than the budget of "
             f"{max_graphs}; use sample_superset or raise max_graphs"
         )
+
+
+def _iter_upset_rows(g: Digraph) -> Iterator[tuple[int, ...]]:
+    """The out-row tuples of ``↑g``: the product of each row's supersets.
+
+    The last process's row varies fastest, and each row runs through its
+    supersets from the full row down to ``g``'s own, so ``↑g`` opens with
+    the complete graph and ends with ``g``.  Every tuple already carries
+    ``g``'s self-loops.
+    """
     universe = full_mask(g.n)
-    free_rows = [universe & ~row for row in g.out_rows]
+    return product(*[tuple(iter_supersets(row, universe)) for row in g.out_rows])
 
-    def recurse(index: int, rows: list[int]) -> Iterator[Digraph]:
-        if index == g.n:
-            yield Digraph(g.n, rows)
-            return
-        for extra in iter_supersets(0, free_rows[index]):
-            rows[index] = g.out_rows[index] | extra
-            yield from recurse(index + 1, rows)
-        rows[index] = g.out_rows[index]
 
-    yield from recurse(0, list(g.out_rows))
+def iter_upward_closure(g: Digraph, max_graphs: int | None = 1 << 20) -> Iterator[Digraph]:
+    """Enumerate every graph of ``↑g``, from the complete graph down to ``g``.
+
+    Raises :class:`GraphError` if the closure has more than ``max_graphs``
+    elements (pass ``None`` to disable the guard).
+    """
+    _check_upset_budget(g, max_graphs)
+    n = g.n
+    for rows in _iter_upset_rows(g):
+        yield Digraph(n, rows)
 
 
 def iter_model_graphs(
     generators: Iterable[Digraph], max_graphs: int | None = 1 << 20
 ) -> Iterator[Digraph]:
-    """Enumerate ``⋃_{G∈S} ↑G`` without duplicates."""
-    seen: set[Digraph] = set()
+    """Enumerate ``⋃_{G∈S} ↑G`` without duplicates.
+
+    Each up-set is walked in :func:`iter_upward_closure` order, generator
+    by generator; a graph is built the first time its rows come up and
+    skipped after that.  ``max_graphs`` caps the model: a generator whose
+    up-set alone exceeds it is refused before its enumeration starts, and
+    :class:`GraphError` is raised once the distinct graphs outnumber it.
+    """
+    seen: set[tuple[int, ...]] = set()
     for g in generators:
-        for h in iter_upward_closure(g, max_graphs=max_graphs):
-            if h not in seen:
-                seen.add(h)
-                yield h
+        _check_upset_budget(g, max_graphs)
+        n = g.n
+        for rows in _iter_upset_rows(g):
+            if rows in seen:
+                continue
+            if max_graphs is not None and len(seen) == max_graphs:
+                raise GraphError(
+                    f"the model has more than the budget of {max_graphs} "
+                    "graphs; raise max_graphs"
+                )
+            seen.add(rows)
+            yield Digraph(n, rows)
 
 
 def minimal_generators(graphs: Iterable[Digraph]) -> frozenset[Digraph]:

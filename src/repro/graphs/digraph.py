@@ -64,17 +64,23 @@ class Digraph:
         rows = tuple(out_rows)
         if len(rows) != n:
             raise GraphError(f"expected {n} out-rows, got {len(rows)}")
-        universe = full_mask(n)
-        fixed = []
+        universe = (1 << n) - 1
+        looped = True
         for u, row in enumerate(rows):
-            if row < 0 or not is_subset(row, universe):
+            if row < 0 or row > universe:
                 raise GraphError(
                     f"out-row of process {u} ({row:#x}) leaves the universe of {n} processes"
                 )
-            fixed.append(row | bit(u))
+            if not row >> u & 1:
+                looped = False
+        # Rows that carry their self-loops are kept as the caller's tuple.
+        # ``True`` carries row 0's loop but is re-made as an int: a bool
+        # row would change the graph's store fingerprint.
+        if not looped or rows[0] is True:
+            rows = tuple([row | 1 << u for u, row in enumerate(rows)])
         self._n = n
-        self._out = tuple(fixed)
-        self._hash = hash((n, self._out))
+        self._out = rows
+        self._hash = hash((n, rows))
 
     # ------------------------------------------------------------------
     # Constructors

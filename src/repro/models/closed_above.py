@@ -91,7 +91,11 @@ class ClosedAboveModel(ObliviousModel):
         return rng.choice(self._ordered)
 
     def iter_graphs(self, max_graphs: int | None = 1 << 20) -> Iterator[Digraph]:
-        """Enumerate every allowed graph (exponential; guarded)."""
+        """Enumerate every allowed graph (exponential; guarded).
+
+        ``max_graphs`` caps the whole model, not each generator's up-set
+        (see :func:`~repro.graphs.closure.iter_model_graphs`).
+        """
         return iter_model_graphs(self._ordered, max_graphs=max_graphs)
 
     def iter_generators(self) -> Iterator[Digraph]:

@@ -27,6 +27,7 @@ while refusing to persist is only a missed optimisation.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 
 __all__ = ["fingerprint", "encode_key", "Unfingerprintable"]
 
@@ -64,7 +65,7 @@ def encode_key(obj: object) -> bytes:
     if isinstance(obj, bytes):
         return b"b%d:" % len(obj) + obj
     if isinstance(obj, tuple):
-        return b"(" + b"".join(encode_key(x) for x in obj) + b")"
+        return _encode_tuple(obj)
     if isinstance(obj, list):
         return b"[" + b"".join(encode_key(x) for x in obj) + b"]"
     if isinstance(obj, (set, frozenset)):
@@ -75,6 +76,43 @@ def encode_key(obj: object) -> bytes:
         )
         return b"<" + b"".join(k + v for k, v in items) + b">"
     return _encode_structural(obj)
+
+
+_INT = frozenset({int})
+_TUPLE = frozenset({tuple})
+
+
+def _encode_tuple(items: tuple) -> bytes:
+    """``(`` + each member's encoding + ``)``, flat where the shape allows.
+
+    Two shapes skip the per-element recursion, with the same bytes: a
+    tuple of plain ints (a graph's out-rows, a value tuple) formats in one
+    step, and a tuple of ``(n, out_rows)`` pairs (a graph-set key, see
+    :func:`repro.engine.canonical.graph_set_key`) one step per pair.
+    Members are matched by exact type, so bools and int subclasses stay
+    on the recursive path.
+    """
+    kinds = set(map(type, items))
+    if kinds <= _INT:
+        return b"(" + b"i%d;" * len(items) % items + b")"
+    if kinds == _TUPLE and _are_graph_keys(items):
+        return b"(" + b"".join([
+            b"(i%d;(" % n + b"i%d;" * len(rows) % rows + b"))"
+            for n, rows in items
+        ]) + b")"
+    return b"(" + b"".join(map(encode_key, items)) + b")"
+
+
+def _are_graph_keys(items: tuple) -> bool:
+    """True iff every member is an ``(int, tuple of ints)`` pair."""
+    if set(map(len, items)) != {2}:
+        return False
+    ns, rows = zip(*items)
+    return (
+        set(map(type, ns)) <= _INT
+        and set(map(type, rows)) == _TUPLE
+        and set(map(type, chain.from_iterable(rows))) <= _INT
+    )
 
 
 def _encode_structural(obj: object) -> bytes:

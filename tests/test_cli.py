@@ -78,12 +78,17 @@ class TestSearch:
         [
             (["--family", "cycle", "--n", "4", "--k", "1", "--full",
               "--budget", "10"], "more than the budget of 10"),
+            # Each of the 6 generators' up-sets fits 256; their union
+            # has 1194 graphs.
+            (["--family", "cycle", "--n", "4", "--symmetric", "--full",
+              "--k", "2", "--budget", "256"], "more than the budget of 256"),
             (["--family", "nonsense", "--n", "4", "--k", "1"],
              "unknown family 'nonsense'"),
             (["--family", "cycle", "--n", "4", "--k", "0"],
              "k must be positive"),
         ],
-        ids=["model-over-budget", "unknown-family", "k-zero"],
+        ids=["model-over-budget", "symmetric-model-over-budget",
+             "unknown-family", "k-zero"],
     )
     def test_errors_exit_2_not_unsat(self, capsys, argv, message):
         """Exit 1 means "not solvable"; an error must not look like one."""

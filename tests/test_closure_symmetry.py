@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given
 
+from repro._bitops import full_mask, iter_supersets
 from repro.errors import GraphError
 from repro.graphs import (
     Digraph,
@@ -16,7 +17,9 @@ from repro.graphs import (
     in_model,
     in_upward_closure,
     is_symmetric,
+    iter_all_digraphs,
     iter_isomorphism_classes,
+    iter_model_graphs,
     iter_upward_closure,
     minimal_generators,
     missing_edges,
@@ -26,7 +29,48 @@ from repro.graphs import (
     symmetric_closure,
     upward_closure_size,
 )
+from repro.models import ClosedAboveModel
 from tests.test_digraph import random_digraphs
+
+
+def reference_upward_closure(g):
+    """Reference enumeration of ``↑g``: a recursion over the rows, the
+    last row varying fastest, each row from its fullest superset down to
+    ``g``'s own.  The enumerators must keep this order."""
+    universe = full_mask(g.n)
+    free_rows = [universe & ~row for row in g.out_rows]
+
+    def recurse(index, rows):
+        if index == g.n:
+            yield Digraph(g.n, rows)
+            return
+        for extra in iter_supersets(0, free_rows[index]):
+            rows[index] = g.out_rows[index] | extra
+            yield from recurse(index + 1, rows)
+        rows[index] = g.out_rows[index]
+
+    yield from recurse(0, list(g.out_rows))
+
+
+def reference_model_graphs(generators):
+    seen = set()
+    for g in generators:
+        for h in reference_upward_closure(g):
+            if h not in seen:
+                seen.add(h)
+                yield h
+
+
+def rows_of(graphs):
+    return [h.out_rows for h in graphs]
+
+
+def class_models(n, max_missing):
+    """``(representative, sorted Sym generators)`` of every class with at
+    most ``max_missing`` missing proper edges."""
+    for g in iter_isomorphism_classes(iter_all_digraphs(n)):
+        if len(missing_edges(g)) <= max_missing:
+            yield g, sorted(symmetric_closure([g]))
 
 
 class TestUpwardClosure:
@@ -57,6 +101,20 @@ class TestUpwardClosure:
     def test_enumeration_budget(self):
         with pytest.raises(GraphError):
             list(iter_upward_closure(Digraph.empty(5), max_graphs=10))
+
+    def test_model_budget_caps_the_union(self):
+        # Each up-set has 16 graphs; their union has 16 + 16 - 4 = 28.
+        generators = [star(3, 0), star(3, 1)]
+        assert len(list(iter_model_graphs(generators, max_graphs=28))) == 28
+        with pytest.raises(GraphError, match="more than the budget of 27"):
+            list(iter_model_graphs(generators, max_graphs=27))
+        with pytest.raises(GraphError, match="more than the budget of 16"):
+            list(iter_model_graphs(generators, max_graphs=16))
+
+    def test_model_budget_refuses_a_large_upset_up_front(self):
+        graphs = iter_model_graphs([Digraph.empty(5)], max_graphs=10)
+        with pytest.raises(GraphError, match="↑G has 1048576 graphs"):
+            next(graphs)
 
     def test_in_model_union(self):
         generators = [star(3, 0), star(3, 1)]
@@ -92,6 +150,44 @@ class TestUpwardClosure:
     def test_sample_superset_bad_probability(self):
         with pytest.raises(GraphError):
             sample_superset(cycle(3), random.Random(0), 1.5)
+
+
+class TestEnumerationOrder:
+    """The enumerators yield the same graphs in the same order as the
+    recursive reference above."""
+
+    def test_all_n3_classes(self):
+        classes = list(class_models(3, 6))
+        assert len(classes) == 16
+        for g, generators in classes:
+            assert rows_of(iter_upward_closure(g)) == rows_of(
+                reference_upward_closure(g)
+            )
+            assert rows_of(iter_model_graphs(generators)) == rows_of(
+                reference_model_graphs(generators)
+            )
+
+    def test_n4_classes_up_to_11_missing_edges(self):
+        total = 0
+        for g, generators in class_models(4, 11):
+            got = rows_of(iter_model_graphs(generators))
+            assert got == rows_of(reference_model_graphs(generators)), g
+            assert rows_of(iter_upward_closure(g)) == rows_of(
+                reference_upward_closure(g)
+            ), g
+            total += len(got)
+        assert total == 198_473
+
+    def test_non_symmetric_overlapping_generators(self):
+        a = Digraph.from_edges(4, [(0, 1), (1, 2)])
+        b = Digraph.from_edges(4, [(1, 2), (2, 3)])
+        model = ClosedAboveModel([a, b])
+        assert not model.is_symmetric()
+        generators = list(model.iter_generators())
+        got = list(model.iter_graphs())
+        assert got == list(reference_model_graphs(generators))
+        # 2**10 + 2**10 - 2**9: the overlap is counted once.
+        assert len(got) == 1536
 
 
 class TestSymmetricClosure:

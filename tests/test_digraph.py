@@ -56,6 +56,16 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Digraph.from_edges(2, [(0, 2)])
 
+    def test_looped_row_tuple_kept_as_given(self):
+        rows = (0b011, 0b110, 0b100)
+        assert Digraph(3, rows).out_rows is rows
+
+    def test_bool_row_stored_as_int(self):
+        # True already carries process 0's self-loop.
+        g = Digraph(2, (True, 0b10))
+        assert g.out_rows == (1, 2)
+        assert type(g.out_rows[0]) is int
+
     def test_empty_and_complete(self):
         e = Digraph.empty(3)
         c = Digraph.complete(3)

@@ -8,6 +8,7 @@ sweep resumes without recomputing completed shards.
 
 from __future__ import annotations
 
+import enum
 import os
 import sqlite3
 
@@ -19,17 +20,21 @@ from repro.bounds import bound_report
 from repro.combinatorics import covering_numbers, equal_domination_number
 from repro.engine import KERNEL_CACHE, Job, KernelCache, cached_kernel, run_batch
 from repro.engine.cache import KERNEL_VERSIONS, cache_disabled
+from repro.engine.canonical import graph_set_key
 from repro.errors import StoreError
 from repro.graphs import (
     Digraph,
     cycle,
     domination_number,
+    iter_all_digraphs,
+    iter_isomorphism_classes,
     star,
     symmetric_closure,
     union_of_stars,
     wheel,
 )
 from repro.store import MISS, ResultStore, StoreStats, encode_key, fingerprint
+from repro.models import symmetric_closed_above
 from repro.store.keys import Unfingerprintable
 from repro.topology import Simplex, SimplicialComplex
 from repro.verification import decide_one_round_solvability
@@ -94,6 +99,85 @@ class TestFingerprint:
         assert fingerprint(key) == (
             "63cb1f08c912040ac05642aa63c616a2be0b711b46ccc6799f8f0a00038f0a3e"
         )
+
+
+def reference_encode_key(obj):
+    """The fully recursive encoder: one call per element, every tuple
+    included.  ``encode_key`` must produce exactly these bytes."""
+    if obj is None:
+        return b"N;"
+    if obj is True:
+        return b"T;"
+    if obj is False:
+        return b"F;"
+    if isinstance(obj, int):
+        return b"i" + str(obj).encode("ascii") + b";"
+    if isinstance(obj, float):
+        return b"f" + repr(obj).encode("ascii") + b";"
+    if isinstance(obj, str):
+        body = obj.encode("utf-8")
+        return b"s%d:" % len(body) + body
+    if isinstance(obj, bytes):
+        return b"b%d:" % len(obj) + obj
+    if isinstance(obj, tuple):
+        return b"(" + b"".join(reference_encode_key(x) for x in obj) + b")"
+    if isinstance(obj, list):
+        return b"[" + b"".join(reference_encode_key(x) for x in obj) + b"]"
+    if isinstance(obj, (set, frozenset)):
+        return b"{" + b"".join(sorted(reference_encode_key(x) for x in obj)) + b"}"
+    if isinstance(obj, dict):
+        items = sorted(
+            (reference_encode_key(k), reference_encode_key(v))
+            for k, v in obj.items()
+        )
+        return b"<" + b"".join(k + v for k, v in items) + b">"
+    if isinstance(obj, Digraph):
+        return b"G" + reference_encode_key((obj.n, obj.out_rows))
+    raise TypeError(type(obj))
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestFlatEncoding:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (True, 1),
+            (1, (False, 2)),
+            (-3, -(1 << 70)),
+            (1 << 64, (1 << 200) + 7, 0),
+            (),
+            ((),),
+            ((4, (1, 2)), (4, (3, 8))),
+            ((4, ()), (2, (1,))),
+            ((4, (1, True)), (4, (3, 8))),
+            ((True, (1, 2)),),
+            ((4, (1, 2), 5), (4, (3, 8))),
+            ((4, [1, 2]),),
+            (((1, (2,)), (3, (4,))), 1, (0, 1)),
+            ((_Level.LOW, 2), (3, (_Level.LOW,))),
+            (1.5, "s", b"b", None, [1, (2, 3)], {(1, 2), (3,)}, {"k": (1,)}),
+            (cycle(3), (star(4, 0),)),
+        ],
+        ids=[
+            "bool-int", "nested-bool", "negative", "over-64-bit", "empty",
+            "nested-empty", "graph-pairs", "pairs-with-empty-rows",
+            "bool-in-rows", "bool-as-n", "triple-member", "list-rows",
+            "solvability-key", "int-subclass", "mixed-primitives", "digraphs",
+        ],
+    )
+    def test_matches_recursive_reference(self, key):
+        assert encode_key(key) == reference_encode_key(key)
+
+    def test_every_n3_graph_set_key(self):
+        classes = list(iter_isomorphism_classes(iter_all_digraphs(3)))
+        assert len(classes) == 16
+        for g in classes:
+            graphs = list(symmetric_closed_above([g]).iter_graphs())
+            key = (graph_set_key(graphs), 1, (0, 1))
+            assert encode_key(key) == reference_encode_key(key), g
 
 
 class TestResultStoreBackend:
