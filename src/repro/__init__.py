@@ -76,13 +76,7 @@ Batch variant (identical results for any ``jobs``)::
 
 from .agreement import FloodMin, KSetAgreement, MinOfDominatingSet, execute
 from .bounds import Bound, BoundKind, BoundReport, bound_report, bound_report_many
-from .config import (
-    ExecutorConfig,
-    ServeConfig,
-    StoreConfig,
-    SweepConfig,
-    config_fingerprint,
-)
+from .config import ExecutorConfig, SweepConfig, config_fingerprint
 from .engine import Job, KernelCache, run_batch
 from .graphs import Digraph
 from .models import ClosedAboveModel, simple_closed_above, symmetric_closed_above
@@ -108,9 +102,7 @@ __all__ = [
     "KernelCache",
     "run_batch",
     "ExecutorConfig",
-    "StoreConfig",
     "SweepConfig",
-    "ServeConfig",
     "config_fingerprint",
     "decide_one_round_solvability",
     "verify_algorithm",

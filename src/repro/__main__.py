@@ -111,7 +111,12 @@ def _generators(args: argparse.Namespace) -> list[Digraph]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report = bound_report(_generators(args), rounds=args.rounds)
+    from .errors import ReproError
+
+    try:
+        report = bound_report(_generators(args), rounds=args.rounds)
+    except ReproError as exc:
+        _usage_error(f"bounds: {exc}")
     print(report.describe())
     return 0
 
@@ -147,16 +152,21 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .errors import ReproError
+
     generators = _generators(args)
-    model = (
-        symmetric_closed_above(generators)
-        if args.symmetric
-        else simple_closed_above(generators[0])
-    )
-    task = KSetAgreement(args.k, range(args.k + 1))
-    report = verify_algorithm(
-        FloodMin(args.rounds), model, task, superset_samples=args.samples
-    )
+    try:
+        model = (
+            symmetric_closed_above(generators)
+            if args.symmetric
+            else simple_closed_above(generators[0])
+        )
+        task = KSetAgreement(args.k, range(args.k + 1))
+        report = verify_algorithm(
+            FloodMin(args.rounds), model, task, superset_samples=args.samples
+        )
+    except ReproError as exc:
+        _usage_error(f"verify: {exc}")
     status = "OK" if report.ok else "FAILED"
     print(
         f"FloodMin({args.rounds}) @ k={args.k}: {status} over "
@@ -371,43 +381,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if args.json or not args.out:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .config import ServeConfig
-    from .errors import ConfigError, DistError, VerificationError
-    from .serve import ServeService
-
-    try:
-        config = ServeConfig.from_args(args)
-    except ConfigError as exc:
-        raise SystemExit(f"serve: {exc}") from exc
-    try:
-        service = ServeService(
-            config,
-            log=lambda message: print(f"[serve] {message}", file=sys.stderr),
-            checkpoint=args.checkpoint,
-        ).start()
-    except (ConfigError, DistError, VerificationError, OSError) as exc:
-        raise SystemExit(f"serve: {exc}") from exc
-    try:
-        host, port = service.http_address
-        dist_host, dist_port = service.dist_address
-        print(
-            f"serve: queries on http://{host}:{port} "
-            f"(try: curl -s http://{host}:{port}/v1/status), "
-            f"workers connect to {dist_host}:{dist_port}",
-            file=sys.stderr,
-        )
-        while service.alive:
-            _time.sleep(0.5)
-    except KeyboardInterrupt:
-        print("serve: shutting down", file=sys.stderr)
-    finally:
-        service.close()
     return 0
 
 
@@ -751,55 +724,9 @@ def main(argv: list[str] | None = None) -> int:
     add_trace_arg(p_exp)
     p_exp.set_defaults(func=cmd_experiments)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="persistent solvability query service: answer HTTP/JSON "
-        "queries from banked results synchronously, enqueue cold ones "
-        "on an embedded coordinator and poll them by job id",
-    )
-    p_serve.add_argument(
-        "--http", metavar="HOST:PORT", default="127.0.0.1:8080",
-        help="HTTP listen address for queries (':PORT' binds 127.0.0.1; "
-        "default: 127.0.0.1:8080)",
-    )
-    p_serve.add_argument(
-        "--distributed", metavar="HOST:PORT", default=None,
-        help="also publish the coordinator's worker port here so external "
-        "'python -m repro worker' processes can serve cold queries "
-        "(default: an ephemeral localhost port)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1,
-        help="in-process worker threads answering cold queries "
-        "(default: 1; 0 relies entirely on external workers)",
-    )
-    p_serve.add_argument(
-        "--budget", type=int, default=1 << 12,
-        help="default enumeration budget for queries that omit one",
-    )
-    p_serve.add_argument(
-        "--store", choices=("off", "ro", "rw"), default="off",
-        help="persistent result store mode for the service process "
-        "(default: off — queries are then answered from the in-memory "
-        "kernel cache only)",
-    )
-    p_serve.add_argument(
-        "--store-path", metavar="FILE", default=None,
-        help="store database path (default: the store's own default)",
-    )
-    p_serve.add_argument(
-        "--checkpoint", metavar="FILE", default=None,
-        help="snapshot the embedded coordinator's in-flight jobs here; a "
-        "restarted service started with the same path resubmits any "
-        "submitted-but-unfinished jobs automatically (run-state only — "
-        "not part of the config fingerprint)",
-    )
-    add_backend_arg(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
-
     p_worker = sub.add_parser(
         "worker",
-        help="serve a distributed coordinator: pull jobs, execute them "
+        help="work for a distributed coordinator: pull jobs, execute them "
         "through the local cache/store tiers, stream results back",
     )
     p_worker.add_argument(

@@ -134,8 +134,7 @@ def _subshard_solvable(
     distinct values per execution — ``k``-set agreement with ``k >= n``
     is solvable by *every* valid map.  The CSP would confirm this at the
     cost of building and subsumption-reducing the largest execution set
-    of the class.  The guard stays in the kernel (not the planner)
-    because :mod:`repro.serve` calls it with any ``k``.
+    of the class.  Each class's ``k = n`` job is answered here.
     """
     if k >= n:
         return True

@@ -1,24 +1,24 @@
 """Layered, frozen run-configuration objects — one knob surface, composed.
 
 Every run in this repo is shaped by the same handful of knobs — executor
-(serial / pool / distributed), store mode, seeding, sweep size,
-backend — but until now they travelled as an ever-growing keyword list
+(serial / pool / distributed), seeding, sweep size, backend — but until
+now they travelled as an ever-growing keyword list
 (``make_executor(jobs, distributed, seed_store, ...)``) plus environment
 variables read at scattered call sites.  This module gives each layer one
 frozen dataclass:
 
 * :class:`ExecutorConfig` — how jobs run (jobs / distributed address /
   seeding / lease timeout);
-* :class:`StoreConfig` — where results persist (mode / path / batching);
 * :class:`SweepConfig` — what a solvability sweep computes, embedding an
-  :class:`ExecutorConfig`;
-* :class:`ServeConfig` — the long-lived query service
-  (:mod:`repro.serve`), embedding both.
+  :class:`ExecutorConfig`.
 
-Configs compose instead of multiplying flags: a ``ServeConfig`` *contains*
-a ``StoreConfig`` and the executor knobs it needs, the way mpc4j's
-protocol configs stack sub-protocol configs.  Each class offers four ways
-in, all producing the same frozen value:
+The result store is configured separately, by ``REPRO_STORE`` /
+``REPRO_STORE_PATH`` or :func:`repro.store.configure`.
+
+Configs compose instead of multiplying flags: a ``SweepConfig``
+*contains* the ``ExecutorConfig`` it runs on, the way mpc4j's protocol
+configs stack sub-protocol configs.  Each class offers four ways in, all
+producing the same frozen value:
 
 * the plain constructor (keyword arguments, validated);
 * a fluent builder — ``ExecutorConfig.builder().jobs(8).build()``;
@@ -45,15 +45,9 @@ from .errors import ConfigError
 
 __all__ = [
     "ExecutorConfig",
-    "StoreConfig",
     "SweepConfig",
-    "ServeConfig",
     "config_fingerprint",
 ]
-
-#: Store modes, mirrored from :mod:`repro.store` (not imported at module
-#: scope: config must stay importable before any heavy layer).
-_STORE_MODES = ("off", "ro", "rw")
 
 #: Default sweep budget, mirrored from :mod:`repro.analysis.sweeps` (a
 #: test asserts the mirror so the two cannot drift silently).
@@ -268,53 +262,6 @@ class ExecutorConfig(_Config):
 
 
 @dataclass(frozen=True)
-class StoreConfig(_Config):
-    """Where kernel results persist: the ``REPRO_STORE*`` surface."""
-
-    mode: str = "off"
-    path: str | None = None
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in _STORE_MODES:
-            raise ConfigError(
-                f"store mode must be one of {_STORE_MODES}, got {self.mode!r}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be positive, got {self.batch_size!r}"
-            )
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None) -> "StoreConfig":
-        env = os.environ if env is None else env
-        mode = (env.get("REPRO_STORE") or "off").strip().lower()
-        if mode not in _STORE_MODES:
-            mode = "off"  # mirror repro.store's forgiving env parse
-        return cls(mode=mode, path=env.get("REPRO_STORE_PATH") or None)
-
-    @classmethod
-    def from_args(cls, args) -> "StoreConfig":
-        return cls(
-            mode=getattr(args, "store", None) or "off",
-            path=getattr(args, "store_path", None),
-        )
-
-    def apply(self):
-        """Install this config as the process-global store; returns it.
-
-        A no-op shape change only: delegates to
-        :func:`repro.store.configure`, keeping unspecified fields at the
-        current store's values.
-        """
-        from . import store as store_pkg
-
-        return store_pkg.configure(
-            path=self.path, mode=self.mode, batch_size=self.batch_size
-        )
-
-
-@dataclass(frozen=True)
 class SweepConfig(_Config):
     """One solvability sweep, fully specified (embeds the executor)."""
 
@@ -353,67 +300,4 @@ class SweepConfig(_Config):
             budget=_arg(args, "budget", DEFAULT_BUDGET),
             backend=getattr(args, "backend", None),
             executor=ExecutorConfig.from_args(args),
-        )
-
-
-@dataclass(frozen=True)
-class ServeConfig(_Config):
-    """The long-lived query service (:mod:`repro.serve`).
-
-    ``http`` is where queries land; ``distributed`` is the coordinator's
-    worker-facing address (``None`` binds an ephemeral localhost port).
-    ``workers`` in-process worker threads are started so cold queries
-    complete without external ``python -m repro worker`` processes —
-    point real workers at the distributed address to scale out.
-    """
-
-    http: str = "127.0.0.1:8080"
-    distributed: str | None = None
-    workers: int = 1
-    budget: int = DEFAULT_BUDGET
-    backend: str | None = None
-    wait_delay: float = 0.05
-    lease_timeout: float = 60.0
-    store: StoreConfig = field(default_factory=StoreConfig)
-
-    def __post_init__(self):
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers!r}")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be positive, got {self.budget!r}")
-        if self.wait_delay <= 0:
-            raise ConfigError(
-                f"wait_delay must be positive, got {self.wait_delay!r}"
-            )
-        if self.lease_timeout <= 0:
-            raise ConfigError(
-                f"lease_timeout must be positive, got {self.lease_timeout!r}"
-            )
-        if isinstance(self.store, dict):  # tolerate asdict round trips
-            object.__setattr__(self, "store", StoreConfig(**self.store))
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None) -> "ServeConfig":
-        env = os.environ if env is None else env
-        return cls(
-            http=env.get("REPRO_SERVE_HTTP") or "127.0.0.1:8080",
-            distributed=env.get("REPRO_SERVE_DIST") or None,
-            workers=_env_int(env, "REPRO_SERVE_WORKERS", 1),
-            budget=_env_int(env, "REPRO_SWEEP_BUDGET", DEFAULT_BUDGET),
-            backend=env.get("REPRO_CSP_BACKEND") or None,
-            store=StoreConfig.from_env(env),
-        )
-
-    @classmethod
-    def from_args(cls, args) -> "ServeConfig":
-        """Lift the ``serve`` CLI namespace onto one config value."""
-        return cls(
-            http=getattr(args, "http", None) or "127.0.0.1:8080",
-            distributed=getattr(args, "distributed", None),
-            workers=_arg(args, "workers", 1),
-            budget=_arg(args, "budget", DEFAULT_BUDGET),
-            backend=getattr(args, "backend", None),
-            wait_delay=_arg(args, "wait_delay", 0.05),
-            lease_timeout=_arg(args, "lease_timeout", 60.0),
-            store=StoreConfig.from_args(args),
         )

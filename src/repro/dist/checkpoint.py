@@ -3,21 +3,17 @@
 The result store already makes *computation* crash-survivable — every
 finished kernel is banked as it lands, so a replayed job is a warm hit.
 What dies with a coordinator is the *queue*: which jobs of the plan had
-completed, which were still pending or leased, how many requeues had
-happened, and (in persistent serve mode) which submitted jobs were still
-in flight.  This module snapshots exactly that state atomically alongside
-the store, so ``sweep --resume-from CHECKPOINT`` (or a restarted
-``ServeService``) rehydrates the remaining plan instead of re-planning
-and re-dispatching everything.
+completed, which were still pending or leased, and how many requeues had
+happened.  This module snapshots exactly that state atomically alongside
+the store, so ``sweep --resume-from CHECKPOINT`` rehydrates the remaining
+plan instead of re-planning and re-dispatching everything.
 
 Format: a pickled :class:`CheckpointState` (version-tagged), written via
 the classic tmp-file + :func:`os.replace` dance so a crash mid-write
-leaves the previous snapshot intact.  Pickle, not JSON, deliberately:
-persistent-mode pending jobs are whole :class:`~repro.engine.Job`
-objects whose arguments include graphs, and the dist wire protocol is
-already pickled frames within one trust domain — the checkpoint file has
-the same trust boundary as the store file next to it (never load
-checkpoints from untrusted sources).
+leaves the previous snapshot intact.  The dist wire protocol is already
+pickled frames within one trust domain, and the checkpoint file has the
+same trust boundary as the store file next to it (never load checkpoints
+from untrusted sources).
 
 Completed work is recorded by job *name*, not submission index: names
 are the stable identity that survives re-planning, whatever order the
@@ -62,17 +58,13 @@ class CheckpointState:
     refuses a checkpoint whose fingerprint does not match the re-built
     plan.  ``tasks`` is every planned job name in submission order,
     ``completed`` the names that finished successfully (failures are
-    *not* recorded — a resume retries them).  ``pending_jobs`` carries
-    whole submitted-but-unfinished :class:`~repro.engine.Job` objects,
-    used only by persistent-mode coordinators whose jobs arrive over
-    HTTP rather than from a re-buildable plan.
+    *not* recorded — a resume retries them).
     """
 
     fingerprint: str
     tasks: tuple[str, ...] = ()
     completed: tuple[str, ...] = ()
     requeues: int = 0
-    pending_jobs: tuple = ()
     version: int = CHECKPOINT_VERSION
 
     @property
@@ -127,11 +119,10 @@ class CheckpointWriter:
     """Throttled, thread-safe checkpoint sink for a live coordinator.
 
     The coordinator (or batch parent) reports progress through
-    :meth:`record_done` / :meth:`record_requeues` /
-    :meth:`record_pending`; the writer folds it into the latest
-    :class:`CheckpointState` and rewrites the file at most once per
-    ``interval`` seconds.  :meth:`flush` forces a write — call it at
-    clean shutdown so the final snapshot is exact.
+    :meth:`record_done` / :meth:`record_requeues`; the writer folds it
+    into the latest :class:`CheckpointState` and rewrites the file at
+    most once per ``interval`` seconds.  :meth:`flush` forces a write —
+    call it at clean shutdown so the final snapshot is exact.
     """
 
     path: str
@@ -144,7 +135,6 @@ class CheckpointWriter:
 
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _requeues: int = field(default=0, repr=False)
-    _pending_jobs: tuple = field(default=(), repr=False)
     _last_write: float = field(default=0.0, repr=False)
     writes: int = 0
     """Checkpoint files actually written (post-throttle), for tests."""
@@ -165,7 +155,6 @@ class CheckpointWriter:
             tasks=self.tasks,
             completed=tuple(self._done),
             requeues=self._requeues,
-            pending_jobs=self._pending_jobs,
         )
 
     def record_done(self, name: str) -> None:
@@ -179,12 +168,6 @@ class CheckpointWriter:
     def record_requeues(self, requeues: int) -> None:
         with self._lock:
             self._requeues = int(requeues)
-            self._write_locked(force=False)
-
-    def record_pending(self, jobs) -> None:
-        """Persistent mode: the submitted-but-unfinished job objects."""
-        with self._lock:
-            self._pending_jobs = tuple(jobs)
             self._write_locked(force=False)
 
     def flush(self) -> CheckpointState:

@@ -30,27 +30,15 @@ while the rest drain trivia.  Two-phase plans (``reductions=``) fire each
 reduction in this process the moment its last input job lands; see
 :class:`~repro.engine.batch.Reduction`.
 
-Concurrency model (since the :mod:`repro.serve` arc): one
-``selectors``-based event loop thread multiplexes every connection —
-worker frames, status probes, seed streaming, and any *frontend*
-listeners (the HTTP query service) — over non-blocking sockets with
-per-connection read/write buffers.  The thread-per-connection design it
-replaced spent one OS thread per worker; the event loop spends one,
-total, which is what lets a long-lived coordinator also carry thousands
-of short query connections.  Lease expiry (the old monitor thread) rides
-the loop's select timeout.  All queue state transitions still happen
-under one lock, so the public snapshot/probe surface is unchanged.
+Concurrency model: one ``selectors``-based event loop thread multiplexes
+every connection — worker frames, status probes and seed streaming —
+over non-blocking sockets with per-connection read/write buffers.  Lease
+expiry rides the loop's select timeout.  All queue state transitions
+happen under one lock, which the snapshot/probe surface shares.
 
-Two additions for the serve arc, both off by default:
-
-* ``persistent=True`` keeps the queue open when it drains — idle workers
-  poll (``wait``) instead of being released (``done``), and
-  :meth:`Coordinator.submit` enqueues new jobs at any time;
-* ``frontends=[(host, port, factory)]`` binds extra listener sockets
-  whose connections speak *your* protocol: ``factory()`` returns a
-  per-connection handler with ``feed(data) -> bytes`` and a ``done``
-  flag.  The HTTP front end of :mod:`repro.serve` is one of these; the
-  coordinator knows nothing about HTTP.
+Lifecycle: one batch.  The coordinator serves its task list until the
+queue drains and every reduction has fired, then tells the workers
+``done``.
 """
 
 from __future__ import annotations
@@ -155,23 +143,19 @@ class _WorkerInfo:
 class _Conn:
     """One multiplexed connection: socket, buffers, protocol state.
 
-    ``kind`` starts as ``"dist"`` (frame protocol: a worker or a status
-    probe — distinguished by its first frame) or ``"frontend"`` (owned by
-    a frontend handler).  The per-connection state that used to live in
-    ``_serve_connection``'s stack frame lives here instead.
+    Every connection speaks the frame protocol; its first frame tells a
+    worker (``hello``) from a status probe.
     """
 
     __slots__ = (
-        "sock", "peer", "kind", "inbuf", "outbuf", "owner", "held",
+        "sock", "peer", "inbuf", "outbuf", "owner", "held",
         "worker_name", "local", "info", "seed_iter", "seeded",
         "handshaken", "draining", "deadline", "close_after_flush",
-        "frontend",
     )
 
-    def __init__(self, sock: socket.socket, peer: str, kind: str):
+    def __init__(self, sock: socket.socket, peer: str):
         self.sock = sock
         self.peer = peer
-        self.kind = kind
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.owner = 0
@@ -185,7 +169,6 @@ class _Conn:
         self.draining = False
         self.deadline: float | None = None
         self.close_after_flush = False
-        self.frontend = None
 
 
 class Coordinator:
@@ -238,37 +221,18 @@ class Coordinator:
         — the moment the last of its input jobs completes, while other
         workers keep pulling phase-1 jobs.  Workers never see reductions,
         so the wire protocol is untouched.
-    persistent:
-        Keep serving when the queue drains: workers are parked on
-        ``wait`` instead of released with ``done``, and
-        :meth:`submit` may enqueue jobs at any time.  ``serve()`` never
-        returns in this mode; the owner drives lifecycle via
-        ``start()``/``close()`` and consumes results through
-        ``on_complete``.  This is the engine of ``python -m repro serve``.
-    on_complete:
-        Optional ``(index, outcome)`` callback fired (on the event-loop
-        thread, after the store flush) for every *accepted* completion —
-        dropped duplicates do not fire it.
-    frontends:
-        Extra listeners: ``(host, port, factory)`` triples.  Accepted
-        connections call ``handler = factory()`` and feed it raw bytes;
-        whatever ``handler.feed(data)`` returns is written back, and the
-        connection closes once ``handler.done`` is true and the buffer
-        drains.  See :mod:`repro.serve` for the HTTP frontend.
     completed:
         Submission indices already completed by an interrupted earlier
         run (from a checkpoint).  They are never dispatched to workers;
         ``start()`` replays them *in this process*, where the warm store
         that banked them makes each a pure hit, so reductions and result
         assembly see real outcomes without recomputing a kernel or
-        paying a worker round trip.  Batch mode only.
+        paying a worker round trip.
     checkpoint:
         Optional :class:`~repro.dist.checkpoint.CheckpointWriter`.
-        Completions, requeue counts, and (in persistent mode) the
-        submitted-but-unfinished job objects are recorded as they
-        happen — throttled — and the final snapshot is flushed at
-        ``close()``, so a killed coordinator leaves a resumable file
-        next to the store.
+        Completions and requeue counts are recorded as they happen —
+        throttled — and the final snapshot is flushed at ``close()``, so
+        a killed coordinator leaves a resumable file next to the store.
     log:
         Optional callable receiving one-line progress strings (worker
         connects/disconnects, requeues); silent when ``None``.
@@ -294,9 +258,6 @@ class Coordinator:
         remote_loads: bool | None = None,
         seed_versions: Mapping[str, str] | None = None,
         reductions: Sequence[Reduction] = (),
-        persistent: bool = False,
-        on_complete: Callable[[int, object], object] | None = None,
-        frontends: Sequence[tuple] = (),
         completed=(),
         checkpoint=None,
         log: Callable[[str], None] | None = None,
@@ -318,18 +279,10 @@ class Coordinator:
         self._seed_versions = (
             dict(seed_versions) if seed_versions is not None else None
         )
-        self._persistent = bool(persistent)
-        self._on_complete = on_complete
-        self._frontend_specs = list(frontends)
         self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
         completed_set = frozenset(completed)
-        if completed_set and self._persistent:
-            raise DistError(
-                "completed= is batch-mode resume state; a persistent "
-                "coordinator rehydrates via submit() instead"
-            )
         for index in completed_set:
             if not 0 <= index < len(self._tasks):
                 raise DistError(
@@ -363,7 +316,7 @@ class Coordinator:
         )
         self._remaining = len(self._tasks)
         self._done = threading.Event()
-        if self._remaining == 0 and not self._persistent:
+        if self._remaining == 0:
             self._done.set()
         self._workers_seen: set[str] = set()
         self._worker_info: dict[str, _WorkerInfo] = {}
@@ -381,7 +334,6 @@ class Coordinator:
         self._store = None
         self._owns_store = False
         self._listener: socket.socket | None = None
-        self._frontend_listeners: list[tuple[socket.socket, object]] = []
         self._selector: selectors.BaseSelector | None = None
         self._conns: set[_Conn] = set()
         self._wake_r: socket.socket | None = None
@@ -399,22 +351,6 @@ class Coordinator:
         if self._listener is None:
             raise DistError("coordinator not started")
         return self._listener.getsockname()[:2]
-
-    @property
-    def frontend_addresses(self) -> list[tuple[str, int]]:
-        """Bound ``(host, port)`` of each frontend listener, in order."""
-        return [sock.getsockname()[:2] for sock, _ in self._frontend_listeners]
-
-    @property
-    def alive(self) -> bool:
-        """True while the event loop is serving (started, not closing)."""
-        thread = self._loop_thread
-        return (
-            thread is not None
-            and thread.is_alive()
-            and not self._closing
-            and not self._closed
-        )
 
     @property
     def requeues(self) -> int:
@@ -451,9 +387,8 @@ class Coordinator:
         """The machine-readable state behind ``dist status`` probes.
 
         Registered with :data:`~repro.obs.metrics.METRICS` as the
-        ``dist_status`` stats provider, so the TCP ``status`` probe, the
-        serve layer's ``GET /v1/status``, and ``METRICS.snapshot()`` all
-        expose this one shape.
+        ``dist_status`` stats provider, so the TCP ``status`` probe and
+        ``METRICS.snapshot()`` expose this one shape.
         """
         now = time.monotonic()
         with self._lock:
@@ -523,26 +458,14 @@ class Coordinator:
             # stall the per-job flushes.
             self._store.coordinator_owned += 1
             self._owns_store = True
-        self._listener = self._bind(self._host, self._port, "coordinator")
-        try:
-            for spec_host, spec_port, factory in self._frontend_specs:
-                self._frontend_listeners.append(
-                    (self._bind(spec_host, spec_port, "frontend"), factory)
-                )
-        except DistError:
-            self.close()
-            raise
+        self._listener = self._bind()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._wake_r, selectors.EVENT_READ, ("wake",))
         self._selector.register(
-            self._listener, selectors.EVENT_READ, ("accept", "dist", None)
+            self._listener, selectors.EVENT_READ, ("accept",)
         )
-        for sock, factory in self._frontend_listeners:
-            self._selector.register(
-                sock, selectors.EVENT_READ, ("accept", "frontend", factory)
-            )
         # The live coordinator is the process's dist-metrics and
         # dist-status source; a later batch's coordinator simply
         # replaces the providers.
@@ -583,15 +506,15 @@ class Coordinator:
             "against the warm store"
         )
 
-    def _bind(self, host: str, port: int, label: str) -> socket.socket:
+    def _bind(self) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            sock.bind((host, port))
+            sock.bind((self._host, self._port))
         except OSError as exc:
             sock.close()
             raise DistError(
-                f"cannot bind {label} to {host}:{port}: {exc}"
+                f"cannot bind coordinator to {self._host}:{self._port}: {exc}"
             ) from exc
         sock.listen(128)
         sock.setblocking(False)
@@ -602,15 +525,8 @@ class Coordinator:
 
         Identical post-processing to :func:`~repro.engine.batch.run_batch`:
         merged statistics are absorbed into this process's cache/store and
-        the ``on_error`` policy is applied to any failures.  A
-        ``persistent`` coordinator never completes its queue, so ``serve``
-        refuses it rather than blocking forever.
+        the ``on_error`` policy is applied to any failures.
         """
-        if self._persistent:
-            raise DistError(
-                "a persistent coordinator has no batch end; "
-                "drive it via start()/submit()/close()"
-            )
         self.start()
         try:
             self._done.wait()
@@ -640,40 +556,6 @@ class Coordinator:
         )
         return replace(result, dist_metrics=self.metrics_snapshot())
 
-    def submit(self, job: Job) -> int:
-        """Enqueue one job on a live coordinator; returns its index.
-
-        The serve layer's miss path.  Only meaningful before ``close()``;
-        on a non-persistent coordinator the job must land before the
-        batch completes or it will never be assigned.
-        """
-        if self._closing or self._closed:
-            raise DistError("coordinator is closed")
-        with self._lock:
-            index = len(self._tasks)
-            self._tasks.append(job)
-            self._outcomes.append(None)
-            self._remaining += 1
-            self._pending.append(index)
-        self._record_pending()
-        self._wake()
-        return index
-
-    def _record_pending(self) -> None:
-        """Checkpoint the submitted-but-unfinished jobs (persistent mode).
-
-        Batch-mode coordinators re-derive their remaining work from the
-        plan, so only a persistent queue — whose jobs arrived over HTTP
-        and exist nowhere else — needs the job objects themselves
-        persisted.
-        """
-        if self._checkpoint is None or not self._persistent:
-            return
-        with self._lock:
-            live = sorted(set(self._pending) | set(self._leases))
-            jobs = tuple(self._tasks[i] for i in live)
-        self._checkpoint.record_pending(jobs)
-
     def close(self) -> None:
         """Stop listening, drain in-flight farewells, stop the loop."""
         self._closing = True
@@ -693,18 +575,6 @@ class Coordinator:
             # start() succeeded but the loop never ran (or already died):
             # release the sockets directly.
             self._teardown()
-        if self._loop_thread is None:
-            # Never started: close whatever start() half-built (bind
-            # failures land here via start()'s error path).
-            for sock in [self._listener] + [
-                s for s, _ in self._frontend_listeners
-            ]:
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:  # pragma: no cover - best effort
-                        pass
-            self._frontend_listeners.clear()
         self._closed = True
 
     def __enter__(self) -> "Coordinator":
@@ -734,13 +604,13 @@ class Coordinator:
     def _loop_body(self) -> None:
         assert self._selector is not None
         close_deadline: float | None = None
-        listeners_open = True
+        listening = True
         while True:
             now = time.monotonic()
             if self._closing:
-                if listeners_open:
-                    listeners_open = False
-                    self._close_listeners()
+                if listening:
+                    listening = False
+                    self._close_listener()
                     close_deadline = now + _CLOSE_GRACE
                     # Idle pollers on a finished batch deserve a proper
                     # "done" instead of a cut connection; draining
@@ -770,7 +640,7 @@ class Coordinator:
                     except (BlockingIOError, OSError):
                         pass
                 elif tag[0] == "accept":
-                    self._accept(key.fileobj, tag[1], tag[2])
+                    self._accept()
                 else:
                     conn = tag[1]
                     if conn not in self._conns:
@@ -792,23 +662,23 @@ class Coordinator:
             timeout = min(timeout, 0.05)
         return max(0.01, timeout)
 
-    def _close_listeners(self) -> None:
-        for sock in [self._listener] + [s for s, _ in self._frontend_listeners]:
-            if sock is None:
-                continue
-            try:
-                self._selector.unregister(sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+    def _close_listener(self) -> None:
+        sock = self._listener
+        if sock is None:
+            return
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            sock.close()
+        except OSError:  # pragma: no cover - best effort
+            pass
 
     def _teardown(self) -> None:
         for conn in list(self._conns):
             self._drop(conn, None)
-        self._close_listeners()
+        self._close_listener()
         for sock in (self._wake_r, self._wake_w):
             if sock is not None:
                 try:
@@ -824,10 +694,10 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Connection plumbing
     # ------------------------------------------------------------------
-    def _accept(self, listener, kind: str, factory) -> None:
+    def _accept(self) -> None:
         while True:
             try:
-                sock, addr = listener.accept()
+                sock, addr = self._listener.accept()
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
@@ -837,18 +707,10 @@ class Coordinator:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover - non-TCP/odd platforms
                 pass
-            conn = _Conn(sock, f"{addr[0]}:{addr[1]}", kind)
-            if kind == "frontend":
-                try:
-                    conn.frontend = factory()
-                except Exception as exc:
-                    self._log(f"frontend handler factory failed: {exc}")
-                    sock.close()
-                    continue
-            else:
-                with self._lock:
-                    self._owner_counter += 1
-                    conn.owner = self._owner_counter
+            conn = _Conn(sock, f"{addr[0]}:{addr[1]}")
+            with self._lock:
+                self._owner_counter += 1
+                conn.owner = self._owner_counter
             self._conns.add(conn)
             self._selector.register(
                 sock, selectors.EVENT_READ, ("conn", conn)
@@ -878,8 +740,7 @@ class Coordinator:
             pass
         if reason:
             self._log(f"worker {conn.worker_name} connection error: {reason}")
-        if conn.kind == "dist":
-            self._release(conn.owner, conn.held, conn.worker_name)
+        self._release(conn.owner, conn.held, conn.worker_name)
 
     def _on_readable(self, conn: _Conn) -> None:
         try:
@@ -891,9 +752,6 @@ class Coordinator:
             return
         if not data:
             self._drop(conn, None)  # peer closed: _release requeues
-            return
-        if conn.kind == "frontend":
-            self._feed_frontend(conn, data)
             return
         conn.inbuf += data
         while conn in self._conns:
@@ -914,18 +772,6 @@ class Coordinator:
             except ProtocolError as exc:
                 self._drop(conn, str(exc))
                 return
-
-    def _feed_frontend(self, conn: _Conn, data: bytes) -> None:
-        try:
-            response = conn.frontend.feed(data)
-        except Exception as exc:
-            self._drop(conn, f"frontend handler failed: {exc}")
-            return
-        if response:
-            conn.outbuf += response
-        if getattr(conn.frontend, "done", False):
-            conn.close_after_flush = True
-        self._flush_conn(conn)
 
     def _send(self, conn: _Conn, kind: str, payload: object = None) -> None:
         if conn.seed_iter is not None and kind in ("job", "wait", "done"):
@@ -1184,9 +1030,7 @@ class Coordinator:
 
     def _assign(self, owner: int, held: set[int]) -> tuple[str, dict]:
         with self._lock:
-            if self._remaining == 0 and not self._persistent:
-                return "done", {}
-            if self._persistent and self._closing:
+            if self._remaining == 0:
                 return "done", {}
             if self._pending:
                 index = self._pending.popleft()
@@ -1233,25 +1077,17 @@ class Coordinator:
             # completions landing in one loop iteration.
             ready = self._reductions.ready_after(index)
             if not local and isinstance(outcome, JobResult):
-                if self._persistent:
-                    # No batch end will absorb the accumulated deltas, so
-                    # fold remote activity into the live totals now —
-                    # /v1/metrics must reflect work the moment it lands.
-                    KERNEL_CACHE.absorb(outcome.stats)
-                    if outcome.store_stats is not None and self._store is not None:
-                        self._store.absorb_stats(outcome.store_stats)
-                else:
-                    self._remote_cache_delta = self._remote_cache_delta.merge(
-                        outcome.stats
-                    )
-                    if outcome.store_stats is not None:
-                        self._remote_store_delta = (
+                self._remote_cache_delta = self._remote_cache_delta.merge(
+                    outcome.stats
+                )
+                if outcome.store_stats is not None:
+                    self._remote_store_delta = (
+                        outcome.store_stats
+                        if self._remote_store_delta is None
+                        else self._remote_store_delta.merge(
                             outcome.store_stats
-                            if self._remote_store_delta is None
-                            else self._remote_store_delta.merge(
-                                outcome.store_stats
-                            )
                         )
+                    )
         # Persist outside the queue lock: the store has its own lock, and
         # a slow flush must not stall a status probe mid-snapshot.
         if isinstance(outcome, JobResult):
@@ -1263,20 +1099,13 @@ class Coordinator:
             if outcome.store_rows:
                 self._store.absorb_rows(outcome.store_rows)
                 self._store.flush()
-        if self._checkpoint is not None:
+        if self._checkpoint is not None and isinstance(outcome, JobResult):
             # After the store flush on purpose: a checkpoint must never
             # claim a completion whose rows a crash could still lose.
-            if isinstance(outcome, JobResult):
-                self._checkpoint.record_done(self._tasks[index].name)
-            self._record_pending()
+            self._checkpoint.record_done(self._tasks[index].name)
         for rid in ready:
             self._run_reduction(rid)
         self._maybe_done()
-        if self._on_complete is not None:
-            try:
-                self._on_complete(index, outcome)
-            except Exception as exc:  # observers must not kill the loop
-                self._log(f"on_complete callback failed: {exc}")
         return True
 
     def _run_reduction(self, rid: int) -> None:
@@ -1310,8 +1139,6 @@ class Coordinator:
 
     def _maybe_done(self) -> None:
         """Signal completion once every job *and* every reduction is in."""
-        if self._persistent:
-            return  # a service's queue drains and refills; no batch end
         with self._lock:
             done = self._remaining == 0 and self._reductions_pending == 0
         if done:
@@ -1324,17 +1151,13 @@ class Coordinator:
         Only idle connections (no held leases) are told: a worker still
         computing a requeued duplicate keeps its request/response stream
         intact and learns ``done`` as the piggybacked reply to its
-        result, exactly as before.  A persistent coordinator never
-        finishes a batch, so its workers are told ``done`` only when the
-        service itself is closing.
+        result, exactly as before.
         """
-        finished = self._done.is_set() and not self._persistent
-        if not (finished or (self._persistent and self._closing)):
+        if not self._done.is_set():
             return
         for conn in list(self._conns):
             if (
-                conn.kind == "dist"
-                and conn.handshaken
+                conn.handshaken
                 and not conn.draining
                 and not conn.close_after_flush
                 and not conn.held

@@ -10,9 +10,9 @@ finished: its slot retires.  A worker that **dies without reporting**
 its slot after a jittered exponential backoff, up to ``max_respawns``
 generations per slot.
 
-A worker report also means the *coordinator* is winding down — batch
-coordinators broadcast ``done`` to everyone at completion, persistent
-ones at close, and a vanished coordinator ends every slot the same way.
+A worker report also means the *coordinator* is winding down — it
+broadcasts ``done`` to everyone when its batch completes, and a vanished
+coordinator ends every slot the same way.
 So the first report starts a short stand-down grace: pending respawns
 are cancelled and slots still trying to connect (a respawn racing batch
 completion) are terminated and counted as ``stood_down``, not as

@@ -428,37 +428,8 @@ def cached_kernel(
                 sp.set(tier=served)
             return value
 
-        def peek(*args, **kwargs):
-            """Look the banked value up without ever computing it.
-
-            Returns ``(True, value)`` when either tier holds a result for
-            these arguments, ``(False, None)`` otherwise — including when
-            the caches are disabled, since a bypassed run must not observe
-            banked state.  A store-tier hit is promoted into the memo
-            cache so repeated peeks cost one SQLite read total, not one
-            per call.  The query service answers warm queries this way
-            and enqueues the rest as jobs.
-            """
-            target = store if store is not None else KERNEL_CACHE
-            if not target.enabled:
-                return False, None
-            memo_key, store_key, store_version = _identity(args, kwargs)
-            value = target.lookup(kernel, memo_key)
-            if value is not _MISSING:
-                return True, value
-            tier = _second_tier()
-            if tier is not None:
-                from ..store.backend import MISS as _STORE_MISS
-
-                stored = tier.load(kernel, store_version, store_key)
-                if stored is not _STORE_MISS:
-                    target.store(kernel, memo_key, stored)
-                    return True, stored
-            return False, None
-
         wrapper.kernel_name = kernel
         wrapper.kernel_version = kernel_version
-        wrapper.peek = peek
         return wrapper
 
     return decorate

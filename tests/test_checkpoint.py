@@ -93,6 +93,27 @@ class TestFormat:
         leftovers = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
 
+    def test_file_with_the_dropped_pending_field_still_resumes(self, tmp_path):
+        """Version-1 files written before ``CheckpointState`` lost its
+        queued-job field still carry that field, as an empty tuple; they
+        must load and resume exactly as before."""
+        path = tmp_path / "older.ckpt"
+        state = CheckpointState(
+            fingerprint="fp", tasks=("a", "b", "c"), completed=("b",)
+        )
+        dropped_field = "pending_jobs"
+        object.__setattr__(state, dropped_field, ())
+        write_checkpoint(path, state)
+        assert dropped_field.encode() in path.read_bytes()
+        loaded = load_checkpoint(path)
+        assert loaded.completed == ("b",)
+        assert loaded.remaining == ("a", "c")
+        present, dropped = resume_completed(
+            loaded, ("a", "b", "c"), fingerprint="fp"
+        )
+        assert present == {"b"}
+        assert dropped == 0
+
 
 class TestWriter:
     def test_records_fold_into_state(self, tmp_path):

@@ -76,24 +76,33 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--family", "cycle", "--n", "4", "--k", "1", "--full",
-              "--budget", "10"], "more than the budget of 10"),
+            (["search", "--family", "cycle", "--n", "4", "--k", "1",
+              "--full", "--budget", "10"], "more than the budget of 10"),
             # Each of the 6 generators' up-sets fits 256; their union
             # has 1194 graphs.
-            (["--family", "cycle", "--n", "4", "--symmetric", "--full",
-              "--k", "2", "--budget", "256"], "more than the budget of 256"),
-            (["--family", "nonsense", "--n", "4", "--k", "1"],
+            (["search", "--family", "cycle", "--n", "4", "--symmetric",
+              "--full", "--k", "2", "--budget", "256"],
+             "more than the budget of 256"),
+            (["search", "--family", "nonsense", "--n", "4", "--k", "1"],
              "unknown family 'nonsense'"),
-            (["--family", "cycle", "--n", "4", "--k", "0"],
+            (["search", "--family", "cycle", "--n", "4", "--k", "0"],
              "k must be positive"),
+            (["verify", "--family", "cycle", "--n", "3", "--k", "0"],
+             "verify: k must be at least 1, got 0"),
+            (["verify", "--family", "cycle", "--n", "3", "--k", "1",
+              "--rounds", "0"], "verify: need at least one round, got 0"),
+            (["bounds", "--family", "cycle", "--n", "3", "--rounds", "0"],
+             "bounds: rounds must be positive, got 0"),
         ],
         ids=["model-over-budget", "symmetric-model-over-budget",
-             "unknown-family", "k-zero"],
+             "unknown-family", "k-zero", "verify-k-zero",
+             "verify-rounds-zero", "bounds-rounds-zero"],
     )
     def test_errors_exit_2_not_unsat(self, capsys, argv, message):
-        """Exit 1 means "not solvable"; an error must not look like one."""
+        """Exit 1 is a verdict ("not solvable", "FAILED"); an error must
+        not look like one."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["search", *argv])
+            main(argv)
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -11,8 +11,6 @@ from repro.analysis import sweeps
 from repro.config import (
     DEFAULT_BUDGET,
     ExecutorConfig,
-    ServeConfig,
-    StoreConfig,
     SweepConfig,
     config_fingerprint,
 )
@@ -55,10 +53,10 @@ class TestBuilders:
         assert config.n == 3 and config.executor.jobs == 2
 
     def test_replace_revalidates(self):
-        config = ServeConfig()
-        assert config.replace(workers=3).workers == 3
+        config = SweepConfig()
+        assert config.replace(budget=3).budget == 3
         with pytest.raises(ConfigError):
-            config.replace(workers=-1)
+            config.replace(budget=0)
 
 
 class TestValidation:
@@ -68,23 +66,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExecutorConfig(lease_timeout=0.0)
 
-    def test_store(self):
-        with pytest.raises(ConfigError, match="mode"):
-            StoreConfig(mode="sideways")
-        with pytest.raises(ConfigError, match="batch_size"):
-            StoreConfig(mode="rw", batch_size=0)
-
     def test_sweep(self):
         with pytest.raises(ConfigError):
             SweepConfig(n=0)
         with pytest.raises(ConfigError, match="budget"):
             SweepConfig(budget=0)
-
-    def test_serve(self):
-        with pytest.raises(ConfigError):
-            ServeConfig(workers=-1)
-        with pytest.raises(ConfigError):
-            ServeConfig(wait_delay=0.0)
 
 
 class TestFromEnv:
@@ -105,23 +91,6 @@ class TestFromEnv:
         with pytest.raises(ConfigError):
             ExecutorConfig.from_env({"REPRO_SEED_STORE": "maybe"})
 
-    def test_store_env_mirrors_forgiving_parse(self):
-        assert StoreConfig.from_env({"REPRO_STORE": "rw"}).mode == "rw"
-        # repro.store treats unknown modes as off; the config agrees.
-        assert StoreConfig.from_env({"REPRO_STORE": "bogus"}).mode == "off"
-        assert StoreConfig.from_env({}).mode == "off"
-
-    def test_serve_env(self):
-        env = {
-            "REPRO_SERVE_HTTP": ":9000",
-            "REPRO_SERVE_WORKERS": "2",
-            "REPRO_STORE": "rw",
-        }
-        config = ServeConfig.from_env(env)
-        assert config.http == ":9000"
-        assert config.workers == 2
-        assert config.store.mode == "rw"
-
 
 class TestFromArgs:
     def test_sweep_namespace_lifts_cleanly(self):
@@ -135,27 +104,14 @@ class TestFromArgs:
             executor=ExecutorConfig(jobs=2),
         )
 
-    def test_serve_namespace_lifts_cleanly(self):
-        args = _ns(
-            http=":8088", distributed=":7071", workers=0, budget=256,
-            backend=None, store="rw", store_path="/tmp/x.sqlite",
-        )
-        config = ServeConfig.from_args(args)
-        assert config.http == ":8088"
-        assert config.distributed == ":7071"
-        assert config.workers == 0
-        assert config.store == StoreConfig(mode="rw", path="/tmp/x.sqlite")
-
     def test_missing_attributes_fall_back_to_defaults(self):
         assert ExecutorConfig.from_args(_ns()) == ExecutorConfig()
-        assert ServeConfig.from_args(_ns()) == ServeConfig()
+        assert SweepConfig.from_args(_ns()) == SweepConfig()
 
     def test_zero_is_not_unset(self):
         """Only None falls back to a default; 0 reaches validation."""
         with pytest.raises(ConfigError, match="budget"):
             SweepConfig.from_args(_ns(budget=0))
-        with pytest.raises(ConfigError, match="budget"):
-            ServeConfig.from_args(_ns(budget=0))
         with pytest.raises(ConfigError, match="jobs"):
             ExecutorConfig.from_args(_ns(jobs=0))
 
@@ -176,9 +132,11 @@ class TestFingerprint:
         )
 
     def test_distinct_types_with_equal_fields_differ(self):
-        # The class label is part of the digest: two configs that happen
-        # to serialise identically still identify different run shapes.
-        assert ExecutorConfig().fingerprint() != StoreConfig().fingerprint()
+        # The class label is part of the digest: a config and a plain
+        # mapping of the same fields still identify different things.
+        assert ExecutorConfig().fingerprint() != config_fingerprint(
+            ExecutorConfig().as_dict()
+        )
 
     def test_asdict_round_trip_preserves_identity(self):
         config = SweepConfig(n=3, executor=ExecutorConfig(jobs=2))
@@ -243,13 +201,3 @@ class TestDeprecatedShims:
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()
-
-
-class TestStoreApply:
-    def test_apply_configures_global_store(self, tmp_path):
-        try:
-            store = StoreConfig(mode="rw", path=str(tmp_path / "s.sqlite")).apply()
-            assert store.mode == "rw"
-            assert str(store.path) == str(tmp_path / "s.sqlite")
-        finally:
-            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")

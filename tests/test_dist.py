@@ -981,7 +981,7 @@ class TestIncrementalSeeding:
 
     def test_fresh_worker_without_digest_gets_full_stream(self, tmp_store):
         graphs = _warm_domination_store(tmp_store)
-        with Coordinator([], persistent=True) as coord:
+        with Coordinator(_mul_jobs(1)) as coord:
             worker = _FakeWorker(coord.address)
             try:
                 kind, welcome = worker.handshake()
@@ -996,7 +996,7 @@ class TestIncrementalSeeding:
     def test_matching_digest_skips_every_tier(self, tmp_store):
         _warm_domination_store(tmp_store)
         digest = tmp_store.seed_digest()
-        with Coordinator([], persistent=True) as coord:
+        with Coordinator(_mul_jobs(1)) as coord:
             worker = _FakeWorker(coord.address)
             try:
                 kind, welcome = worker.handshake(seed_digest=digest)
@@ -1018,7 +1018,7 @@ class TestIncrementalSeeding:
             pair for pair in digest if pair[0] == "domination_number"
         )
         digest[stale] = "0:" + "0" * 16
-        with Coordinator([], persistent=True) as coord:
+        with Coordinator(_mul_jobs(1)) as coord:
             worker = _FakeWorker(coord.address)
             try:
                 worker.handshake(seed_digest=digest)
@@ -1140,10 +1140,6 @@ class TestDistCheckpoint:
         assert state.fingerprint == "fp"
         assert set(state.completed) == {t.name for t in tasks}
         assert state.remaining == ()
-
-    def test_persistent_coordinator_rejects_completed(self):
-        with pytest.raises(DistError, match="batch-mode"):
-            Coordinator([], persistent=True, completed=[0])
 
     def test_out_of_range_completed_rejected(self):
         with pytest.raises(DistError, match="completed"):
