@@ -15,8 +15,10 @@ frontier's wall-clock:
 Acceptance (run in CI by the ``backends-smoke`` job with
 ``--benchmark-disable``): the bitset backend is **>= 3x** faster than the
 reference on the heaviest n=3 class, with equal verdicts everywhere.
-Measured locally (see EXPERIMENTS.md): ~8-10x on n=3, ~7x on the n=4
-tail sample.
+Measured on a 2-core Xeon under CPython 3.11 (see EXPERIMENTS.md):
+~58-80x on n=3, ~130-150x on the n=4 tail sample.  Both backends get
+rows the builder already reduced; only the reference still scans them
+pairwise for dominated rows, as the oracle.
 
 Timing goes through :func:`repro.bench.measure` — the same variance
 engine behind ``python -m repro bench run`` — so the numbers quoted
@@ -36,7 +38,7 @@ from repro.engine import KERNEL_CACHE
 from repro.verification import decide_one_round_solvability, sat_available
 
 #: The acceptance bound for bitset vs reference on the heaviest n=3
-#: class.  Locally ~8-10x; 3x leaves headroom for loaded CI machines.
+#: class.  Measured ~58-80x; 3x leaves headroom for loaded CI machines.
 MIN_SPEEDUP = 3.0
 
 #: Cold min-of-2, no warmup — the caches are cleared per repeat, so a

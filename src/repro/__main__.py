@@ -96,7 +96,13 @@ def _build_graph(args: argparse.Namespace) -> Digraph:
 
     centers = None
     if args.family == "union_of_stars":
-        centers = tuple(int(c) for c in (args.centers or "0").split(","))
+        try:
+            centers = tuple(int(c) for c in (args.centers or "0").split(","))
+        except ValueError:
+            _usage_error(
+                "--centers must be comma-separated process ids, "
+                f"got {args.centers!r}"
+            )
     try:
         return graph_families.build_family(args.family, args.n, centers)
     except GraphError as exc:

@@ -23,12 +23,15 @@ search-construction layers above it:
     because the dependency is not in the runtime requirements.
 
 Backend contract: ``solve(executions, domains, k)`` where ``executions``
-are deduplicated tuples of view indices and ``domains`` are sorted tuples
-of *small value indices* (the caller maps real values to ints and back).
-Returns ``(solvable, assignment, reduced_count)`` with ``assignment`` a
-per-view value index (or None) and ``reduced_count`` the number of
-execution rows left after subsumption reduction — each backend owns that
-reduction because it dominates build cost on the heaviest classes.
+are tuples of view indices, already distinct and subsumption-reduced
+(no row a strict subset of another: the CSP builders own that
+reduction), and ``domains`` are sorted tuples of *small value indices*
+(the caller maps real values to ints and back).  Returns ``(solvable,
+assignment, reduced_count)`` with ``assignment`` a per-view value index
+(or None) and ``reduced_count`` the number of rows the search kept:
+``len(executions)``.  Only ``reference`` still scans for dominated rows,
+as the oracle; under ``check`` its count then differs from the others'
+whenever a builder handed over a dominated row.
 
 Selection: the ``backend=`` parameter threaded through the public search
 functions, else the ``REPRO_CSP_BACKEND`` environment variable, else
@@ -143,10 +146,12 @@ def witness_ok(
     assignment: Sequence[int | None],
     k: int,
 ) -> bool:
-    """Validate a witness against the *unreduced* constraint rows.
+    """Validate a witness against the constraint rows the backends got.
 
     Every view must be assigned a value from its own domain (validity)
-    and every execution must decide at most ``k`` distinct values.
+    and every execution must decide at most ``k`` distinct values.  The
+    rows are reduced, which loses nothing: a dropped row is a subset of
+    a kept one, so it decides no more values than that row.
     """
     for idx, domain in enumerate(domains):
         if assignment[idx] is None or assignment[idx] not in domain:

@@ -9,13 +9,15 @@ The traversal order is identical to the reference backend — ascending
 value index at every node, same fail-first tie-breaking — so the two
 produce the *same witness*, not merely the same verdict.
 
-The subsumption reduction matters more than the backtracker: on the
-heaviest enumerable classes the reference backend's pairwise
-``frozenset`` containment scan dominates its time.  Here it is an
-inverted index instead — one int bitset of rows per view, so the rows
-containing a row are the AND of its views' bitsets, and a row is
-dropped when that AND holds any row but itself.  Its cost grows with
-the rows times their views, not with the pairs of rows.
+The subsumption reduction lives here too, but the backend does not run
+it: :func:`reduce_executions` is the helper the CSP builders call, and
+:func:`solve` searches the rows it is given.  The one-round builders
+reduce sets of in-neighbourhoods, before any row exists; the
+multi-round builder reduces its rows.  The reduction is an inverted
+index — one int bitset of rows per view, so the rows containing a row
+are the AND of its views' bitsets, and a row is dropped when that AND
+holds any row but itself.  Its cost grows with the rows times their
+views, not with the pairs of rows.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ def solve(
     domains: list[tuple[int, ...]],
     k: int,
 ) -> tuple[bool, list[int | None], int]:
-    """Mask-native subsumption reduction + forward-checking backtracker."""
-    executions = reduce_executions(executions)
+    """Mask-native forward-checking backtracker over the given rows."""
     nviews = len(domains)
     occurs: list[list[int]] = [[] for _ in range(nviews)]
     for e, exec_views in enumerate(executions):

@@ -15,9 +15,9 @@ true selector, and any extra true selectors only make the cardinality
 constraint harder, never easier — a satisfying model stays satisfying
 when projected to one value per view.
 
-Rows are subsumption-reduced with the bitset backend's mask reduction
-first (shared helper) so ``reduced_count`` matches the other backends
-exactly — the cross-check mode asserts it.
+The rows arrive subsumption-reduced from the CSP builders and are
+encoded as given, so ``reduced_count`` is their number, as in the other
+backends — the cross-check mode asserts it.
 
 The module imports `python-sat` lazily and only when
 :func:`repro.verification.backends.sat_available` said it is importable;
@@ -25,8 +25,6 @@ the dependency stays optional at runtime.
 """
 
 from __future__ import annotations
-
-from .bitset import reduce_executions
 
 __all__ = ["solve"]
 
@@ -40,7 +38,6 @@ def solve(
     from pysat.card import CardEnc, EncType
     from pysat.solvers import Solver
 
-    executions = reduce_executions(executions)
     nviews = len(domains)
 
     next_id = 1

@@ -21,7 +21,7 @@ from collections.abc import Hashable, Sequence
 
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
-from .solvability import SolvabilityResult, _solve_csp, index_views
+from .solvability import SolvabilityResult, _domains, _solve_csp, index_views
 
 __all__ = ["decide_one_round_solvability_colored"]
 
@@ -56,5 +56,5 @@ def decide_one_round_solvability_colored(
         raise VerificationError("need at least two values")
 
     index, executions = index_views(graphs, values, colored=True)
-    domains = [tuple(sorted({v for _, v in view})) for _, view in index]
+    domains = _domains(view for _, view in index)
     return _solve_csp(index, executions, k, domains=domains, backend=backend)

@@ -25,6 +25,7 @@ from itertools import product
 from ..agreement.views import initial_oblivious_view, oblivious_round
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
+from .backends.bitset import reduce_executions
 from .solvability import SolvabilityResult, _solve_csp
 
 __all__ = ["decide_multi_round_solvability"]
@@ -72,4 +73,5 @@ def decide_multi_round_solvability(
                 idx = view_index.setdefault(view, len(view_index))
                 exec_views.add(idx)
             executions.append(tuple(sorted(exec_views)))
+    executions = reduce_executions(list(dict.fromkeys(executions)))
     return _solve_csp(view_index, executions, k, rounds=rounds, backend=backend)

@@ -27,7 +27,10 @@ The search itself runs on one of the pluggable compute backends in
 :mod:`repro.verification.backends` (``reference``, ``bitset``, ``sat``),
 selected by the ``backend=`` parameter or ``REPRO_CSP_BACKEND``; this
 module builds the abstract CSP (views, executions, value indexing) and
-decodes the backend's integer assignment back into a decision map.
+decodes the backend's integer assignment back into a decision map.  An
+execution whose views are a strict subset of another's constrains
+nothing the other does not, so the builder drops it (the subsumption
+reduction) before handing the rows over; see :func:`index_views`.
 """
 
 from __future__ import annotations
@@ -35,15 +38,14 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from itertools import product
-from operator import or_
 
-from .._bitops import bits_tuple
 from ..agreement.views import ObliviousView
 from ..engine.cache import cached_kernel
 from ..engine.canonical import graph_set_key
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
 from .backends import CSP_BACKEND_VARIANTS, resolve_backend, solve_csp
+from .backends.bitset import reduce_executions
 
 __all__ = [
     "SolvabilitySearch",
@@ -73,15 +75,6 @@ class SolvabilityResult:
         )
 
 
-class _RowTuples(dict):
-    """OR of one-hot view bits -> the sorted tuple of those views' indices,
-    computed once per distinct row and shared by every execution with it."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        row = self[mask] = bits_tuple(mask)
-        return row
-
-
 def index_views(
     graphs: Sequence[Digraph],
     values: Sequence[Hashable],
@@ -94,7 +87,24 @@ def index_views(
     indices of its processes' views.  Views are indexed in order of first
     appearance over (graph, assignment, process) and keyed by the
     oblivious view ``frozenset((q, a[q]) for q in In(p))`` — or by
-    ``(p, view)`` when ``colored``.  Returns ``(index, rows)``.
+    ``(p, view)`` when ``colored``.  Returns ``(index, rows)``, the rows
+    already distinct and undominated: the subsumption reduction is
+    decided here, on sets of in-neighbourhoods, before any row exists.
+
+    Reduction.  A view names the processes it heard, and every process
+    hears itself, so an execution's views spell out its assignment and
+    its graph's set of in-neighbourhoods ``S(G)``.  One row therefore
+    holds another exactly when their assignments are equal and
+    ``S(G) ⊆ S(G')``: graphs with equal sets have equal rows, and the
+    undominated rows are every assignment of each ⊆-maximal set.  A
+    graph's *key* is the set of its in-neighbourhood masks — colored, of
+    its ``(p, In(p))`` pairs packed into one int each; those keys never
+    nest, as a colored row holds one view per process.  A graph whose
+    key was seen adds nothing.  :func:`reduce_executions` keeps the
+    maximal keys (as sorted tuples), and each kept key, in order of first
+    appearance, gives one row per distinct assignment, in order: the
+    order deduplicating and then reducing the (graph, assignment) rows
+    would leave.
 
     Packing: every assignment is one int with one nonzero digit per
     process, the digit of a value being its rank among the distinct
@@ -102,11 +112,10 @@ def index_views(
     A process's view is that int masked to the digits of its
     in-neighbours, so view equality is int equality, and the views of one
     in-neighbourhood (a *column*: one view per assignment) never collide
-    with another's — their nonzero digits spell it out.  A graph whose
-    columns all appeared in earlier graphs costs no per-view work: its
-    rows are ORs of its columns' one-hot view bits.  A ``frozenset`` view
-    is built once per distinct view, from the assignment it first
-    appears in.
+    with another's — their nonzero digits spell it out.  Only a column no
+    earlier graph had costs per-view work, and a ``frozenset`` view is
+    built once per distinct view, from the assignment it first appears
+    in.
     """
     n = graphs[0].n
     digits: dict[Hashable, int] = {}
@@ -114,40 +123,65 @@ def index_views(
         digits.setdefault(value, len(digits) + 1)
     width = len(digits).bit_length()
     field = (1 << width) - 1
-    assignments = list(product(values, repeat=n))
-    packed = [
-        sum(digits[a[q]] << width * q for q in range(n)) for a in assignments
-    ]
-    index: dict = {}  # packed view (colored: (p, packed view)) -> index
+    # Packed assignment -> the first assignment that packs to it.
+    first: dict[int, tuple] = {}
+    for a in product(values, repeat=n):
+        first.setdefault(sum(digits[a[q]] << width * q for q in range(n)), a)
     view_index: dict = {}  # frozenset view (colored: (p, view)) -> index
-    columns: dict[object, list[int]] = {}  # column key -> view bits
-    row_of = _RowTuples()
-    rows: list[tuple[int, ...]] = []
+    columns: dict[int, list[int]] = {}  # column -> view index per assignment
+    keys: dict[frozenset[int], None] = {}  # graph keys, first appearance
     for g in graphs:
-        in_masks = [g.in_mask(p) for p in range(n)]
-        keys = list(enumerate(in_masks)) if colored else in_masks
-        new = [p for p in range(n) if keys[p] not in columns]
-        if new:
-            # Index the new columns' views in first-appearance order.
-            heard = {p: bits_tuple(in_masks[p]) for p in new}
-            masks = {p: sum(field << width * q for q in heard[p]) for p in new}
-            fresh = {keys[p]: [0] * len(packed) for p in new}
-            for i, code in enumerate(packed):
-                for p in new:
-                    key = (p, code & masks[p]) if colored else code & masks[p]
-                    idx = index.get(key)
-                    if idx is None:
-                        idx = index[key] = len(view_index)
-                        a = assignments[i]
-                        view = frozenset((q, a[q]) for q in heard[p])
-                        view_index[(p, view) if colored else view] = idx
-                    fresh[keys[p]][i] = 1 << idx
-            columns.update(fresh)
-        bits = columns[keys[0]]
-        for key in keys[1:]:
-            bits = map(or_, bits, columns[key])
-        rows.extend(map(row_of.__getitem__, bits))
+        cols = list(map(g.in_mask, range(n)))
+        if colored:
+            cols = [p << n | mask for p, mask in enumerate(cols)]
+        key = frozenset(cols)
+        if key in keys:
+            continue
+        keys[key] = None
+        fresh = []  # (p, In(p), its digits, packed view -> index, column)
+        for p, col in enumerate(cols):
+            if col not in columns:
+                heard = g.in_neighbors(p)
+                mask = sum(field << width * q for q in heard)
+                column = columns[col] = []
+                fresh.append((p, heard, mask, {}, column))
+        if not fresh:
+            continue
+        # Index the new columns' views in first-appearance order.
+        for code, a in first.items():
+            for p, heard, mask, seen, column in fresh:
+                view = code & mask
+                idx = seen.get(view)
+                if idx is None:
+                    idx = seen[view] = len(view_index)
+                    view = frozenset((q, a[q]) for q in heard)
+                    view_index[(p, view) if colored else view] = idx
+                column.append(idx)
+    rows: list[tuple[int, ...]] = []
+    for key in reduce_executions([tuple(sorted(key)) for key in keys]):
+        rows.extend(
+            tuple(sorted(row)) for row in zip(*map(columns.__getitem__, key))
+        )
     return view_index, rows
+
+
+def _domains(views) -> list[tuple]:
+    """Each view's distinct values: the decisions validity leaves it.
+
+    Values are ranked by first appearance over the views, a view's own
+    values by process, so no two values are compared and they need not
+    be sortable.  Each view a builder indexes brings in at most one new
+    value, so the rank is the values' order of first occurrence: sorted
+    order for ``0..k``.
+    """
+    rank: dict[Hashable, int] = {}
+    held = []
+    for view in views:
+        present = dict.fromkeys(v for _, v in sorted(view))
+        for value in present:
+            rank.setdefault(value, len(rank))
+        held.append(present)
+    return [tuple(sorted(present, key=rank.__getitem__)) for present in held]
 
 
 def _solve_csp(
@@ -160,22 +194,18 @@ def _solve_csp(
 ) -> SolvabilityResult:
     """Shared CSP core: views, per-execution ≤k-distinct constraints.
 
-    Deduplicates the execution rows, restricts each view's domain to the
-    values it contains (validity) unless explicit ``domains`` are given
-    (the colored search keys variables by ``(process, view)`` and
-    supplies domains itself), maps values to small ints, and hands the
-    abstract CSP to the selected compute backend (which owns the
-    subsumption reduction and the search).  Used by the one-round,
-    multi-round and colored searches.
+    Takes the rows distinct and undominated — the builders own the
+    subsumption reduction.  Restricts each view's domain to the values it
+    contains (validity) unless explicit ``domains`` are given (the
+    colored search keys variables by ``(process, view)`` and supplies
+    domains itself), maps values to small ints, and hands the abstract
+    CSP to the selected compute backend for the search.  Used by the
+    one-round, multi-round and colored searches.
     """
-    executions = list(dict.fromkeys(executions))
     views: list[ObliviousView | None] = [None] * len(view_index)
     for view, idx in view_index.items():
         views[idx] = view
-    if domains is None:
-        base_domains = [tuple(sorted({v for _, v in view})) for view in views]
-    else:
-        base_domains = domains
+    base_domains = _domains(views) if domains is None else domains
     # Index values by first appearance across the domains in view order —
     # deterministic without per-node string formatting, and independent of
     # whether the values themselves are sortable.
@@ -236,8 +266,8 @@ class SolvabilitySearch:
         self._build_csp()
 
     def _build_csp(self) -> None:
-        """Index distinct views and the per-execution constraint rows."""
-        self._view_index, self._raw_executions = index_views(
+        """Index distinct views and the distinct, undominated rows."""
+        self._view_index, self._executions = index_views(
             self._graphs, self._values
         )
 
@@ -245,7 +275,7 @@ class SolvabilitySearch:
     def solve(self, backend: str | None = None) -> SolvabilityResult:
         """Run the search; see the module docstring for the strategy."""
         return _solve_csp(
-            self._view_index, self._raw_executions, self._k, backend=backend
+            self._view_index, self._executions, self._k, backend=backend
         )
 
 

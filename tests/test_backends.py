@@ -26,19 +26,22 @@ from repro.graphs.symmetry import iter_isomorphism_classes
 from repro.models import symmetric_closed_above
 from repro.verification import (
     SolvabilitySearch,
+    decide_multi_round_solvability,
     decide_one_round_solvability,
     decide_one_round_solvability_colored,
     resolve_backend,
     sat_available,
 )
 from repro.verification import colored as colored_module
+from repro.verification import solvability as solvability_module
 from repro.verification.backends import (
     CSP_BACKEND_VARIANTS,
     available_backends,
+    solve_csp,
     witness_ok,
 )
 from repro.verification.backends.bitset import reduce_executions
-from repro.verification.solvability import _solve_csp
+from repro.verification.solvability import _solve_csp, index_views
 
 needs_sat = pytest.mark.skipif(
     not sat_available(), reason="python-sat not installed"
@@ -211,7 +214,8 @@ class TestReduceExecutions:
 def _frozenset_build(graphs, values, colored=False):
     """The one-round CSP built one ``frozenset`` view per (graph,
     assignment, process): the definition the packed-key builder must
-    reproduce exactly, view indices and rows alike."""
+    reproduce exactly, view indices and rows alike.  The rows are every
+    execution's, before :func:`_reduced`."""
     n = graphs[0].n
     index = {}
     rows = []
@@ -225,6 +229,17 @@ def _frozenset_build(graphs, values, colored=False):
                 row.add(index.setdefault(key, len(index)))
             rows.append(tuple(sorted(row)))
     return index, rows
+
+
+def _reduced(rows):
+    """The rows a search is handed, by definition: the distinct rows in
+    order, minus every row that is a strict subset of another."""
+    rows = list(dict.fromkeys(rows))
+    sets = [frozenset(row) for row in rows]
+    return [
+        row for row, views in zip(rows, sets)
+        if not any(views < other for other in sets)
+    ]
 
 
 def _elements(view_index):
@@ -255,13 +270,89 @@ class TestViewConstruction:
             index, rows = _frozenset_build(graphs, values)
             assert list(search._view_index.items()) == list(index.items())
             assert _elements(search._view_index) == _elements(index)
-            assert search._raw_executions == rows
+            assert search._executions == _reduced(rows)
+
+    def test_colored_matches_frozenset_builder(self):
+        # Graphs repeat here, so the colored rows must come out distinct;
+        # none is dropped otherwise, as no colored row holds another.
+        rng = random.Random(0xC0105)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            pool = [
+                Digraph(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            graphs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            values = rng.choice(self.VALUE_SETS)
+            index, rows = index_views(graphs, values, colored=True)
+            want_index, want_rows = _frozenset_build(
+                graphs, values, colored=True
+            )
+            assert list(index.items()) == list(want_index.items())
+            assert _elements(index) == _elements(want_index)
+            assert rows == _reduced(want_rows) == list(dict.fromkeys(want_rows))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_frozenset_builder_on_n3_classes(self, k):
+        values = tuple(range(k + 1))
+        for g in iter_isomorphism_classes(iter_all_digraphs(3)):
+            graphs = list(symmetric_closed_above([g]).iter_graphs())
+            search = SolvabilitySearch(graphs, k, values)
+            index, rows = _frozenset_build(graphs, values)
+            assert list(search._view_index.items()) == list(index.items())
+            assert search._executions == _reduced(rows)
 
     def test_equal_values_share_a_digit(self):
         result = _solve([cycle(3)], 1, (1, True, 2), "bitset")
         assert result.describe() == (
             "1-set agreement (1 round): IMPOSSIBLE [12 views, 8 executions]"
         )
+
+    @pytest.mark.parametrize("values", [(0, 1), (0, "a")])
+    def test_values_need_not_compare(self, values):
+        # 0 and "a" do not compare: no search may sort the values.
+        want = "1-set agreement (1 round): IMPOSSIBLE [12 views, 8 executions]"
+        g = cycle(3)
+        assert decide_one_round_solvability([g], 1, values).describe() == want
+        assert decide_one_round_solvability_colored(
+            [g], 1, values
+        ).describe() == want
+        assert decide_multi_round_solvability(
+            [g], 1, 1, values
+        ).describe() == want
+
+    def test_unorderable_values_get_a_valid_witness(self):
+        values = (None, "a", 0)
+        result = _solve([cycle(3), star(3, 0)], 2, values, "check")
+        _assert_valid_witness([cycle(3), star(3, 0)], 2, values, result)
+
+    def test_searches_hand_over_distinct_undominated_rows(self, monkeypatch):
+        # The builders own the subsumption reduction: whatever reaches a
+        # backend is already distinct and has no row inside another.
+        handed = []
+
+        def spy(executions, domains, k, backend=None):
+            handed.append(executions)
+            return solve_csp(executions, domains, k, backend=backend)
+
+        monkeypatch.setattr(solvability_module, "solve_csp", spy)
+        rng = random.Random(0x5E7)
+        for _ in range(15):
+            graphs, k, values = _random_instance(rng)
+            searches = (
+                lambda: SolvabilitySearch(graphs, k, values).solve(),
+                lambda: decide_one_round_solvability_colored(
+                    graphs, k, values
+                ),
+                lambda: decide_multi_round_solvability(
+                    graphs[:2], 2, k, values[:2]
+                ),
+            )
+            for search in searches:
+                search()
+                rows = handed.pop()
+                assert len(set(rows)) == len(rows)
+                assert reduce_executions(rows) == rows
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_colored_matches_frozenset_builder_on_n3_classes(

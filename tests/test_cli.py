@@ -93,10 +93,24 @@ class TestSearch:
               "--rounds", "0"], "verify: need at least one round, got 0"),
             (["bounds", "--family", "cycle", "--n", "3", "--rounds", "0"],
              "bounds: rounds must be positive, got 0"),
+            (["bounds", "--family", "union_of_stars", "--n", "3",
+              "--centers", "x"],
+             "--centers must be comma-separated process ids, got 'x'"),
+            (["search", "--family", "union_of_stars", "--n", "3", "--k", "1",
+              "--centers", "x"],
+             "--centers must be comma-separated process ids, got 'x'"),
+            (["verify", "--family", "union_of_stars", "--n", "3", "--k", "1",
+              "--centers", "0,,1"],
+             "--centers must be comma-separated process ids, got '0,,1'"),
+            (["search", "--family", "union_of_stars", "--n", "3", "--k", "1",
+              "--centers", "0,,1"],
+             "--centers must be comma-separated process ids, got '0,,1'"),
         ],
         ids=["model-over-budget", "symmetric-model-over-budget",
              "unknown-family", "k-zero", "verify-k-zero",
-             "verify-rounds-zero", "bounds-rounds-zero"],
+             "verify-rounds-zero", "bounds-rounds-zero",
+             "bounds-centers-x", "search-centers-x", "verify-centers-empty",
+             "search-centers-empty"],
     )
     def test_errors_exit_2_not_unsat(self, capsys, argv, message):
         """Exit 1 is a verdict ("not solvable", "FAILED"); an error must
