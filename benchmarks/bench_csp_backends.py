@@ -20,35 +20,25 @@ Measured on a 2-core Xeon under CPython 3.11 (see EXPERIMENTS.md):
 rows the builder already reduced; only the reference still scans them
 pairwise for dominated rows, as the oracle.
 
-Timing goes through :func:`repro.bench.measure` — the same variance
-engine behind ``python -m repro bench run`` — so the numbers quoted
-here and the ones committed to ``benchmarks/BENCH_<rev>.json`` come
-from one code path.  The committed trajectory point itself is produced
-by ``python -m repro bench run --out benchmarks/BENCH_8.json``, not by
-this file; these tests only *gate*.
+Each timing is the fastest of one or two cold runs, each started with
+the kernel cache cleared and the store off.  These tests only *gate*;
+the repository benchmark (``BENCHMARK.json``, ``perfbench/``) is the
+timing of record.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import repro.store as store_pkg
-from repro.bench import VarianceConfig, measure
 from repro.engine import KERNEL_CACHE
 from repro.verification import decide_one_round_solvability, sat_available
 
 #: The acceptance bound for bitset vs reference on the heaviest n=3
 #: class.  Measured ~58-80x; 3x leaves headroom for loaded CI machines.
 MIN_SPEEDUP = 3.0
-
-#: Cold min-of-2, no warmup — the caches are cleared per repeat, so a
-#: warmup run would measure nothing different from a timed one.
-_COLD_2 = VarianceConfig(
-    warmup=0, min_repeats=2, max_repeats=2, cv_threshold=0.0
-)
-_COLD_1 = VarianceConfig(
-    warmup=0, min_repeats=1, max_repeats=1, cv_threshold=0.0
-)
 
 
 def _heaviest_n3_model():
@@ -84,29 +74,30 @@ def _n4_tail_sample():
     raise AssertionError("no enumerable n=4 tail class")
 
 
-def _time_backend(pool, ks, backend, config=_COLD_2):
+def _time_backend(pool, ks, backend, repeats=2):
     """Cold time for the per-k searches; returns (seconds, verdicts).
 
-    Every repeat starts with the kernel cache cleared and the store off
-    (scenario isolation: no contamination between backends or between a
-    cold phase here and a warm phase elsewhere in the pytest process).
+    The time is the fastest of ``repeats`` runs.  Every run starts with
+    the kernel cache cleared and the store off (scenario isolation: no
+    contamination between backends or between a cold phase here and a
+    warm phase elsewhere in the pytest process), so there is no warmup:
+    it would measure nothing different from a timed run.
     """
+    best = float("inf")
     with store_pkg.RESULT_STORE.disabled():
-        KERNEL_CACHE.clear()
-        measurement = measure(
-            lambda: [
+        for _ in range(repeats):
+            KERNEL_CACHE.clear()
+            started = time.perf_counter()
+            results = [
                 decide_one_round_solvability(pool, k, backend=backend)
                 for k in ks
-            ],
-            config=config,
-            setup=KERNEL_CACHE.clear,
-        )
+            ]
+            best = min(best, time.perf_counter() - started)
         KERNEL_CACHE.clear()
     verdicts = [
-        (r.solvable, r.view_count, r.execution_count)
-        for r in measurement.value
+        (r.solvable, r.view_count, r.execution_count) for r in results
     ]
-    return measurement.min, verdicts
+    return best, verdicts
 
 
 def test_bitset_acceptance_on_heaviest_n3_class():
@@ -133,14 +124,14 @@ def test_backends_agree_on_n4_tail_sample():
     n=3 workload, which CI machines time more stably.)"""
     pool = _n4_tail_sample()
     ks = (1, 2)
-    ref_time, ref_verdicts = _time_backend(pool, ks, "reference", _COLD_1)
-    bit_time, bit_verdicts = _time_backend(pool, ks, "bitset", _COLD_1)
+    ref_time, ref_verdicts = _time_backend(pool, ks, "reference", repeats=1)
+    bit_time, bit_verdicts = _time_backend(pool, ks, "bitset", repeats=1)
     assert bit_verdicts == ref_verdicts
     assert bit_time <= ref_time, (
         f"bitset {bit_time:.3f}s slower than reference {ref_time:.3f}s"
     )
     if sat_available():
-        _, sat_verdicts = _time_backend(pool, ks, "sat", _COLD_1)
+        _, sat_verdicts = _time_backend(pool, ks, "sat", repeats=1)
         assert [v[0] for v in sat_verdicts] == [v[0] for v in ref_verdicts]
 
 

@@ -22,11 +22,10 @@ Acceptance (plain functions, run in CI with ``--benchmark-disable``):
   a seed-tier hit, so the seeded run is pure queue service and table
   assembly.
 
-Timing goes through :func:`repro.bench.measure` (the ``bench run``
-variance engine): worker spawning and the interpreter head start happen
-in the per-sample ``setup`` hook, *outside* the timed window, so the
-quoted seconds contain only queue service, job execution, and result
-streaming.
+Each timing is the fastest of one or two cold runs.  Worker spawning
+and the interpreter head start happen in each run's ``setup`` step,
+*outside* the timed window, so the quoted seconds contain only queue
+service, job execution, and result streaming.
 """
 
 from __future__ import annotations
@@ -42,20 +41,10 @@ import pytest
 
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
-from repro.bench import VarianceConfig, measure
 from repro.dist import DistExecutor, PoolExecutor, SerialExecutor
 from repro.engine import KERNEL_CACHE
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-#: Cold min-of-2 (no warmup: every sample starts from cleared caches,
-#: so a warmup would just be a third identical cold run).
-_COLD_2 = VarianceConfig(
-    warmup=0, min_repeats=2, max_repeats=2, cv_threshold=0.0
-)
-_COLD_1 = VarianceConfig(
-    warmup=0, min_repeats=1, max_repeats=1, cv_threshold=0.0
-)
 
 
 def _worker_env() -> dict:
@@ -90,20 +79,35 @@ def _free_port() -> int:
     return port
 
 
-def _measure_serial_sweep(config=_COLD_2):
-    """Cold serial frontier through the variance engine: (seconds, rows)."""
-    measurement = measure(
+def _cold_min(fn, setup, repeats: int):
+    """Run ``setup``, then time one ``fn()`` call, ``repeats`` times.
+
+    Returns (the smallest time, the last call's value).  There is no
+    warmup: every run starts from cleared caches, so a warmup would just
+    be one more identical cold run.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        setup()
+        started = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, value
+
+
+def _measure_serial_sweep(repeats: int = 2):
+    """Cold serial frontier, fastest of ``repeats`` runs: (seconds, rows)."""
+    return _cold_min(
         lambda: solvability_sweep(3, executor=SerialExecutor()).rows,
-        config=config,
-        setup=KERNEL_CACHE.clear,
+        KERNEL_CACHE.clear,
+        repeats,
     )
-    return measurement.min, measurement.value
 
 
-def _measure_dist_sweep(workers: int = 2, config=_COLD_2):
-    """The distributed counterpart: fresh worker subprocesses per sample.
+def _measure_dist_sweep(workers: int = 2, repeats: int = 2):
+    """The distributed counterpart: fresh worker subprocesses per run.
 
-    The per-sample ``setup`` hook reaps the previous sample's workers,
+    Each run's ``setup`` step reaps the previous run's workers,
     clears the kernel cache, spawns fresh workers against a pre-picked
     port (they retry-connect for up to a minute) and gives them a head
     start for interpreter start-up and imports — the timed window then
@@ -133,10 +137,9 @@ def _measure_dist_sweep(workers: int = 2, config=_COLD_2):
         return solvability_sweep(3, executor=executor).rows
 
     try:
-        measurement = measure(run, config=config, setup=setup)
+        return _cold_min(run, setup, repeats)
     finally:
         _reap()
-    return measurement.min, measurement.value
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +158,7 @@ def test_bench_frontier_serial(benchmark):
 
 def test_bench_frontier_dist_two_workers(benchmark):
     def once():
-        _, rows = _measure_dist_sweep(2, config=_COLD_1)
+        _, rows = _measure_dist_sweep(2, repeats=1)
         return rows
 
     with store_pkg.RESULT_STORE.disabled():
@@ -221,9 +224,9 @@ def test_seeded_dist_beats_unseeded():
 
             with store.disabled():
                 unseeded, unseeded_rows = _measure_dist_sweep(
-                    2, config=_COLD_1
+                    2, repeats=1
                 )
-            seeded, seeded_rows = _measure_dist_sweep(2, config=_COLD_1)
+            seeded, seeded_rows = _measure_dist_sweep(2, repeats=1)
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()
@@ -241,6 +244,6 @@ def test_dist_matches_pool_rows():
         KERNEL_CACHE.clear()
         pool = solvability_sweep(3, limit=8, executor=PoolExecutor(2))
         KERNEL_CACHE.clear()
-        _, dist_rows = _measure_dist_sweep(2, config=_COLD_1)
+        _, dist_rows = _measure_dist_sweep(2, repeats=1)
     KERNEL_CACHE.clear()
     assert dist_rows[:8] == pool.rows

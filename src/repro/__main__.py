@@ -17,9 +17,6 @@ Usage::
                            [--spawn auto|N [--max-respawns 3]]
     python -m repro dist status HOST:7071 [--json] [--watch N [--interval S]]
     python -m repro trace summary FILE [--json] [--top 8]
-    python -m repro bench run [--quick] [--out FILE] [--scenario NAME ...]
-    python -m repro bench compare OLD.json NEW.json [--tolerance PCT] [--json]
-    python -m repro bench list [--quick] [--json]
     python -m repro store stats [--json]
     python -m repro store probe [--n 5] [--passes 2] [--json]
     python -m repro store vacuum | clear | integrity
@@ -242,13 +239,28 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_probe_args(command: str, args: argparse.Namespace) -> None:
+    """Exit 1 with one line on stderr if the probe workload cannot run.
+
+    The workload (``engine.diagnostics``) builds a wheel on ``--n``
+    processes, and it compares a cold pass with warm ones.
+    """
+    if args.n < 3:
+        raise SystemExit(
+            f"{command}: --n must be at least 3 (a wheel needs 3 "
+            f"processes), got {args.n}"
+        )
+    if args.passes < 2:
+        raise SystemExit(
+            f"{command}: --passes must be at least 2 (one cold, one warm), "
+            f"got {args.passes}"
+        )
+
+
 def cmd_cache_stats(args: argparse.Namespace) -> int:
     from .engine.diagnostics import cache_probe
 
-    if args.passes < 2:
-        raise SystemExit(
-            f"--passes must be at least 2 (one cold, one warm), got {args.passes}"
-        )
+    _check_probe_args("cache-stats", args)
     report = cache_probe(n=args.n, passes=args.passes)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -307,86 +319,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
             print(describe_dist_metrics(report.batch.dist_metrics))
     _finish_trace(trace_path)
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        BenchFormatError,
-        QUICK_CONFIG,
-        VarianceConfig,
-        compare_snapshots,
-        describe_comparison,
-        list_scenarios,
-        load_snapshot,
-        run_bench,
-        write_snapshot,
-    )
-
-    if args.action == "list":
-        scenarios = list_scenarios(args.scenario or None, quick=args.quick)
-        if args.json:
-            print(json.dumps(scenarios, indent=2))
-        else:
-            for scenario in scenarios:
-                print(f"{scenario['scenario']}: {scenario['description']}")
-                for cell in scenario["cells"]:
-                    marker = "  [quick]" if cell["quick"] else ""
-                    print(f"  {cell['id']}{marker}")
-        return 0
-
-    if args.action == "compare":
-        if not args.old or not args.new:
-            raise SystemExit("bench compare requires OLD and NEW files")
-        if args.tolerance < 0:
-            raise SystemExit(
-                f"--tolerance must be >= 0, got {args.tolerance}"
-            )
-        try:
-            old = load_snapshot(args.old)
-            new = load_snapshot(args.new)
-            report = compare_snapshots(
-                old, new, tolerance=args.tolerance / 100.0
-            )
-        except BenchFormatError as exc:
-            print(f"bench compare: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(describe_comparison(report))
-        return 0 if report["ok"] else 1
-
-    # action == "run"
-    config = None
-    if args.repeats is not None:
-        if args.repeats < 1:
-            raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
-        base = QUICK_CONFIG if args.quick else VarianceConfig()
-        config = VarianceConfig(
-            warmup=base.warmup,
-            min_repeats=min(args.repeats, base.min_repeats),
-            max_repeats=args.repeats,
-            cv_threshold=base.cv_threshold,
-        )
-    try:
-        payload = run_bench(
-            args.scenario or None,
-            quick=args.quick,
-            config=config,
-            revision=args.revision,
-            progress=lambda line: print(f"[bench] {line}", file=sys.stderr),
-        )
-    except KeyError as exc:
-        raise SystemExit(f"bench run: {exc.args[0]}") from exc
-    if args.out:
-        write_snapshot(payload, args.out)
-        print(
-            f"[bench] wrote {len(payload['cells'])} cell(s) to {args.out}",
-            file=sys.stderr,
-        )
-    if args.json or not args.out:
-        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -569,6 +501,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         elif action == "probe":
             from .engine.diagnostics import store_probe
 
+            _check_probe_args("store probe", args)
             _store_for_cli(args, "rw")
             report = store_probe(n=args.n, passes=args.passes)
             if args.json:
@@ -869,56 +802,6 @@ def main(argv: list[str] | None = None) -> int:
     add_distributed_arg(p_sweep)
     add_trace_arg(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="variance-aware benchmark matrix: run scenarios, compare "
-        "trajectory points, list the matrix",
-    )
-    p_bench.add_argument(
-        "action", choices=("run", "compare", "list"),
-    )
-    p_bench.add_argument(
-        "old", nargs="?", default=None,
-        help="compare: the older trajectory point (JSON file)",
-    )
-    p_bench.add_argument(
-        "new", nargs="?", default=None,
-        help="compare: the newer trajectory point (JSON file)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="run/list: restrict to each scenario's quick cells and use "
-        "the reduced repeat budget (what CI's bench-smoke job runs)",
-    )
-    p_bench.add_argument(
-        "--scenario", action="append", default=None, metavar="NAME",
-        help="run/list: restrict to this scenario (repeatable)",
-    )
-    p_bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="run: write the snapshot JSON here (e.g. "
-        "benchmarks/BENCH_8.json); without it the payload prints to "
-        "stdout",
-    )
-    p_bench.add_argument(
-        "--revision", default="BENCH_8",
-        help="run: revision label stamped into the snapshot "
-        "(default: BENCH_8)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="run: cap the adaptive repeat budget at this many samples",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=25.0, metavar="PCT",
-        help="compare: median slowdown headroom in percent before a "
-        "cell counts as a regression (default: 25)",
-    )
-    p_bench.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_store = sub.add_parser(
         "store",

@@ -29,8 +29,8 @@ Because configs are frozen and built from primitives, every config has a
 stable :meth:`~_Config.fingerprint` (12 hex chars over the canonical
 key encoding of its fields).  The fingerprint is the run's identity card:
 ``solvability_sweep`` stamps it into trace attributes and its JSON
-report, and ``bench`` records it per cell — so two result sets are
-comparable exactly when their fingerprints match.
+report, so two result sets are comparable exactly when their
+fingerprints match.
 """
 
 from __future__ import annotations
@@ -55,27 +55,23 @@ DEFAULT_BUDGET = 1 << 12
 
 
 def config_fingerprint(value) -> str:
-    """12-hex-char stable digest of a config object or plain mapping.
+    """12-hex-char stable digest of a config object.
 
-    The one fingerprint function every surface shares: config objects,
-    bench cells (as mappings), anything built from the canonical key
-    primitives (str/int/float/bool/None, nested tuples/lists/dicts).
-    Deterministic across processes — it reuses the store's canonical key
-    encoding, the same machinery that content-addresses kernel results.
+    The config's class name and its fields, which must be built from the
+    canonical key primitives (str/int/float/bool/None, nested
+    tuples/lists/dicts).  Deterministic across processes — it reuses the
+    store's canonical key encoding, the same machinery that
+    content-addresses kernel results.
     """
     from .store.keys import Unfingerprintable, encode_key
 
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        label = type(value).__name__
-        data = dataclasses.asdict(value)
-    elif isinstance(value, Mapping):
-        label = "mapping"
-        data = dict(value)
-    else:
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
         raise ConfigError(
             f"cannot fingerprint {type(value).__name__}: expected a config "
-            "dataclass or a mapping"
+            "dataclass"
         )
+    label = type(value).__name__
+    data = dataclasses.asdict(value)
     try:
         blob = label.encode("utf-8") + b"|" + encode_key(data)
     except Unfingerprintable as exc:

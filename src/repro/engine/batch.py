@@ -248,11 +248,6 @@ class BatchResult:
     throughput, rows seeded, loads served, requeues); ``None`` for the
     serial and pool paths."""
 
-    wall: float = 0.0
-    """Parent-side wall-clock of the whole batch (submission to last
-    landing), as opposed to :attr:`elapsed`'s summed compute time — the
-    number the bench harness attributes scheduling overlap against."""
-
     @property
     def values(self) -> tuple[object, ...]:
         return tuple(r.value for r in self.results)
@@ -673,8 +668,7 @@ def run_batch(
         if executor is None and config.distributed is not None:
             executor = config.make()
     if executor is not None:
-        delegated_start = time.perf_counter()
-        result = executor.run(
+        return executor.run(
             tasks,
             warmup=warmup,
             on_error=on_error,
@@ -682,11 +676,6 @@ def run_batch(
             completed=completed,
             checkpoint=checkpoint,
         )
-        if not result.wall:
-            result = replace(
-                result, wall=time.perf_counter() - delegated_start
-            )
-        return result
     tasks = list(tasks)
     if jobs < 1:
         raise EngineError(f"jobs must be positive, got {jobs}")
@@ -797,7 +786,6 @@ def run_batch(
         on_error=on_error,
         reduction_outcomes=plan.outcomes,
     )
-    result = replace(result, wall=time.perf_counter() - batch_start)
     if workers > 1:
         # Pool runs fill dist_metrics in the coordinator's shape so
         # executor footers render uniformly (serial stays None: one

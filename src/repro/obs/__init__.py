@@ -37,7 +37,6 @@ from .metrics import METRICS, Counter, Histogram, MetricsRegistry
 from .export import (
     describe_summary,
     load_trace,
-    summarize_events,
     summarize_trace,
     write_chrome_trace,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "write_chrome_trace",
     "load_trace",
     "summarize_trace",
-    "summarize_events",
     "describe_summary",
 ]
 

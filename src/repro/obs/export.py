@@ -29,7 +29,6 @@ __all__ = [
     "write_chrome_trace",
     "load_trace",
     "summarize_trace",
-    "summarize_events",
     "describe_summary",
 ]
 
@@ -289,18 +288,6 @@ def summarize_trace(events) -> dict:
         "workers": worker_rows,
         "straggler": straggler,
     }
-
-
-def summarize_events(events) -> dict:
-    """Aggregate *buffered tracer events* (seconds timestamps) directly.
-
-    The in-process counterpart of :func:`summarize_trace`: convert the
-    tracer's drained buffer through the same Chrome-record path the file
-    export uses, then aggregate — so a live summary (the bench harness's
-    per-cell attribution) and an offline ``trace summary`` of the written
-    file can never disagree.
-    """
-    return summarize_trace(_chrome_events(list(events)))
 
 
 def _pct(value: float) -> str:

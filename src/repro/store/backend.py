@@ -968,7 +968,12 @@ class ResultStore:
             self._absorbed = StoreStats()
 
     def db_stats(self) -> dict:
-        """Database-side inventory: rows/bytes per kernel, staleness, size."""
+        """Database-side inventory: rows/bytes per kernel, staleness, size.
+
+        A missing file, or a SQLite file without the results table, is an
+        empty store; a file SQLite cannot read raises
+        :class:`StoreError`, as the maintenance calls do.
+        """
         with self._lock:
             self.flush()
             conn = self._connection()
@@ -986,15 +991,24 @@ class ResultStore:
                 ),
             }
             if conn is None:
-                return info
+                if not info["exists"]:
+                    return info
+                raise StoreError(f"store file {self.path} is unreadable")
             try:
+                if conn.execute(
+                    "SELECT 1 FROM sqlite_master "
+                    "WHERE type = 'table' AND name = 'results'"
+                ).fetchone() is None:
+                    return info
                 rows = conn.execute(
                     "SELECT kernel, version, COUNT(*), SUM(LENGTH(value)) "
                     "FROM results GROUP BY kernel, version "
                     "ORDER BY kernel, version"
                 ).fetchall()
-            except sqlite3.Error:
-                return info
+            except sqlite3.Error as exc:
+                raise StoreError(
+                    f"store file {self.path} is unreadable"
+                ) from exc
             current = _current_kernel_versions()
             stale = 0
             for kernel, version, count, value_bytes in rows:

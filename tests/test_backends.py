@@ -21,6 +21,7 @@ import repro.store as store_pkg
 from repro.engine import KERNEL_CACHE, KERNEL_VERSION_VARIANTS
 from repro.errors import VerificationError
 from repro.graphs import Digraph, cycle, star
+from repro.graphs.closure import upward_closure_size
 from repro.graphs.generators import iter_all_digraphs
 from repro.graphs.symmetry import iter_isomorphism_classes
 from repro.models import symmetric_closed_above
@@ -155,6 +156,65 @@ class TestSatMatchesBitset:
 
     def test_sat_in_available_backends(self):
         assert available_backends() == ("reference", "bitset", "sat")
+
+
+# ----------------------------------------------------------------------
+# Pinned verdicts on the two heavy one-round workloads
+# ----------------------------------------------------------------------
+
+def _classes_densest_first(n):
+    return sorted(
+        iter_isomorphism_classes(iter_all_digraphs(n)),
+        key=lambda g: (-g.proper_edge_count, g.out_rows),
+    )
+
+
+class TestHeavyWorkloadVerdicts:
+    """``(solvable, view_count, execution_count)`` per k on the two
+    workloads ``benchmarks/bench_csp_backends.py`` times, with the bitset
+    backend, the store off and the cache cleared.  The constants date
+    from the bitset backend's introduction; never regenerate them."""
+
+    @staticmethod
+    def _verdicts(pool, ks):
+        with store_pkg.disabled():
+            KERNEL_CACHE.clear()
+            try:
+                results = [
+                    decide_one_round_solvability(pool, k, backend="bitset")
+                    for k in ks
+                ]
+            finally:
+                KERNEL_CACHE.clear()
+        return [
+            (r.solvable, r.view_count, r.execution_count) for r in results
+        ]
+
+    def test_heaviest_n3_class(self):
+        # The full symmetric model of the sparsest n = 3 class.
+        model = symmetric_closed_above([_classes_densest_first(3)[-1]])
+        pool = sorted(model.iter_graphs(max_graphs=1 << 12))
+        assert len(pool) == 64
+        assert self._verdicts(pool, (1, 2, 3)) == [
+            (False, 26, 256),
+            (False, 63, 864),
+            (True, 124, 2048),
+        ]
+
+    def test_n4_tail_sample(self):
+        # The first 256 sorted graphs of the full model of the sparsest
+        # n = 4 class whose up-set has at most 2^10 graphs.
+        g = next(
+            g
+            for g in reversed(_classes_densest_first(4))
+            if upward_closure_size(g) <= 1 << 10
+        )
+        pool = sorted(symmetric_closed_above([g]).iter_graphs())[:256]
+        assert len(pool) == 256
+        assert self._verdicts(pool, (1, 2)) == [
+            (False, 80, 768),
+            (False, 255, 3888),
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,17 @@ class TestCacheStats:
         kernels = {row["kernel"] for row in payload["cache"]["by_kernel"]}
         assert "domination_number" in kernels
 
+    def test_small_n_is_refused_in_one_line(self, capsys):
+        # The probe workload builds a wheel, which needs 3 processes.  A
+        # string SystemExit code is printed on stderr with exit status 1.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache-stats", "--n", "2"])
+        assert excinfo.value.code == (
+            "cache-stats: --n must be at least 3 (a wheel needs 3 "
+            "processes), got 2"
+        )
+        assert capsys.readouterr().out == ""
+
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -258,6 +269,53 @@ class TestStoreCLI:
             payload = json.loads(capsys.readouterr().out)
             assert payload["db"]["entries"] == 0
             assert payload["db"]["exists"] is False
+        finally:
+            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
+
+    def test_stats_on_a_file_that_is_not_a_store_fails(self, tmp_path):
+        path = tmp_path / "notes.sqlite"
+        path.write_text("plain text, not a SQLite database\n" * 64)
+        try:
+            for extra in ([], ["--json"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(["store", "stats", "--path", str(path), *extra])
+                assert excinfo.value.code == (
+                    f"store stats: store file {path} is unreadable"
+                )
+        finally:
+            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
+
+    def test_stats_on_an_empty_sqlite_file_is_empty(self, capsys, tmp_path):
+        # SQLite reads a zero-byte file as a database with no tables; the
+        # rw store commands create the schema in it, so it is a store.
+        path = tmp_path / "touched.sqlite"
+        path.touch()
+        try:
+            assert main(["store", "stats", "--path", str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["db"]["entries"] == 0
+        finally:
+            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "2"],
+             "--n must be at least 3 (a wheel needs 3 processes), got 2"),
+            (["--passes", "1"],
+             "--passes must be at least 2 (one cold, one warm), got 1"),
+        ],
+        ids=["n-2", "passes-1"],
+    )
+    def test_probe_refuses_bad_args_before_any_work(
+        self, capsys, tmp_path, flags, message
+    ):
+        path = tmp_path / "probe.sqlite"
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["store", "probe", "--path", str(path), *flags])
+            assert excinfo.value.code == f"store probe: {message}"
+            assert capsys.readouterr().out == ""
+            assert not path.exists()
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
 
