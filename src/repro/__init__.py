@@ -76,7 +76,6 @@ Batch variant (identical results for any ``jobs``)::
 
 from .agreement import FloodMin, KSetAgreement, MinOfDominatingSet, execute
 from .bounds import Bound, BoundKind, BoundReport, bound_report, bound_report_many
-from .config import ExecutorConfig, SweepConfig, config_fingerprint
 from .engine import Job, KernelCache, run_batch
 from .graphs import Digraph
 from .models import ClosedAboveModel, simple_closed_above, symmetric_closed_above
@@ -101,9 +100,6 @@ __all__ = [
     "Job",
     "KernelCache",
     "run_batch",
-    "ExecutorConfig",
-    "SweepConfig",
-    "config_fingerprint",
     "decide_one_round_solvability",
     "verify_algorithm",
     "__version__",

@@ -184,18 +184,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _executor_for(args: argparse.Namespace):
     """Executor from ``--jobs`` / ``--distributed`` (None = plain jobs).
 
-    One chokepoint: the namespace is lifted onto an
-    :class:`repro.config.ExecutorConfig` and the executor built from it,
-    so the CLI and programmatic surfaces cannot drift.
+    One chokepoint: the flags go to :func:`repro.dist.make_executor`,
+    the same call the programmatic surface uses, so the two cannot drift.
     """
     if getattr(args, "distributed", None) is None:
         return None
-    from .config import ExecutorConfig
+    from .dist import make_executor
     from .errors import ConfigError, DistError
 
     try:
-        config = ExecutorConfig.from_args(args)
-        return config.make(
+        return make_executor(
+            args.jobs,
+            args.distributed,
+            seed_store=args.seed_store == "on",
             log=lambda message: print(f"[dist] {message}", file=sys.stderr),
         )
     except (ConfigError, DistError) as exc:
@@ -271,19 +272,26 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.render import render_table
-    from .analysis.sweeps import solvability_sweep
-    from .config import SweepConfig
+    from .analysis.sweeps import check_sweep_values, solvability_sweep
     from .errors import ConfigError, DistError
 
+    # Before the executor and the tracer: a bad value is one line, with
+    # or without --distributed.
     try:
-        config = SweepConfig.from_args(args)
+        check_sweep_values(
+            args.n, jobs=args.jobs, limit=args.limit, budget=args.budget
+        )
     except ConfigError as exc:
         raise SystemExit(f"sweep: {exc}") from exc
     trace_path = _start_trace(args)
     try:
         report = solvability_sweep(
-            config=config,
+            args.n,
+            jobs=args.jobs,
+            limit=args.limit,
+            budget=args.budget,
             executor=_executor_for(args),
+            backend=args.backend,
             checkpoint_path=args.checkpoint,
             resume_from=args.resume_from,
         )
@@ -294,7 +302,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "n": report.n,
-            "config": report.config_fingerprint,
             "total_classes": report.total_classes,
             "sharded": report.sharded,
             "resumed": report.resumed,

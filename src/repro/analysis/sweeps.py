@@ -45,6 +45,7 @@ from ..bounds.report import bound_report
 from ..engine.batch import BatchResult, Job, Reduction, run_batch
 from ..engine.cache import cached_kernel
 from ..engine.canonical import iso_key
+from ..errors import ConfigError
 from ..graphs.digraph import Digraph
 from ..graphs.symmetry import symmetric_closure
 from ..models.closed_above import symmetric_closed_above
@@ -57,6 +58,7 @@ __all__ = [
     "SweepClassReport",
     "SweepPlan",
     "SweepReport",
+    "check_sweep_values",
     "estimate_class_cost",
     "plan_fingerprint",
     "plan_sweep",
@@ -397,11 +399,6 @@ class SweepReport:
     backend: str = "bitset"
     """The resolved CSP compute backend every job ran under."""
 
-    config_fingerprint: str = ""
-    """12-hex digest of the :class:`~repro.config.SweepConfig` this run
-    executed under — the identity card comparing result sets across
-    invocations (also stamped into the trace and the ``--json`` output)."""
-
     replayed: int = 0
     """Jobs restored from a ``--resume-from`` checkpoint this call:
     completed in the interrupted run, replayed here against the warm
@@ -430,6 +427,30 @@ class SweepReport:
         return text
 
 
+def check_sweep_values(
+    n: int,
+    *,
+    jobs: int = 1,
+    limit: int | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless the sweep's sizes
+    are positive (``limit`` may also be ``None``, meaning every class).
+
+    ``python -m repro sweep`` calls it before it builds an executor, so a
+    bad flag fails with the same one line with or without
+    ``--distributed``.
+    """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
+    if n < 1:
+        raise ConfigError(f"n must be positive, got {n!r}")
+    if budget < 1:
+        raise ConfigError(f"budget must be positive, got {budget!r}")
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be positive, got {limit!r}")
+
+
 def solvability_sweep(
     n: int = 4,
     *,
@@ -438,7 +459,6 @@ def solvability_sweep(
     budget: int = DEFAULT_BUDGET,
     executor=None,
     backend: str | None = None,
-    config=None,
     checkpoint_path: str | None = None,
     resume_from: str | None = None,
 ) -> SweepReport:
@@ -460,9 +480,9 @@ def solvability_sweep(
     selects the CSP compute backend (resolved once, at plan time, so
     every worker runs the same one); the rows are backend-independent —
     the equivalence tests and the CI ``backends-smoke`` job pin it.
-    ``config`` (:class:`repro.config.SweepConfig`) supersedes every other
-    argument except ``executor`` when given; either way the run's config
-    fingerprint is stamped into the trace and the returned report.
+    A non-positive ``n``, ``jobs``, ``limit`` or ``budget`` raises
+    :class:`~repro.errors.ConfigError` before anything is planned (see
+    :func:`check_sweep_values`).
 
     ``checkpoint_path`` snapshots queue progress (a
     :class:`repro.dist.checkpoint.CheckpointState`) atomically alongside
@@ -470,38 +490,17 @@ def solvability_sweep(
     rehydrates the exact remaining plan — completed jobs are *replayed*
     against the warm store in the parent (a pure hit, never a kernel)
     instead of re-dispatched, and only the remainder is scheduled.  Both
-    are run-state, not sweep identity, so neither participates in the
-    config fingerprint; the checkpoint carries its own
+    are run-state, not sweep identity: the checkpoint carries the
     :func:`plan_fingerprint` and resume refuses a snapshot from a
     different plan.  (``sweep --checkpoint PATH`` / ``--resume-from
     PATH`` on the CLI; passing the same path to both is the normal
     crash-restart loop.)
     """
-    from ..config import ExecutorConfig, SweepConfig
     from ..graphs.generators import iter_all_digraphs
     from ..graphs.symmetry import iter_isomorphism_classes
 
-    if config is None:
-        config = SweepConfig(
-            n=n,
-            limit=limit,
-            budget=budget,
-            backend=backend,
-            executor=ExecutorConfig(jobs=max(jobs, 1)),
-        )
-    else:
-        n = config.n
-        limit = config.limit
-        budget = config.budget
-        backend = config.backend
-        jobs = config.executor.jobs
-        if executor is None and config.executor.distributed is not None:
-            executor = config.executor.make()
-    fingerprint = config.fingerprint()
-    TRACER.instant(
-        "sweep:config", cat="sweep", fingerprint=fingerprint, n=n,
-        budget=budget,
-    )
+    check_sweep_values(n, jobs=jobs, limit=limit, budget=budget)
+    TRACER.instant("sweep:config", cat="sweep", n=n, budget=budget)
 
     representatives = sorted(
         iter_isomorphism_classes(iter_all_digraphs(n)),
@@ -579,7 +578,6 @@ def solvability_sweep(
         batch=batch,
         classes=tuple(class_reports),
         backend=plan.backend,
-        config_fingerprint=fingerprint,
         replayed=len(completed_indices),
         checkpoint_dropped=dropped,
     )

@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 from typing import Protocol, runtime_checkable
 
 from ..engine.batch import BatchResult, Job, run_batch
-from ..errors import DistError
+from ..errors import ConfigError, DistError
 from .protocol import (
     DIST_STATUS,
     DIST_STATUS_REPLY,
@@ -161,16 +161,6 @@ class DistExecutor:
         self.log = log
         self.on_bound = on_bound
         self.bound_address: tuple[str, int] | None = None
-        self.last_requeues = 0
-        self.last_workers = 0
-        self.last_rows_seeded = 0
-        self.last_loads_served = 0
-        self.last_respawns = 0
-        self.last_replayed = 0
-        self.last_metrics: dict | None = None
-        """Coordinator-side metrics of the last run (the same mapping as
-        ``BatchResult.dist_metrics``): per-worker throughput snapshots
-        plus the seed/serve/requeue counters."""
 
     def run(
         self,
@@ -201,15 +191,7 @@ class DistExecutor:
             self.bound_address = coordinator.address
             if self.on_bound is not None:
                 self.on_bound(self.bound_address)
-            result = coordinator.serve(on_error=on_error)
-        self.last_requeues = coordinator.requeues
-        self.last_workers = result.jobs
-        self.last_rows_seeded = coordinator.rows_seeded
-        self.last_loads_served = coordinator.loads_served
-        self.last_respawns = coordinator.respawns
-        self.last_replayed = coordinator.replayed
-        self.last_metrics = result.dist_metrics
-        return result
+            return coordinator.serve(on_error=on_error)
 
     def __repr__(self) -> str:
         return f"DistExecutor({self.host}:{self.port})"
@@ -244,27 +226,22 @@ def make_executor(
     *,
     seed_store: bool = True,
     log: Callable[[str], None] | None = None,
-    config=None,
 ) -> Executor:
     """Map the CLI surface onto an executor.
 
-    The keyword surface is a deprecated shim over
-    :class:`repro.config.ExecutorConfig`: pass ``config`` and the other
-    arguments (except ``log``) are ignored; pass the old keywords and an
-    equivalent config is built for you.  Either way
-    :meth:`~repro.config.ExecutorConfig.make` decides — ``distributed``
-    (a ``HOST:PORT`` / ``:PORT`` spec) wins over ``jobs``, ``jobs > 1``
-    selects the pool, ``jobs == 1`` the serial reference path, and
-    ``seed_store`` maps ``--seed-store on|off`` onto the coordinator's
-    store-seeding handshake (and remote loads).
+    ``distributed`` (a ``HOST:PORT`` / ``:PORT`` spec) wins over ``jobs``,
+    ``jobs > 1`` selects the pool, ``jobs == 1`` the serial reference
+    path, and ``seed_store`` maps ``--seed-store on|off`` onto the
+    coordinator's store-seeding handshake (and remote loads).  Raises
+    :class:`~repro.errors.ConfigError` unless ``jobs`` is a positive int.
     """
-    if config is None:
-        from ..config import ExecutorConfig
-
-        config = ExecutorConfig(
-            jobs=jobs, distributed=distributed, seed_store=seed_store
-        )
-    return config.make(log=log)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
+    if distributed is not None:
+        return DistExecutor(distributed, seed_store=seed_store, log=log)
+    if jobs > 1:
+        return PoolExecutor(jobs)
+    return SerialExecutor()
 
 
 def probe_status(
@@ -310,11 +287,11 @@ def probe_status(
 def render_status_json(status: dict, *, indent: int | None = None) -> str:
     """The one JSON rendering of a coordinator status snapshot.
 
-    ``dist status --json``, ``--watch --json``, and the service's
-    ``GET /v1/status`` all emit the same dict — the coordinator's
-    ``status_snapshot()``, which is also what the ``dist_status`` stats
-    provider feeds into ``MetricsRegistry.snapshot()`` — so the
-    serialisation lives in exactly one place.
+    ``dist status --json`` and ``--watch --json`` both emit the same
+    dict — the coordinator's ``status_snapshot()``, which is also what
+    the ``dist_status`` stats provider feeds into
+    ``MetricsRegistry.snapshot()`` — so the serialisation lives in
+    exactly one place.
     """
     return json.dumps(status, sort_keys=True, indent=indent)
 

@@ -608,7 +608,6 @@ def run_batch(
     on_error: str = "raise",
     executor=None,
     reductions: Sequence[Reduction] = (),
-    config=None,
     completed=(),
     checkpoint=None,
 ) -> BatchResult:
@@ -645,11 +644,6 @@ def run_batch(
         streaming, no barrier — and its store writes are persisted
         immediately like any job's.  Results land on
         ``BatchResult.reduction_results`` in reduction order.
-    config:
-        Optional :class:`repro.config.ExecutorConfig`; when given (and no
-        explicit ``executor``), it supersedes ``jobs`` — a distributed
-        address in the config builds the distributed executor, otherwise
-        its ``jobs`` count is used as if passed directly.
     completed:
         Submission indices already completed by a previous (interrupted)
         run of the same task list.  These jobs are *replayed in the
@@ -663,10 +657,6 @@ def run_batch(
         a resumable snapshot, and the final state is flushed when the
         batch finishes.
     """
-    if config is not None:
-        jobs = config.jobs
-        if executor is None and config.distributed is not None:
-            executor = config.make()
     if executor is not None:
         return executor.run(
             tasks,

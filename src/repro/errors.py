@@ -58,4 +58,4 @@ class DistError(EngineError):
 
 
 class ConfigError(ReproError):
-    """Raised for invalid run-configuration values (:mod:`repro.config`)."""
+    """Raised for invalid run settings, such as a non-positive ``jobs``."""

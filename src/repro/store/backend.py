@@ -207,15 +207,8 @@ class StoreStats:
 #: coordinators can ship them over the wire.  Freshly computed rows start
 #: with ``last_used == created``; rows exported from a database carry the
 #: real recency so seeding/importing never resets ``prune``'s signal.
-#: Legacy 6-tuples (pre last-used) are still accepted everywhere.
+#: Rows from other processes with any other field count are skipped.
 StoreRow = tuple[str, str, str, bytes, str, float, float]
-
-
-def _row_last_used(row) -> float:
-    """A row's ``last_used``, tolerating legacy 6-tuples and ``None``."""
-    if len(row) > 6 and row[6] is not None:
-        return row[6]
-    return row[5]
 
 
 @dataclass(frozen=True)
@@ -381,9 +374,11 @@ class ResultStore:
                 conn = sqlite3.connect(
                     self.path, timeout=30.0, check_same_thread=False
                 )
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
                 if self.writable:
+                    # The journal mode is written into the file, and it
+                    # stays WAL for every later (read-only) open.
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    conn.execute("PRAGMA synchronous=NORMAL")
                     conn.executescript(_SCHEMA)
                     self._migrate(conn)
                     conn.execute(
@@ -391,6 +386,10 @@ class ResultStore:
                         ("schema_version", str(_SCHEMA_VERSION)),
                     )
                     conn.commit()
+                else:
+                    # A read, so a file SQLite cannot read is found here,
+                    # once, without writing to the file.
+                    conn.execute("SELECT 1 FROM sqlite_master LIMIT 1")
             except (sqlite3.Error, OSError):
                 self._broken_pid = pid
                 return None
@@ -527,7 +526,7 @@ class ResultStore:
                 row = None
             if (
                 row is not None
-                and len(row) >= 6
+                and len(row) == 7
                 and _checksum(row[3]) == row[4]
             ):
                 try:
@@ -632,7 +631,7 @@ class ResultStore:
                         "value = excluded.value, checksum = excluded.checksum, "
                         "last_used = MAX(COALESCE(results.last_used, "
                         "results.created), excluded.last_used)",
-                        [row[:6] + (_row_last_used(row),) for row in rows],
+                        rows,
                     )
                 # Touches for rows that are also pending were just written
                 # with last_used = created; the UPDATE below refreshes them.
@@ -723,12 +722,17 @@ class ResultStore:
             self.absorb_stats(delta.stats)
 
     def absorb_rows(self, rows: tuple[StoreRow, ...] | list[StoreRow]) -> None:
-        """Queue rows drained from a worker for this process's next flush."""
+        """Queue rows drained from a worker for this process's next flush.
+
+        A row without the seven :data:`StoreRow` fields is skipped, so it
+        never reaches the flush.
+        """
         if not rows or not self.writable:
             return
         with self._lock:
             for row in rows:
-                self._pending[(row[0], row[1], row[2])] = row
+                if len(row) == 7:
+                    self._pending[(row[0], row[1], row[2])] = row
 
     def absorb_stats(self, delta: StoreStats) -> None:
         """Fold a worker's statistics delta into this store's totals."""
@@ -758,7 +762,7 @@ class ResultStore:
             with self._lock:
                 for row in rows or ():
                     try:
-                        if len(row) < 6 or _checksum(row[3]) != row[4]:
+                        if len(row) != 7 or _checksum(row[3]) != row[4]:
                             continue
                     except TypeError:
                         continue
@@ -916,7 +920,7 @@ class ResultStore:
             full_key = (kernel, version, key_hash)
             row = self._pending.get(full_key)
             if row is not None:
-                return row[:6] + (_row_last_used(row),)
+                return row
             conn = self._connection()
             if conn is None:
                 return None

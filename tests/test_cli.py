@@ -253,12 +253,25 @@ class TestSweep:
         assert second["rows"] == first["rows"]
         assert second["store"]["hits"] >= 2
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--budget", "--limit"])
-    def test_rejects_non_positive(self, tmp_store, flag):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "0"], "n must be positive, got 0"),
+            (["--jobs", "0"], "jobs must be a positive int, got 0"),
+            (["--budget", "0"], "budget must be positive, got 0"),
+            (["--limit", "0"], "limit must be positive, got 0"),
+            # The values are checked before the executor is built.
+            (["--jobs", "0", "--distributed", ":0"],
+             "jobs must be a positive int, got 0"),
+        ],
+        ids=["--n", "--jobs", "--budget", "--limit", "--jobs-distributed"],
+    )
+    def test_rejects_non_positive(self, tmp_store, flags, message):
         # 0 must be rejected like any other non-positive value, never
         # read as "unset" and replaced by the default.
-        with pytest.raises(SystemExit, match="positive"):
-            main(["sweep", "--n", "3", flag, "0"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "3", *flags])
+        assert excinfo.value.code == f"sweep: {message}"
 
 
 class TestStoreCLI:
@@ -293,6 +306,18 @@ class TestStoreCLI:
         try:
             assert main(["store", "stats", "--path", str(path), "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["db"]["entries"] == 0
+        finally:
+            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
+
+    def test_read_only_opens_leave_an_empty_file_untouched(self, tmp_path):
+        path = tmp_path / "empty.sqlite"
+        path.touch()
+        try:
+            assert main(["store", "stats", "--path", str(path)]) == 0
+            assert path.stat().st_size == 0
+            store = store_pkg.configure(path=path, mode="ro")
+            assert store.load("k", "1", ("x",)) is store_pkg.MISS
+            assert path.stat().st_size == 0
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
 

@@ -53,7 +53,7 @@ from repro.engine import (
     Reduction,
     execute_job,
 )
-from repro.errors import DistError
+from repro.errors import ConfigError, DistError
 
 
 def _mul_jobs(count: int = 6) -> list[Job]:
@@ -183,6 +183,10 @@ class TestMakeExecutor:
         dist = make_executor(jobs=3, distributed=":0")
         assert isinstance(dist, DistExecutor)
         assert (dist.host, dist.port) == ("127.0.0.1", 0)
+        unseeded = make_executor(distributed=":0", seed_store=False)
+        assert unseeded.seed_store is False
+        with pytest.raises(ConfigError, match="jobs must be a positive int"):
+            make_executor(jobs=0)
 
 
 def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
@@ -221,8 +225,8 @@ class TestEquivalence:
         result = executor.run(tasks)
         assert result.values == tuple(i * 7 for i in range(5))
         assert executor.bound_address == bound["address"]
-        assert executor.last_workers == 1
-        assert executor.last_requeues == 0
+        assert result.jobs == 1
+        assert result.dist_metrics["requeues"] == 0
 
     def test_dist_failures_surface_with_job_names(self, fresh_cache):
         tasks = [
@@ -333,10 +337,8 @@ class TestDistMetricsInBatchResult:
         result = executor.run(tasks)
         metrics = result.dist_metrics
         assert metrics is not None
-        assert metrics["requeues"] == executor.last_requeues == 0
-        assert metrics["rows_seeded"] == executor.last_rows_seeded
-        assert metrics["loads_served"] == executor.last_loads_served
-        assert executor.last_metrics is metrics
+        assert metrics["requeues"] == 0
+        assert metrics["rows_seeded"] == metrics["loads_served"] == 0
         (worker,) = metrics["workers"]
         assert worker["completed"] == len(tasks)
         assert worker["failed"] == 0
@@ -602,7 +604,7 @@ class TestWorkerSubprocesses:
                 served += int(match.group(1))
             # Every shard ran remotely (>= because requeues may replay).
             assert served >= 6
-            assert executor.last_workers == 2
+            assert dist.batch.jobs == 2
         finally:
             for worker in workers:
                 if worker.poll() is None:
@@ -934,7 +936,7 @@ class TestNetworkWarmStart:
             # seeded kernels (a recompute would miss and write).
             assert by_kernel["solvability_bounds"] == (6, 0, 0)
             assert by_kernel["solvability_subshard"] == (6 * 3, 0, 0)
-            assert executor.last_rows_seeded >= 1
+            assert dist.batch.dist_metrics["rows_seeded"] >= 1
             assert dist.resumed == dist.sharded == 6
         finally:
             for worker in workers:

@@ -944,17 +944,18 @@ class TestLastUsedRoundTrip:
         isolated_store.import_delta(worker.export_delta())
         assert self._last_used(isolated_store) == hot
 
-    def test_legacy_six_tuple_rows_still_import(self, isolated_store):
-        import time as _time
-
-        now = _time.time()
-        blob = __import__("pickle").dumps(42)
-        checksum = __import__("hashlib").sha256(blob).hexdigest()
-        legacy = ("k", "1", store_pkg.fingerprint(("x",)), blob, checksum, now)
-        isolated_store.absorb_rows([legacy])
-        isolated_store.flush()
+    def test_rows_without_seven_fields_are_skipped(self, isolated_store):
+        worker = ResultStore(":memory:", mode="rw")
+        worker.worker_mode = True
+        worker.save("k", "1", ("x",), 42)
+        worker.save("k", "1", ("y",), 43)
+        good, other = worker.drain_pending()
+        short = other[:6]  # checksum intact, last_used missing
+        isolated_store.absorb_rows([short, good])
+        assert isolated_store.import_seed_rows([short]) == 0
+        assert isolated_store.flush() == 1
         assert isolated_store.load("k", "1", ("x",)) == 42
-        assert self._last_used(isolated_store) == now
+        assert isolated_store.load("k", "1", ("y",)) is MISS
 
 
 class TestRemoteTierLocking:
@@ -1016,7 +1017,7 @@ class TestRemoteTierLocking:
         class Tier:
             def load(self, *full_key):
                 calls.append(full_key)
-                return (*full_key, blob, checksum, 0.0)
+                return (*full_key, blob, checksum, 0.0, 0.0)
 
         isolated_store.remote_tier = Tier()
         assert isolated_store.load("k", "1", ("x",)) == value
@@ -1030,7 +1031,7 @@ class TestRemoteTierLocking:
     def test_corrupt_remote_row_counts_a_miss(self, isolated_store):
         class CorruptTier:
             def load(self, *full_key):
-                return (*full_key, b"\x00garbage", "bad-checksum", 0.0)
+                return (*full_key, b"\x00garbage", "bad-checksum", 0.0, 0.0)
 
         isolated_store.remote_tier = CorruptTier()
         assert isolated_store.load("k", "1", ("x",)) is MISS
