@@ -185,8 +185,12 @@ class TestMakeExecutor:
         assert (dist.host, dist.port) == ("127.0.0.1", 0)
         unseeded = make_executor(distributed=":0", seed_store=False)
         assert unseeded.seed_store is False
-        with pytest.raises(ConfigError, match="jobs must be a positive int"):
-            make_executor(jobs=0)
+
+    def test_rejects_non_positive_jobs(self):
+        # Checked even when ``distributed`` wins over ``jobs``.
+        for jobs, distributed in ((0, None), (-2, None), (0, ":0")):
+            with pytest.raises(ConfigError, match="must be a positive int"):
+                make_executor(jobs, distributed)
 
 
 def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
@@ -585,12 +589,22 @@ class TestWorkerSubprocesses:
             KERNEL_CACHE.clear()
 
             workers = []
-            executor = DistExecutor(
-                ":0",
-                on_bound=lambda address: workers.extend(
+
+            def launch(address):
+                workers.extend(
                     self._spawn_worker(address, env) for _ in range(2)
-                ),
-            )
+                )
+                # Keep the coordinator listening until both workers have
+                # joined: the six shards take well under a second, so a
+                # worker still starting up when the last result lands
+                # would find the listener closed and sit out its whole
+                # --retry budget.
+                deadline = time.monotonic() + 30.0
+                while len(probe_status(address)["workers"]) < 2:
+                    assert time.monotonic() < deadline, "workers never joined"
+                    time.sleep(0.05)
+
+            executor = DistExecutor(":0", on_bound=launch)
             dist = solvability_sweep(3, limit=6, executor=executor)
         try:
             assert dist.rows == serial.rows
