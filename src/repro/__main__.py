@@ -14,7 +14,6 @@ Usage::
                           [--trace FILE]
                           [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
-                           [--spawn auto|N [--max-respawns 3]]
     python -m repro dist status HOST:7071 [--json] [--watch N [--interval S]]
     python -m repro trace summary FILE [--json] [--top 8]
     python -m repro store stats [--json]
@@ -200,7 +199,7 @@ def _executor_for(args: argparse.Namespace):
             log=lambda message: print(f"[dist] {message}", file=sys.stderr),
         )
     except (ConfigError, DistError) as exc:
-        raise SystemExit(f"--distributed: {exc}") from exc
+        raise SystemExit(f"{args.command}: {exc}") from exc
 
 
 def _start_trace(args: argparse.Namespace) -> str | None:
@@ -231,11 +230,13 @@ def _finish_trace(path: str | None) -> None:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     from .analysis.experiments import run
+    from .errors import ConfigError
 
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be a positive integer, got {args.jobs}")
     trace_path = _start_trace(args)
-    run(args.ids or None, jobs=args.jobs, executor=_executor_for(args))
+    try:
+        run(args.ids or None, jobs=args.jobs, executor=_executor_for(args))
+    except ConfigError as exc:
+        raise SystemExit(f"experiments: {exc}") from exc
     _finish_trace(trace_path)
     return 0
 
@@ -330,35 +331,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    from .dist import Supervisor, parse_address, resolve_spawn, run_workers
-    from .errors import DistError
+    from .dist import parse_address, run_workers
+    from .errors import ConfigError, DistError
 
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be a positive integer, got {args.jobs}")
-    log = lambda message: print(message, file=sys.stderr)  # noqa: E731
     try:
         host, port = parse_address(args.connect)
-        if args.spawn is not None:
-            # Supervised fleet: keep N workers alive across crashes.
-            workers = resolve_spawn(args.spawn)
-            report = Supervisor(
-                host,
-                port,
-                workers=workers,
-                retry=args.retry,
-                max_respawns=args.max_respawns,
-                log=log,
-            ).run()
-            print(report.describe())
-            return 0 if report.clean else 1
         reports = run_workers(
             host,
             port,
             jobs=args.jobs,
             retry=args.retry,
-            log=log,
+            log=lambda message: print(message, file=sys.stderr),
         )
-    except DistError as exc:
+    except (ConfigError, DistError) as exc:
         raise SystemExit(f"worker: {exc}") from exc
     for report in reports:
         print(report.describe())
@@ -372,13 +357,7 @@ def _render_dist_status(address: str, status: dict) -> str:
         f"{status['completed']}/{status['jobs']} jobs done, "
         f"queue depth {status['queue_depth']}, "
         f"{status['leases']} lease(s), {status['requeues']} requeue(s), "
-        f"{status.get('respawns', 0)} respawn(s), "
-        f"{status.get('replayed', 0)} replayed"
-        + (
-            " [cost-scaled leases]"
-            if status.get("lease_scaling")
-            else ""
-        ),
+        f"{status.get('replayed', 0)} replayed",
         f"  store seeding {'on' if status['seed_store'] else 'off'}, "
         f"remote loads {'on' if status['remote_loads'] else 'off'}: "
         f"{status['rows_seeded']} row(s) seeded, "
@@ -688,19 +667,6 @@ def main(argv: list[str] | None = None) -> int:
         "--retry", type=float, default=10.0,
         help="seconds to keep retrying the initial connection, so workers "
         "may be started before the coordinator (default: 10)",
-    )
-    p_worker.add_argument(
-        "--spawn", metavar="auto|N", default=None,
-        help="supervised mode: keep N worker processes ('auto' sizes to "
-        "this machine's cores) alive against the coordinator, respawning "
-        "any that die without reporting (SIGKILL, OOM) after a jittered "
-        "backoff; respawned workers reconnect warm via the incremental "
-        "store seed digest.  Supersedes --jobs",
-    )
-    p_worker.add_argument(
-        "--max-respawns", type=int, default=3,
-        help="with --spawn: restart budget per worker slot before the "
-        "slot is abandoned with an error (default: 3)",
     )
     p_worker.set_defaults(func=cmd_worker)
 

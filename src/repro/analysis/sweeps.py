@@ -81,8 +81,8 @@ def estimate_class_cost(g: Digraph, n: int, budget: int = DEFAULT_BUDGET) -> int
     ``2**m`` is a cheap lower bound on the fully enumerated model, whose
     enumeration (and every CSP over it) is capped at ``budget`` graphs
     anyway.  No enumeration, no CSP: one popcount, which is what lets
-    every process — serial or distributed — order jobs and size leases
-    identically.  It steers scheduling only, never the rows.
+    every process — serial or distributed — order jobs identically.  It
+    steers scheduling only, never the rows.
     """
     missing = n * (n - 1) - g.proper_edge_count
     return min(1 << missing, budget)
@@ -255,9 +255,6 @@ def plan_sweep(
                     name=f"sweep:n={n}:{index}:bounds",
                     fn=_class_bounds,
                     args=(g, n),
-                    # Bound computation never enumerates the model: the
-                    # cheap end of the lease-sizing scale.
-                    cost=1.0,
                 )
             )
             for k in range(1, n + 1):
@@ -267,10 +264,6 @@ def plan_sweep(
                         name=f"sweep:n={n}:{index}:k={k}",
                         fn=_subshard_solvable,
                         args=(g, n, budget, k, backend),
-                        # k >= n is answered analytically (no CSP), so
-                        # only the searching jobs carry the class's
-                        # estimated weight.
-                        cost=1.0 if k >= n else float(estimate),
                     )
                 )
             classes[index] = _ClassPlan(

@@ -8,7 +8,8 @@ a common executor protocol:
   version handshake (one trust domain; never expose the port publicly);
 * :mod:`~repro.dist.coordinator` — serves jobs, collects results, owns
   every SQLite write (the PR 2 parent-flush invariant, cluster-wide),
-  requeues jobs whose worker dies or stops heartbeating;
+  requeues a job at once when its worker's connection drops, and when
+  a connected worker's lease runs out without a heartbeat;
 * :mod:`~repro.dist.worker` — ``python -m repro worker --connect
   HOST:PORT``; executes jobs through the same kernel-cache/result-store
   tiers as local runs and streams results + store-row deltas home;
@@ -32,16 +33,12 @@ are read-only; the cluster-wide single-writer invariant stands.
 reports queue depth, leases, per-worker throughput, and rows
 seeded/served against a live coordinator.
 
-Survivability (PR 10): :mod:`~repro.dist.checkpoint` snapshots the
-coordinator's queue accounting atomically alongside the store, so
+Survivability: requeue covers a lost worker, and
+:mod:`~repro.dist.checkpoint` covers a lost coordinator.  It snapshots
+the coordinator's queue accounting atomically alongside the store, so
 ``sweep --resume-from CHECKPOINT`` rehydrates the exact remaining plan
 after a coordinator crash (completed jobs replay as warm store hits —
-zero kernel recompute); :mod:`~repro.dist.supervisor` keeps ``--spawn
-auto|N`` worker processes alive across crashes with jittered-backoff
-respawns, each respawn reconnecting warm via the incremental seed
-digest; and leases scale with each job's planned cost estimate, so a
-crashed worker's cheap sub-shard requeues in seconds while a giant
-class keeps a proportionally longer lease.
+zero kernel recompute).
 """
 
 from .checkpoint import (
@@ -64,7 +61,6 @@ from .executor import (
 )
 from .coordinator import Coordinator
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .supervisor import Supervisor, SupervisorReport, resolve_spawn
 from .worker import RemoteStoreTier, WorkerReport, run_worker, run_workers
 
 __all__ = [
@@ -78,15 +74,12 @@ __all__ = [
     "ProtocolError",
     "RemoteStoreTier",
     "SerialExecutor",
-    "Supervisor",
-    "SupervisorReport",
     "WorkerReport",
     "load_checkpoint",
     "make_executor",
     "parse_address",
     "probe_status",
     "render_status_json",
-    "resolve_spawn",
     "resume_completed",
     "run_worker",
     "run_workers",

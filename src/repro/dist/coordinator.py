@@ -17,10 +17,13 @@ exactly the role the parent process plays under
   same :func:`~repro.engine.batch.finalize_outcomes` path as the serial
   and pool drivers, which is what pins serial == pool == dist.
 
-Delivery is at-least-once: a job leased to a worker that disconnects or
-stops heartbeating is requeued for the next worker.  Jobs are pure and
-results content-addressed, so replays are harmless — the first result for
-an index wins and late duplicates are dropped.
+Delivery is at-least-once: a job leased to a worker whose connection
+drops is requeued at once, and one whose worker stays connected but
+sends no heartbeat for ``lease_timeout`` seconds is requeued when its
+lease runs out.  Every lease is ``lease_timeout`` long and each
+heartbeat renews it.  Jobs are pure and results content-addressed, so
+replays are harmless — the first result for an index wins and late
+duplicates are dropped.
 
 Scheduling is FIFO over the submitted task list, so submission order *is*
 priority order: the sweep planner exploits this by emitting its jobs
@@ -49,7 +52,7 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from ..engine.batch import (
@@ -94,25 +97,13 @@ _FAREWELL_GRACE = 5.0
 #: buffers finish before force-closing every connection.
 _CLOSE_GRACE = 1.5
 
-#: Cost-scaled lease bounds.  A job's lease is the base ``lease_timeout``
-#: scaled by its cost estimate relative to the batch median, clamped to
-#: this band: cheap jobs are reclaimed from a dead worker in a quarter of
-#: the fixed timeout, and a genuinely heavy sub-shard gets up to 8x
-#: before the coordinator calls its worker dead.  The advertised
-#: heartbeat shrinks to a third of the *smallest* possible lease, so a
-#: live-but-slow worker always lands several heartbeats per lease.
-_MIN_LEASE_SCALE = 0.25
-_MAX_LEASE_SCALE = 8.0
-
 
 @dataclass
 class _Lease:
-    """One outstanding job assignment: who holds it, until when, and the
-    (cost-scaled) timeout a heartbeat renews it by."""
+    """One outstanding job assignment: who holds it, and until when."""
 
     owner: int
     deadline: float
-    timeout: float
 
 
 @dataclass
@@ -210,11 +201,6 @@ class Coordinator:
         round trips against this coordinator's store mid-run (results
         banked by *other* workers get reused before being recomputed).
         ``None`` (default) follows ``seed_store``.
-    seed_versions:
-        Optional explicit ``{kernel: version}`` filter for the seed
-        stream; ``None`` seeds every kernel registered in this process at
-        its current version — which covers exactly the kernels the queued
-        task set can call, since jobs only reach registered kernels.
     reductions:
         Optional two-phase plan (:class:`~repro.engine.batch.Reduction`):
         each reduction fires *in this process* — the store-writing parent
@@ -236,13 +222,6 @@ class Coordinator:
     log:
         Optional callable receiving one-line progress strings (worker
         connects/disconnects, requeues); silent when ``None``.
-
-    Lease sizing: when any task carries a ``cost`` estimate (the sweep
-    planner sets them), each job's lease is ``lease_timeout`` scaled by
-    its cost relative to the batch median, clamped to
-    [``0.25x``, ``8x``] — so a dying worker's cheap jobs re-lease long
-    before the fixed timeout while a heavy sub-shard is not falsely
-    requeued.  Cost-less batches keep the fixed timeout exactly.
     """
 
     def __init__(
@@ -256,7 +235,6 @@ class Coordinator:
         warmup: Callable[[], object] | None = None,
         seed_store: bool = True,
         remote_loads: bool | None = None,
-        seed_versions: Mapping[str, str] | None = None,
         reductions: Sequence[Reduction] = (),
         completed=(),
         checkpoint=None,
@@ -276,9 +254,6 @@ class Coordinator:
         self._remote_loads = (
             self._seed_store if remote_loads is None else bool(remote_loads)
         )
-        self._seed_versions = (
-            dict(seed_versions) if seed_versions is not None else None
-        )
         self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
@@ -290,19 +265,6 @@ class Coordinator:
                     f"{len(self._tasks)} task(s)"
                 )
         self._replay = sorted(completed_set)
-        # Cost-scaled leases: the batch median is the reference point, so
-        # "heavy" and "cheap" are relative to this plan, not absolute.
-        costs = sorted(
-            cost
-            for cost in (getattr(t, "cost", None) for t in self._tasks)
-            if cost is not None and cost > 0
-        )
-        self._cost_ref = costs[len(costs) // 2] if costs else None
-        self._heartbeat = (
-            self._lease_timeout / 3
-            if self._cost_ref is None
-            else self._lease_timeout * _MIN_LEASE_SCALE / 3
-        )
 
         self._lock = threading.Lock()
         self._pending: deque[int] = deque(
@@ -323,7 +285,6 @@ class Coordinator:
         self._rows_seeded = 0
         self._loads_served = 0
         self._requeues = 0
-        self._respawns = 0
         self._replayed = 0
         self._owner_counter = 0
         # Stats deltas produced in *other* processes — the only ones this
@@ -359,13 +320,6 @@ class Coordinator:
             return self._requeues
 
     @property
-    def respawns(self) -> int:
-        """Worker connections that announced themselves as supervisor
-        respawns (``hello`` carried a ``respawn`` generation)."""
-        with self._lock:
-            return self._respawns
-
-    @property
     def replayed(self) -> int:
         """Checkpoint-completed jobs replayed in-process at start()."""
         with self._lock:
@@ -399,9 +353,7 @@ class Coordinator:
                 "queue_depth": len(self._pending),
                 "leases": len(self._leases),
                 "requeues": self._requeues,
-                "respawns": self._respawns,
                 "replayed": self._replayed,
-                "lease_scaling": self._cost_ref is not None,
                 "seed_store": self._seed_store,
                 "remote_loads": self._remote_loads,
                 "rows_seeded": self._rows_seeded,
@@ -431,7 +383,6 @@ class Coordinator:
         with self._lock:
             return {
                 "requeues": self._requeues,
-                "respawns": self._respawns,
                 "replayed": self._replayed,
                 "rows_seeded": self._rows_seeded,
                 "loads_served": self._loads_served,
@@ -938,12 +889,8 @@ class Coordinator:
         # in-process worker already reads this very store directly.
         seed = self._seed_store and self._store is not None and not conn.local
         remote = self._remote_loads and self._store is not None and not conn.local
-        respawn = payload.get("respawn")
-        respawned = isinstance(respawn, int) and respawn > 0
         with self._lock:
             self._workers_seen.add(conn.worker_name)
-            if respawned:
-                self._respawns += 1
             conn.info = self._worker_info.setdefault(
                 conn.worker_name, _WorkerInfo(connected_at=time.monotonic())
             )
@@ -955,7 +902,7 @@ class Coordinator:
                 "version": PROTOCOL_VERSION,
                 "jobs": len(self._tasks),
                 "warmup": self._warmup,
-                "heartbeat": self._heartbeat,
+                "heartbeat": self._lease_timeout / 3,
                 "seed": {"enabled": seed, "remote": remote},
                 # Observability: the coordinator's wall clock (the
                 # worker's clock-offset reference point) and whether
@@ -964,13 +911,7 @@ class Coordinator:
                 "trace": TRACER.enabled,
             },
         )
-        if respawned:
-            self._log(
-                f"worker {conn.worker_name} connected "
-                f"(supervisor respawn, generation {respawn})"
-            )
-        else:
-            self._log(f"worker {conn.worker_name} connected")
+        self._log(f"worker {conn.worker_name} connected")
         if seed:
             versions, skipped = self._seed_plan(payload.get("seed_digest"))
             if skipped:
@@ -995,8 +936,8 @@ class Coordinator:
         the worker, so over-sending costs bandwidth, never correctness.
         """
         if not isinstance(digests, dict) or self._store is None:
-            return self._seed_versions, 0
-        mine = self._store.seed_digest(self._seed_versions)
+            return None, 0
+        mine = self._store.seed_digest()
         keep: dict[str, list[str]] = {}
         skipped = 0
         for (kernel, version), digest in sorted(mine.items()):
@@ -1009,41 +950,20 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Queue state transitions (all under the lock)
     # ------------------------------------------------------------------
-    def _lease_timeout_for(self, index: int) -> float:
-        """Cost-scaled lease for one job (call under the lock).
-
-        With no cost metadata anywhere in the batch this is exactly the
-        fixed ``lease_timeout``.  Otherwise the job's estimate relative
-        to the batch median scales it within
-        [``_MIN_LEASE_SCALE``, ``_MAX_LEASE_SCALE``], floored at three
-        advertised heartbeats so a lease can never expire between a live
-        worker's heartbeats.
-        """
-        base = self._lease_timeout
-        if self._cost_ref is None:
-            return base
-        cost = getattr(self._tasks[index], "cost", None)
-        if cost is None or cost <= 0:
-            return base
-        scale = min(max(cost / self._cost_ref, _MIN_LEASE_SCALE), _MAX_LEASE_SCALE)
-        return max(base * scale, 3 * self._heartbeat)
-
     def _assign(self, owner: int, held: set[int]) -> tuple[str, dict]:
         with self._lock:
             if self._remaining == 0:
                 return "done", {}
             if self._pending:
                 index = self._pending.popleft()
-                timeout = self._lease_timeout_for(index)
                 self._leases[index] = _Lease(
                     owner=owner,
-                    deadline=time.monotonic() + timeout,
-                    timeout=timeout,
+                    deadline=time.monotonic() + self._lease_timeout,
                 )
                 held.add(index)
                 TRACER.instant(
                     "dist:lease", cat="dist", index=index, owner=owner,
-                    job=self._tasks[index].name, timeout=round(timeout, 3),
+                    job=self._tasks[index].name,
                 )
                 return "job", {"index": index, "job": self._tasks[index]}
             return "wait", {"delay": self._wait_delay}
@@ -1052,7 +972,7 @@ class Coordinator:
         with self._lock:
             lease = self._leases.get(index) if isinstance(index, int) else None
             if lease is not None and lease.owner == owner:
-                lease.deadline = time.monotonic() + lease.timeout
+                lease.deadline = time.monotonic() + self._lease_timeout
 
     def _complete(
         self, index: int, outcome: JobResult | JobFailure, local: bool
@@ -1173,19 +1093,19 @@ class Coordinator:
         now = time.monotonic()
         with self._lock:
             expired = [
-                (index, lease.timeout)
+                index
                 for index, lease in self._leases.items()
                 if lease.deadline < now
             ]
-            for index, _ in expired:
+            for index in expired:
                 del self._leases[index]
                 self._pending.appendleft(index)
                 self._requeues += 1
             requeues = self._requeues
-        for index, timeout in expired:
+        for index in expired:
             TRACER.instant("dist:requeue", cat="dist", index=index)
             self._log(
-                f"requeued job {index} after {timeout:.1f}s "
+                f"requeued job {index} after {self._lease_timeout:.1f}s "
                 "without a heartbeat"
             )
         if expired and self._checkpoint is not None:

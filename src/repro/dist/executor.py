@@ -102,8 +102,6 @@ class PoolExecutor:
     """One host's cores via the ``multiprocessing`` batch driver."""
 
     def __init__(self, jobs: int):
-        if jobs < 1:
-            raise DistError(f"jobs must be positive, got {jobs}")
         self.jobs = jobs
 
     def run(
@@ -253,9 +251,12 @@ def probe_status(
     :mod:`~repro.dist.protocol`: queue depth, leases, requeues,
     per-worker throughput, and the seed/serve counters of the store data
     plane.  ``python -m repro dist status HOST:PORT`` is the CLI wrapper.
-    Raises :class:`~repro.errors.DistError` when nothing is listening,
-    the peer is not a coordinator, or the protocol versions mismatch.
+    Raises :class:`~repro.errors.DistError` when ``timeout`` is not
+    positive, nothing is listening, the peer is not a coordinator, or the
+    protocol versions mismatch.
     """
+    if timeout <= 0:
+        raise DistError(f"timeout must be positive, got {timeout}")
     if isinstance(address, str):
         address = parse_address(address)
     try:

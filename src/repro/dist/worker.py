@@ -29,9 +29,11 @@ moments ago by *other* workers are reused instead of recomputed.  Both
 tiers are read-only; writes still ride home inside each ``JobResult``.
 
 While a job computes, a background thread heartbeats the coordinator at
-the interval suggested in the handshake, so long CSP shards are not
-requeued as long as this worker is alive; a killed worker simply stops
-heartbeating (or drops the connection) and its leased job is reassigned.
+the interval named in the handshake (a third of the coordinator's lease
+timeout), so long CSP shards are not requeued as long as this worker is
+alive.  A killed worker drops its connection and its leased job is
+requeued at once; a worker that hangs but stays connected loses the job
+when its lease runs out.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass, replace
 
 from ..engine.batch import JobFailure, execute_job
-from ..errors import DistError
+from ..errors import ConfigError, DistError
 from ..obs.trace import TRACER, estimate_clock_offset
 from .protocol import (
     PROTOCOL_VERSION,
@@ -273,7 +275,6 @@ def run_worker(
     *,
     worker_id: str | None = None,
     retry: float = 10.0,
-    respawn: int = 0,
     log=None,
 ) -> WorkerReport:
     """Serve one coordinator until it reports the batch done.
@@ -285,12 +286,6 @@ def run_worker(
     reachable or rejects the protocol version — a coordinator that
     vanishes mid-run yields a report with ``clean=False`` instead, since
     by then the batch may have completed without us.
-
-    ``respawn`` is the supervisor's restart generation (0 = a first
-    launch).  A positive value rides in the ``hello`` so the coordinator
-    can count supervised respawns in its status surface; the respawned
-    worker's seed digest rides alongside exactly as on a first connect,
-    which is what makes restarts warm-start incrementally.
     """
     log = log or (lambda message: None)
     name = worker_id or f"{socket.gethostname()}:{os.getpid()}"
@@ -313,8 +308,6 @@ def run_worker(
             "host": socket.gethostname(),
             "pid": os.getpid(),
         }
-        if respawn > 0:
-            hello["respawn"] = int(respawn)
         if store is not None:
             # Incremental seeding: advertise what this store can already
             # answer, per (kernel, version), so a reconnecting worker is
@@ -491,13 +484,10 @@ def _report(
     )
 
 
-def _worker_process(host, port, worker_id, retry, queue, respawn=0) -> None:
-    """Entry point of a spawned worker process (``--jobs N`` and the
-    supervisor's slots)."""
+def _worker_process(host, port, worker_id, retry, queue) -> None:
+    """Entry point of a forked worker process (``--jobs N``)."""
     try:
-        report = run_worker(
-            host, port, worker_id=worker_id, retry=retry, respawn=respawn
-        )
+        report = run_worker(host, port, worker_id=worker_id, retry=retry)
         queue.put(report)
     except Exception as exc:
         queue.put(DistError(str(exc)))
@@ -516,13 +506,15 @@ def run_workers(
     ``jobs=1`` serves in-process (the reference path); larger values fork
     independent worker processes, each with its own connection and its own
     kernel cache, exactly as if ``python -m repro worker`` had been
-    launched ``jobs`` times.  Raises :class:`~repro.errors.DistError` if
-    any worker failed outright (unreachable coordinator, bad version).
+    launched ``jobs`` times.  Raises :class:`~repro.errors.ConfigError`
+    unless ``jobs`` is a positive int, and
+    :class:`~repro.errors.DistError` if any worker failed outright
+    (unreachable coordinator, bad version).
     """
     import multiprocessing
 
-    if jobs < 1:
-        raise DistError(f"jobs must be positive, got {jobs}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     if jobs == 1:
         return [run_worker(host, port, retry=retry, log=log)]
     try:

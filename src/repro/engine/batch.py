@@ -56,7 +56,7 @@ import traceback as _traceback
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from ..errors import EngineError
+from ..errors import ConfigError, EngineError
 from ..obs.trace import TRACER
 from .cache import KERNEL_CACHE, CacheStats
 
@@ -89,12 +89,6 @@ class Job:
     fn: Callable
     args: tuple = ()
     kwargs: Mapping = field(default_factory=dict)
-    cost: float | None = None
-    """Optional scheduler cost estimate (same scale the sweep planner
-    sorts by).  Pure metadata: execution ignores it, but the distributed
-    coordinator scales each job's lease with it so a dying worker's
-    heavy sub-shard re-leases before the tail stalls, and cheap jobs
-    are reclaimed long before the fixed timeout would fire."""
 
     def run(self) -> object:
         return self.fn(*self.args, **dict(self.kwargs))
@@ -275,10 +269,9 @@ def describe_dist_metrics(metrics: Mapping) -> str:
         f"{metrics['loads_served']} load(s) served, "
         f"{metrics['requeues']} requeue(s)"
     ]
-    respawns = metrics.get("respawns", 0)
     replayed = metrics.get("replayed", 0)
-    if respawns or replayed:
-        lines[0] += f", {respawns} respawn(s), {replayed} replayed"
+    if replayed:
+        lines[0] += f", {replayed} replayed"
     for worker in metrics.get("workers", ()):
         lines.append(
             f"  worker {worker['worker']}: {worker['completed']} done, "
@@ -315,7 +308,6 @@ def dist_metrics_as_dict(metrics: Mapping | None) -> dict:
         )
     return {
         "requeues": int(metrics.get("requeues", 0)),
-        "respawns": int(metrics.get("respawns", 0)),
         "replayed": int(metrics.get("replayed", 0)),
         "rows_seeded": int(metrics.get("rows_seeded", 0)),
         "loads_served": int(metrics.get("loads_served", 0)),
@@ -362,7 +354,6 @@ def _pool_metrics(outcomes, wall: float) -> dict:
         )
     return {
         "requeues": 0,
-        "respawns": 0,
         "replayed": 0,
         "rows_seeded": 0,
         "loads_served": 0,
@@ -667,8 +658,8 @@ def run_batch(
             checkpoint=checkpoint,
         )
     tasks = list(tasks)
-    if jobs < 1:
-        raise EngineError(f"jobs must be positive, got {jobs}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     completed_set = frozenset(completed)
     for index in completed_set:
         if not 0 <= index < len(tasks):

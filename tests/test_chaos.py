@@ -5,9 +5,7 @@ Each test here is one scenario of the CI ``chaos-smoke`` matrix (PR 10):
 * ``kill-worker-mid-job`` — SIGKILL a worker subprocess while it holds a
   leased sweep job;
 * ``kill-coordinator-mid-sweep`` — SIGKILL the *coordinator* process of
-  a checkpointed distributed sweep, then resume from the checkpoint;
-* ``supervisor-respawn`` — SIGKILL a supervised worker and watch the
-  supervisor restore the fleet to its target size.
+  a checkpointed distributed sweep, then resume from the checkpoint.
 
 Every scenario asserts the same ground truth: the rows produced under
 chaos are byte-identical to a serial reference computed with no store
@@ -38,7 +36,7 @@ import pytest
 
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
-from repro.dist import DistExecutor, SerialExecutor, Supervisor, probe_status
+from repro.dist import DistExecutor, SerialExecutor, probe_status
 from repro.engine import KERNEL_CACHE
 from repro.errors import DistError
 
@@ -285,63 +283,3 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
     # and nothing the dead coordinator banked may be recomputed or lost.
     assert resumed.replayed >= 1
     _assert_nothing_lost(store, limit)
-
-
-def test_supervisor_respawn_holds_worker_count(chaos_store):
-    """Scenario 3: SIGKILL one of two supervised workers mid-sweep; the
-    supervisor respawns it (fleet back at target), the batch completes,
-    and both sides surface the respawn in their accounting."""
-    limit = _LIMIT
-    rows_ref = _serial_reference(limit)
-    KERNEL_CACHE.clear()
-
-    holder: dict = {}
-    held = threading.Event()
-
-    def on_bound(address):
-        supervisor = Supervisor(
-            address[0], address[1], workers=2, retry=30.0, backoff=0.1
-        )
-        holder["supervisor"] = supervisor
-        thread = threading.Thread(
-            target=lambda: holder.__setitem__("report", supervisor.run()),
-            daemon=True,
-        )
-        holder["thread"] = thread
-        thread.start()
-
-        def chaos():
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                pids = supervisor.pids()
-                if len(pids) == 2:
-                    os.kill(pids[0], signal.SIGKILL)
-                    break
-                time.sleep(0.01)
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if supervisor.alive() == 2:
-                    held.set()  # fleet restored to target size
-                    return
-                time.sleep(0.01)
-
-        threading.Thread(target=chaos, daemon=True).start()
-
-    executor = DistExecutor(":0", on_bound=on_bound)
-    dist = solvability_sweep(3, limit=limit, executor=executor)
-    holder["thread"].join(timeout=60.0)
-    report = holder.get("report")
-    assert report is not None, "supervisor did not finish"
-
-    assert dist.rows == rows_ref
-    assert report.clean, report.errors
-    assert report.respawns >= 1
-    assert held.is_set(), "fleet never returned to its target size"
-    # The coordinator counts the respawn only if the replacement managed
-    # to say hello before the batch drained; a replacement that lost the
-    # race is stood down benignly instead.
-    reconnected = any(r.worker.endswith("g2") for r in report.reports)
-    if reconnected:
-        assert dist.batch.dist_metrics["respawns"] >= 1
-    else:
-        assert report.stood_down >= 1

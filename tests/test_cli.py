@@ -185,6 +185,25 @@ class TestExperiments:
             main(["experiments", "E99"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiments", "E1", "--jobs", "0"],
+        ["experiments", "E1", "--jobs", "0", "--distributed", ":0"],
+        ["worker", "--connect", ":1", "--jobs", "0"],
+    ],
+    ids=["experiments", "experiments-distributed", "worker"],
+)
+def test_rejects_non_positive_jobs(argv):
+    # One line naming the command, as for ``sweep --jobs 0``; a string
+    # SystemExit prints it on stderr and exits 1.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == (
+        f"{argv[0]}: jobs must be a positive int, got 0"
+    )
+
+
 class TestCacheStats:
     def test_probe_prints_speedup_and_kernels(self, capsys):
         assert main(["cache-stats", "--n", "4", "--passes", "2"]) == 0

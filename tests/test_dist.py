@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 import os
 import re
-import signal
 import socket
 import subprocess
 import sys
@@ -29,12 +28,11 @@ from repro.dist import (
     DistExecutor,
     PoolExecutor,
     SerialExecutor,
-    Supervisor,
     load_checkpoint,
     make_executor,
     parse_address,
     probe_status,
-    resolve_spawn,
+    run_workers,
 )
 from repro.dist import protocol as protocol_module
 from repro.dist.protocol import (
@@ -52,6 +50,7 @@ from repro.engine import (
     JobResult,
     Reduction,
     execute_job,
+    run_batch,
 )
 from repro.errors import ConfigError, DistError
 
@@ -191,6 +190,16 @@ class TestMakeExecutor:
         for jobs, distributed in ((0, None), (-2, None), (0, ":0")):
             with pytest.raises(ConfigError, match="must be a positive int"):
                 make_executor(jobs, distributed)
+        # The batch driver and the worker fleet raise the same error.
+        for call in (
+            lambda: run_batch([], jobs=0),
+            lambda: PoolExecutor(0).run([]),
+            lambda: run_workers("127.0.0.1", 1, jobs=0),
+        ):
+            with pytest.raises(
+                ConfigError, match="^jobs must be a positive int, got 0$"
+            ):
+                call()
 
 
 def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
@@ -432,6 +441,24 @@ class TestAtLeastOnce:
                 silent.close()
             result = coord.serve()
         assert result.values == (0, 7)
+
+    def test_sweep_is_served_on_the_fixed_lease(self, fresh_cache):
+        """Every lease is ``lease_timeout``, sweep jobs included, so the
+        welcome advertises a heartbeat of a third of it."""
+        from repro.analysis.sweeps import plan_sweep
+        from repro.graphs.families import cycle
+
+        plan = plan_sweep([cycle(3)], 3)
+        with Coordinator(
+            plan.tasks, reductions=plan.reductions, lease_timeout=6.0
+        ) as coord:
+            worker = _FakeWorker(coord.address)
+            try:
+                kind, payload = worker.handshake()
+            finally:
+                worker.close()
+        assert kind == "welcome"
+        assert payload["heartbeat"] == 2.0
 
     def test_duplicate_result_ignored(self, fresh_cache):
         tasks = _mul_jobs(1)
@@ -905,6 +932,12 @@ class TestNetworkWarmStart:
         probe.close()
         with pytest.raises(DistError, match="no coordinator"):
             probe_status(("127.0.0.1", port), timeout=1.0)
+        # A timeout of 0 or below is refused before anything connects.
+        for timeout in (0, -1):
+            with pytest.raises(
+                DistError, match=f"^timeout must be positive, got {timeout}$"
+            ):
+                probe_status(("127.0.0.1", port), timeout=timeout)
 
     def test_cli_dist_status(self, tmp_store, capsys):
         from repro.__main__ import main
@@ -918,6 +951,11 @@ class TestNetworkWarmStart:
             assert main(["dist", "status", f"{host}:{port}", "--json"]) == 0
             payload = __import__("json").loads(capsys.readouterr().out)
             assert payload["queue_depth"] == 4
+            with pytest.raises(SystemExit) as excinfo:
+                main(["dist", "status", f"{host}:{port}", "--timeout", "0"])
+            assert excinfo.value.code == (
+                "dist status: timeout must be positive, got 0.0"
+            )
 
     def test_seeded_sweep_cold_remote_equals_warm(self, tmp_store):
         """Acceptance: workers with empty local stores, seeded from the
@@ -1049,82 +1087,6 @@ class TestIncrementalSeeding:
             assert rows == tier_count  # exactly the stale tier, no more
 
 
-def _crash_once(sentinel: str, value: int) -> int:
-    """Kill the executing worker the first time, succeed ever after.
-
-    The sentinel file is the cross-generation memory: generation 1
-    creates it and SIGKILLs itself mid-job (no report, no farewell —
-    exactly the crash the supervisor must detect), generation 2 finds it
-    and completes normally.
-    """
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value * 7
-
-
-def _crash_always(value: int) -> int:
-    """Kill the executing worker unconditionally (budget-exhaustion)."""
-    os.kill(os.getpid(), signal.SIGKILL)
-    return value  # pragma: no cover - never reached
-
-
-class TestCostScaledLeases:
-    """Leases scale with the planner's per-job cost estimate (PR 10)."""
-
-    def _costed_tasks(self):
-        return [
-            Job("cheap", operator.mul, (1, 7), cost=1.0),
-            Job("heavy-a", operator.mul, (2, 7), cost=9.0),
-            Job("heavy-b", operator.mul, (3, 7), cost=9.0),
-            Job("heavy-c", operator.mul, (4, 7), cost=9.0),
-        ]
-
-    def test_lease_scales_with_cost_and_clamps(self):
-        with Coordinator(self._costed_tasks(), lease_timeout=4.0) as coord:
-            assert coord.status_snapshot()["lease_scaling"] is True
-            with coord._lock:
-                cheap = coord._lease_timeout_for(0)
-                heavy = coord._lease_timeout_for(1)
-            # cost 1 vs median 9 hits the 0.25x clamp; the median-cost
-            # jobs keep the base timeout.
-            assert cheap == pytest.approx(4.0 * 0.25)
-            assert heavy == pytest.approx(4.0)
-            assert cheap >= 3 * coord._heartbeat  # heartbeats fit inside
-
-    def test_costless_batch_keeps_fixed_leases(self):
-        with Coordinator(_mul_jobs(2), lease_timeout=4.0) as coord:
-            assert coord.status_snapshot()["lease_scaling"] is False
-            with coord._lock:
-                assert coord._lease_timeout_for(0) == pytest.approx(4.0)
-                assert coord._lease_timeout_for(1) == pytest.approx(4.0)
-
-    def test_wedged_worker_on_cheap_job_requeues_early(self, fresh_cache):
-        """A silent worker holding a *cheap* job loses its lease on the
-        cost-scaled deadline (1s here) — well before the old fixed
-        timeout (4s) would have reclaimed it."""
-        tasks = self._costed_tasks()
-        with Coordinator(
-            tasks, lease_timeout=4.0, wait_delay=0.05
-        ) as coord:
-            silent = _FakeWorker(coord.address, name="silent")
-            silent.handshake()
-            kind, payload = silent.next_job()
-            assert kind == "job"
-            assert payload["index"] == 0  # FIFO: the cheap job
-            start = time.monotonic()
-            try:
-                deadline = start + 3.5
-                while coord.requeues == 0 and time.monotonic() < deadline:
-                    time.sleep(0.02)
-                elapsed = time.monotonic() - start
-                assert coord.requeues >= 1
-                assert elapsed < 3.5  # reclaimed before the base timeout
-            finally:
-                silent.close()
-
-
 class TestDistCheckpoint:
     """Coordinator-side checkpoint recording and completed-job replay."""
 
@@ -1160,87 +1122,3 @@ class TestDistCheckpoint:
     def test_out_of_range_completed_rejected(self):
         with pytest.raises(DistError, match="completed"):
             Coordinator(_mul_jobs(2), completed=[5])
-
-
-class TestSupervisor:
-    """Worker supervision: crash detection, respawn, warm reconnect."""
-
-    def test_resolve_spawn(self):
-        assert resolve_spawn("auto") >= 1
-        assert resolve_spawn("3") == 3
-        assert resolve_spawn(2) == 2
-        with pytest.raises(DistError, match="--spawn"):
-            resolve_spawn("many")
-        with pytest.raises(DistError, match="positive"):
-            resolve_spawn("0")
-
-    def _supervise_while_serving(self, coord, **kwargs):
-        """Run a Supervisor against ``coord`` while serving its batch."""
-        host, port = coord.address
-        holder = {}
-
-        def supervise():
-            holder["report"] = Supervisor(
-                host, port, retry=15.0, backoff=0.05, **kwargs
-            ).run()
-
-        thread = threading.Thread(target=supervise, daemon=True)
-        thread.start()
-        result = coord.serve()
-        thread.join(timeout=30.0)
-        assert "report" in holder, "supervisor did not finish"
-        return result, holder["report"]
-
-    def test_crashed_worker_respawns_and_batch_completes(
-        self, fresh_cache, tmp_path
-    ):
-        sentinel = str(tmp_path / "crashed-once")
-        tasks = [Job("crash", _crash_once, (sentinel, 3))] + _mul_jobs(3)
-        with Coordinator(tasks, wait_delay=0.05) as coord:
-            result, report = self._supervise_while_serving(
-                coord, workers=1
-            )
-            assert coord.respawns == 1  # generation 2 announced itself
-            snapshot = coord.status_snapshot()
-        assert result.values == (21, 0, 7, 14)
-        assert report.clean, report.errors
-        assert report.respawns == 1
-        assert report.launched == 2
-        assert snapshot["respawns"] == 1
-
-    def test_respawn_budget_exhaustion_reports_error(
-        self, fresh_cache, tmp_path
-    ):
-        tasks = [Job("fatal", _crash_always, (1,))]
-        with Coordinator(tasks, wait_delay=0.05) as coord:
-            host, port = coord.address
-            report = Supervisor(
-                host, port, workers=1, retry=15.0, backoff=0.05,
-                max_respawns=0,
-            ).run()
-        assert not report.clean
-        assert report.respawns == 0
-        assert "respawn budget exhausted" in report.errors[0]
-
-    def test_respawned_worker_reconnects_warm(self, tmp_store, tmp_path):
-        """Both generations of a supervised worker share the machine's
-        store, so their hello digests match the coordinator's tiers and
-        the respawn re-seeds zero rows (PR 9 incremental seeding)."""
-        from repro.combinatorics.domination import domination_number
-
-        graphs = _warm_domination_store(tmp_store)
-        sentinel = str(tmp_path / "crashed-once")
-        tasks = [Job("crash", _crash_once, (sentinel, 3))] + [
-            Job(f"dom[{i}]", domination_number, (g,))
-            for i, g in enumerate(graphs)
-        ]
-        with Coordinator(tasks, wait_delay=0.05) as coord:
-            result, report = self._supervise_while_serving(
-                coord, workers=1
-            )
-            assert coord.respawns == 1
-            assert coord.rows_seeded == 0  # both generations came warm
-        assert report.clean and report.respawns == 1
-        assert result.values[1:] == tuple(
-            domination_number.__wrapped__(g) for g in graphs
-        )
