@@ -14,7 +14,7 @@ Usage::
                           [--trace FILE]
                           [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
-    python -m repro dist status HOST:7071 [--json] [--watch N [--interval S]]
+    python -m repro dist status HOST:7071 [--json] [--watch N [--count K]] [--timeout S]
     python -m repro trace summary FILE [--json] [--top 8]
     python -m repro store stats [--json]
     python -m repro store probe [--n 5] [--passes 2] [--json]

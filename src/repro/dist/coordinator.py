@@ -67,7 +67,6 @@ from ..engine.batch import (
 )
 from ..engine.cache import KERNEL_CACHE, CacheStats
 from ..errors import DistError
-from ..obs.metrics import METRICS
 from ..obs.trace import TRACER
 from .protocol import (
     DIST_STATUS,
@@ -191,11 +190,7 @@ class Coordinator:
         the store's rows (current kernel versions only, chunked) land in
         the worker's in-memory seed tier, so hosts without a shared
         filesystem start as warm as the coordinator.  Seeding is
-        read-only; the single-writer invariant is untouched.  A worker
-        whose ``hello`` carries a ``seed_digest`` (per-kernel content
-        digests of the rows it already holds) is seeded *incrementally*:
-        kernels whose digest matches this store's are skipped entirely,
-        so a reconnecting worker pays only for rows it does not have.
+        read-only; the single-writer invariant is untouched.
     remote_loads:
         Whether workers may resolve store misses with ``store_load``
         round trips against this coordinator's store mid-run (results
@@ -338,12 +333,7 @@ class Coordinator:
             return self._loads_served
 
     def status_snapshot(self) -> dict:
-        """The machine-readable state behind ``dist status`` probes.
-
-        Registered with :data:`~repro.obs.metrics.METRICS` as the
-        ``dist_status`` stats provider, so the TCP ``status`` probe and
-        ``METRICS.snapshot()`` expose this one shape.
-        """
+        """The machine-readable state behind ``dist status`` probes."""
         now = time.monotonic()
         with self._lock:
             return {
@@ -417,11 +407,6 @@ class Coordinator:
         self._selector.register(
             self._listener, selectors.EVENT_READ, ("accept",)
         )
-        # The live coordinator is the process's dist-metrics and
-        # dist-status source; a later batch's coordinator simply
-        # replaces the providers.
-        METRICS.register_stats("dist", self.metrics_snapshot)
-        METRICS.register_stats("dist_status", self.status_snapshot)
         self._loop_thread = threading.Thread(
             target=self._loop, name="dist-loop", daemon=True
         )
@@ -913,39 +898,8 @@ class Coordinator:
         )
         self._log(f"worker {conn.worker_name} connected")
         if seed:
-            versions, skipped = self._seed_plan(payload.get("seed_digest"))
-            if skipped:
-                self._log(
-                    f"worker {conn.worker_name}: {skipped} seed tier(s) "
-                    "already current, skipped"
-                )
-            if versions is None or versions:
-                conn.seed_iter = iter(self._store.export_seed(versions))
-            else:
-                conn.seed_iter = iter(())  # digest says: nothing to send
+            conn.seed_iter = self._store.export_seed()
             self._flush_conn(conn)  # starts pumping the stream
-
-    def _seed_plan(self, digests: object) -> tuple[dict | None, int]:
-        """What to stream given the worker's ``seed_digest`` (if any).
-
-        Returns ``(versions, skipped)``: a ``{kernel: (versions,)}``
-        mapping restricted to the tiers whose content differs from the
-        worker's (``None`` when the worker sent no digest — stream the
-        default plan), plus the number of matching tiers skipped.  A
-        mismatched tier streams in full; ``import_seed_rows`` dedups on
-        the worker, so over-sending costs bandwidth, never correctness.
-        """
-        if not isinstance(digests, dict) or self._store is None:
-            return None, 0
-        mine = self._store.seed_digest()
-        keep: dict[str, list[str]] = {}
-        skipped = 0
-        for (kernel, version), digest in sorted(mine.items()):
-            if digests.get((kernel, version)) == digest:
-                skipped += 1
-                continue
-            keep.setdefault(kernel, []).append(version)
-        return {k: tuple(v) for k, v in keep.items()}, skipped
 
     # ------------------------------------------------------------------
     # Queue state transitions (all under the lock)

@@ -289,10 +289,8 @@ def render_status_json(status: dict, *, indent: int | None = None) -> str:
     """The one JSON rendering of a coordinator status snapshot.
 
     ``dist status --json`` and ``--watch --json`` both emit the same
-    dict — the coordinator's ``status_snapshot()``, which is also what
-    the ``dist_status`` stats provider feeds into
-    ``MetricsRegistry.snapshot()`` — so the serialisation lives in
-    exactly one place.
+    dict — the coordinator's ``status_snapshot()`` — so the
+    serialisation lives in exactly one place.
     """
     return json.dumps(status, sort_keys=True, indent=indent)
 

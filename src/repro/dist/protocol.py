@@ -11,14 +11,11 @@ The conversation, after a version handshake, is worker-driven::
 
     worker                          coordinator
     ------                          -----------
-    hello {version, worker,
-           seed_digest?}       ->
+    hello {version, worker}    ->
                                <-   welcome {version, jobs, warmup, seed,
                                     now, trace}
                                <-   store_seed {rows, done}*  (warm start,
-                                    zero or more chunks, last has done=True;
-                                    tiers whose seed_digest matched the
-                                    coordinator's are skipped entirely)
+                                    zero or more chunks, last has done=True)
     next {}                    ->
                                <-   job {index, job} | wait {delay} | done {}
     heartbeat {index}          ->   (one-way, extends the job's lease)

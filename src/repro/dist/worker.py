@@ -308,15 +308,6 @@ def run_worker(
             "host": socket.gethostname(),
             "pid": os.getpid(),
         }
-        if store is not None:
-            # Incremental seeding: advertise what this store can already
-            # answer, per (kernel, version), so a reconnecting worker is
-            # only streamed tiers whose content differs on the
-            # coordinator.  An empty digest says nothing (a fresh worker
-            # wants the full stream), so the key is omitted.
-            digest = store.seed_digest()
-            if digest:
-                hello["seed_digest"] = digest
         hello_sent = time.time()
         with send_lock:
             send_message(sock, "hello", hello)

@@ -69,7 +69,6 @@ __all__ = [
     "Reduction",
     "run_batch",
     "describe_dist_metrics",
-    "dist_metrics_as_dict",
     "execute_job",
     "fire_reduction",
     "finalize_outcomes",
@@ -279,40 +278,6 @@ def describe_dist_metrics(metrics: Mapping) -> str:
             f"{worker['jobs_per_minute']:.1f} jobs/min"
         )
     return "\n".join(lines)
-
-
-def dist_metrics_as_dict(metrics: Mapping | None) -> dict:
-    """Normalize :attr:`BatchResult.dist_metrics` to one JSON shape.
-
-    The unified stats surface for worker metrics, whatever executor
-    produced them (dist coordinator or pool parent): stable top-level
-    counters plus a ``workers`` list in ``_WorkerInfo.snapshot``'s key
-    shape.  Missing keys default to zero so older payloads normalize
-    instead of KeyErroring.
-    """
-    metrics = dict(metrics or {})
-    workers = []
-    for worker in metrics.get("workers", ()):
-        worker = dict(worker)
-        workers.append(
-            {
-                "worker": str(worker.get("worker", "?")),
-                "completed": int(worker.get("completed", 0)),
-                "failed": int(worker.get("failed", 0)),
-                "seeded_rows": int(worker.get("seeded_rows", 0)),
-                "loads_served": int(worker.get("loads_served", 0)),
-                "elapsed": float(worker.get("elapsed", 0.0)),
-                "jobs_per_minute": float(worker.get("jobs_per_minute", 0.0)),
-                "idle": float(worker.get("idle", 0.0)),
-            }
-        )
-    return {
-        "requeues": int(metrics.get("requeues", 0)),
-        "replayed": int(metrics.get("replayed", 0)),
-        "rows_seeded": int(metrics.get("rows_seeded", 0)),
-        "loads_served": int(metrics.get("loads_served", 0)),
-        "workers": workers,
-    }
 
 
 def _pool_metrics(outcomes, wall: float) -> dict:

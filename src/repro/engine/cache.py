@@ -125,12 +125,6 @@ class CacheStats:
             ],
         }
 
-    def as_dict(self) -> dict:
-        """Alias for :meth:`to_dict` — the unified stats-surface name
-        shared with ``StoreStats`` and the dist metrics (what the
-        :class:`repro.obs.MetricsRegistry` providers call)."""
-        return self.to_dict()
-
     def describe(self) -> str:
         """Multi-line human-readable summary."""
         lines = [

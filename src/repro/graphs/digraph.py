@@ -190,13 +190,6 @@ class Digraph:
             heard |= self._out[u]
         return heard
 
-    def in_of_set(self, members: int) -> int:
-        """Bitmask of processes heard by at least one member of ``members``."""
-        sources = 0
-        for v in iter_bits(members):
-            sources |= self._in[v]
-        return sources
-
     def dominates(self, members: int) -> bool:
         """Return True iff the process set ``members`` dominates the graph."""
         return self.out_of_set(members) == full_mask(self._n)

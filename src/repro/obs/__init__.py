@@ -1,23 +1,17 @@
-"""repro.obs — unified tracing + metrics for every execution tier.
+"""repro.obs — unified tracing for every execution tier.
 
-One import surface for the three observability pieces:
+One import surface for the two observability pieces:
 
 * :func:`span` / :func:`instant` / :data:`TRACER` — the structured
   tracing hot path (:mod:`repro.obs.trace`).  Disabled by default;
   enable with ``REPRO_TRACE=FILE``, ``--trace FILE`` on the CLIs, or
   :func:`configure_trace`.
-* :data:`METRICS` — the process-global :class:`MetricsRegistry`
-  (:mod:`repro.obs.metrics`).  The kernel cache, result store, and
-  dist coordinator register their stats surfaces here so every
-  ``--json`` output shares one shape.
 * :func:`write_trace` / :func:`load_trace` / :func:`summarize_trace` —
   Chrome ``trace_event`` export and the offline aggregator behind
   ``python -m repro trace summary`` (:mod:`repro.obs.export`).
 
 This module imports only the stdlib at module scope: the instrumented
-layers (``engine.cache``, ``store.backend``, ``dist.*``) import *us*,
-so the default stats providers below bind their imports lazily inside
-the provider closures.
+layers (``engine.cache``, ``store.backend``, ``dist.*``) import *us*.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from .trace import (
     instant,
     span,
 )
-from .metrics import METRICS, Counter, Histogram, MetricsRegistry
 from .export import (
     describe_summary,
     load_trace,
@@ -48,10 +41,6 @@ __all__ = [
     "span",
     "instant",
     "estimate_clock_offset",
-    "METRICS",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
     "configure_trace",
     "trace_enabled",
     "write_trace",
@@ -132,25 +121,3 @@ def _export_at_exit() -> None:
             write_trace()
         except OSError:
             pass
-
-
-def _register_default_providers() -> None:
-    # Lazy imports inside the closures: obs must stay import-light
-    # because the layers being observed import obs at their own import.
-    def _cache_stats() -> dict:
-        from ..engine.cache import KERNEL_CACHE
-
-        return KERNEL_CACHE.stats().as_dict()
-
-    def _store_stats() -> dict:
-        # The global store's session stats exist whether or not
-        # persistence is on (mode "off" just reports zeros).
-        from .. import store
-
-        return store.RESULT_STORE.stats().as_dict()
-
-    METRICS.register_stats("cache", _cache_stats)
-    METRICS.register_stats("store", _store_stats)
-
-
-_register_default_providers()

@@ -177,12 +177,6 @@ class StoreStats:
             ],
         }
 
-    def as_dict(self) -> dict:
-        """Alias for :meth:`to_dict` — the unified stats-surface name
-        shared with ``CacheStats`` and the dist metrics (what the
-        :class:`repro.obs.MetricsRegistry` providers call)."""
-        return self.to_dict()
-
     def describe(self) -> str:
         lines = [
             f"result store: {self.hits} hits / {self.misses} misses "
@@ -291,8 +285,8 @@ class ResultStore:
         self._lock = RLock()
         # Which layer answered this thread's most recent load() — the
         # kernel wrapper reads it for trace-span tier attribution.
-        # Thread-local because the dist coordinator serves loads from
-        # connection-handler threads concurrently with local kernels.
+        # Thread-local because the dist coordinator's event-loop thread
+        # runs reduction kernels while in-thread workers run theirs.
         self._last_tier = threading.local()
 
     # ------------------------------------------------------------------
@@ -366,11 +360,11 @@ class ResultStore:
                 if self.writable:
                     parent = os.path.dirname(os.path.abspath(self.path))
                     os.makedirs(parent, exist_ok=True)
-                # check_same_thread=False: the dist coordinator flushes
-                # from its connection-handler threads; every use of the
-                # connection is serialised by self._lock, which is the
-                # thread-safety SQLite's own check would otherwise insist
-                # on seeing.
+                # check_same_thread=False: the dist coordinator's
+                # event-loop thread flushes on a connection that another
+                # thread may have opened; every use of the connection is
+                # serialised by self._lock, which is the thread-safety
+                # SQLite's own check would otherwise insist on seeing.
                 conn = sqlite3.connect(
                     self.path, timeout=30.0, check_same_thread=False
                 )
@@ -846,65 +840,6 @@ class ResultStore:
             if chunk:
                 yield chunk
 
-    def seed_digest(self, versions=None) -> dict[tuple[str, str], str]:
-        """Per-``(kernel, version)`` content digest of the answerable rows.
-
-        The currency of *incremental seeding*: a reconnecting worker puts
-        its digests in the ``hello`` frame, the coordinator computes its
-        own with the same method, and any tier whose digest matches is
-        skipped by the seed stream — only new rows travel.  The digest
-        covers every row this store can answer from (database, pending
-        overlay, and the in-memory seed tier) as ``"{count}:{hash16}"``
-        over the sorted key hashes, so it is order- and source-agnostic:
-        the same logical row set always digests identically on both
-        sides.  ``versions`` filters exactly like :meth:`export_seed`;
-        tiers with no rows are omitted.
-        """
-        with self._lock:
-            if not self.active:
-                return {}
-            if versions is None:
-                versions = _current_kernel_versions()
-            pairs = sorted(
-                (kernel, version)
-                for kernel, value in versions.items()
-                for version in (
-                    (value,) if isinstance(value, str) else tuple(value)
-                )
-            )
-            if not pairs:
-                return {}
-            keys: dict[tuple[str, str], set[str]] = {p: set() for p in pairs}
-            conn = self._connection()
-            if conn is not None:
-                placeholders = ", ".join(["(?, ?)"] * len(pairs))
-                params = [value for pair in pairs for value in pair]
-                try:
-                    rows = conn.execute(
-                        "SELECT kernel, version, key_hash FROM results "
-                        f"WHERE (kernel, version) IN (VALUES {placeholders})",
-                        params,
-                    ).fetchall()
-                except sqlite3.Error:
-                    rows = []
-                for kernel, version, key_hash in rows:
-                    keys[(kernel, version)].add(key_hash)
-            for overlay in (self._pending, self._seed):
-                for kernel, version, key_hash in overlay:
-                    pair = (kernel, version)
-                    if pair in keys:
-                        keys[pair].add(key_hash)
-            digests: dict[tuple[str, str], str] = {}
-            for pair, hashes in keys.items():
-                if not hashes:
-                    continue
-                acc = hashlib.sha256()
-                for key_hash in sorted(hashes):
-                    acc.update(key_hash.encode("ascii"))
-                    acc.update(b";")
-                digests[pair] = f"{len(hashes)}:{acc.hexdigest()[:16]}"
-            return digests
-
     def load_row(self, kernel: str, version: str, key_hash: str):
         """The raw stored row (pending overlay included), or ``None``.
 
@@ -965,11 +900,6 @@ class ResultStore:
                 ),
             )
             return local.merge(self._absorbed)
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._absorbed = StoreStats()
 
     def db_stats(self) -> dict:
         """Database-side inventory: rows/bytes per kernel, staleness, size.

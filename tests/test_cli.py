@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 import repro.store as store_pkg
 from repro.__main__ import main
 from repro.engine import KERNEL_CACHE
@@ -202,6 +204,43 @@ def test_rejects_non_positive_jobs(argv):
     assert excinfo.value.code == (
         f"{argv[0]}: jobs must be a positive int, got 0"
     )
+
+
+def _usage_lines() -> list[str]:
+    """The commands of the CLI docstring's usage block, one string each,
+    with every continuation line joined onto its command."""
+    block = cli.__doc__.split("Usage::", 1)[1].split("\n\n")[1]
+    lines: list[str] = []
+    for line in block.splitlines():
+        line = line.strip()
+        if line.startswith("python -m repro "):
+            lines.append(line)
+        else:
+            lines[-1] += " " + line
+    return lines
+
+
+def test_usage_flags_exist_in_subcommand_help(capsys):
+    # Every ``--flag`` the usage block advertises must be one the
+    # subcommand's parser accepts, so a copied usage line never fails
+    # with "unrecognized arguments"; and every subcommand has a line.
+    lines = _usage_lines()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out)
+    assert {line.split()[3] for line in lines} == set(
+        choices.group(1).split(",")
+    )
+    for line in lines:
+        command = line.split()[3]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert re.search(re.escape(flag) + r"(?![\w-])", help_text), (
+                f"{flag} from {line!r} is not an option of {command!r}"
+            )
 
 
 class TestCacheStats:

@@ -818,10 +818,12 @@ def _spawn_cli_worker(address, env):
 class TestNetworkWarmStart:
     """Store seeding, remote loads, and the status probe (PR 4)."""
 
-    def test_seeded_worker_recomputes_nothing(self, tmp_store):
-        """A worker with an *empty* local store, seeded at handshake,
-        serves every kernel from the seed tier: zero misses, zero
-        writes, identical values."""
+    @pytest.mark.parametrize("worker_store", ["off", "rw"])
+    def test_seeded_worker_recomputes_nothing(self, tmp_store, worker_store):
+        """A worker seeded at handshake serves every kernel from the seed
+        tier: zero misses, zero writes, identical values.  That holds for
+        a storeless worker and for one whose own store is the
+        coordinator's file, which gets the full stream as well."""
         from repro.combinatorics.domination import domination_number
 
         graphs = _warm_domination_store(tmp_store)
@@ -829,9 +831,13 @@ class TestNetworkWarmStart:
             Job(f"dom[{i}]", domination_number, (g,))
             for i, g in enumerate(graphs)
         ]
+        env = _storeless_worker_env()
+        if worker_store == "rw":
+            env["REPRO_STORE"] = "rw"
+            env["REPRO_STORE_PATH"] = tmp_store.path
         coord = Coordinator(tasks)
         address = coord.start()
-        worker = _spawn_cli_worker(address, _storeless_worker_env())
+        worker = _spawn_cli_worker(address, env)
         result = coord.serve()
         out, _ = worker.communicate(timeout=30)
         assert worker.returncode == 0, out
@@ -846,6 +852,20 @@ class TestNetworkWarmStart:
         assert stats.writes == 0  # nothing recomputed, so nothing to bank
         assert stats.hits == stats.seed_hits
         assert coord.rows_seeded >= len(graphs)
+
+    def test_fresh_worker_gets_full_stream(self, tmp_store):
+        graphs = _warm_domination_store(tmp_store)
+        with Coordinator(_mul_jobs(1)) as coord:
+            worker = _FakeWorker(coord.address)
+            try:
+                kind, welcome = worker.handshake()
+                assert kind == "welcome"
+                assert welcome["seed"]["enabled"]
+                assert worker.drain_seed() >= len(graphs)
+                worker.request_bye()
+            finally:
+                worker.close()
+            assert coord.rows_seeded >= len(graphs)
 
     def test_remote_loads_serve_unseeded_misses(self, tmp_store):
         """With seeding off but remote loads on, worker store misses are
@@ -996,95 +1016,6 @@ class TestNetworkWarmStart:
                     worker.kill()
                 else:
                     worker.communicate(timeout=10)
-
-
-class TestIncrementalSeeding:
-    """Reconnecting workers advertise a per-kernel seed-tier digest at
-    handshake; tiers whose content matches the coordinator's are skipped
-    by the seed stream — only new rows travel (PR 9)."""
-
-    def test_seed_digest_shape_and_content_sensitivity(self, tmp_store):
-        from repro.combinatorics.domination import domination_number
-        from repro.graphs.families import path
-
-        assert tmp_store.seed_digest() == {}  # empty tiers are omitted
-        _warm_domination_store(tmp_store)
-        digest = tmp_store.seed_digest()
-        assert digest, "warm store must advertise at least one tier"
-        for (kernel, version), value in digest.items():
-            assert isinstance(kernel, str) and isinstance(version, str)
-            count, _, content = value.partition(":")
-            assert int(count) >= 1
-            assert re.fullmatch(r"[0-9a-f]{16}", content)
-        # Same logical content, same digest.
-        assert tmp_store.seed_digest() == digest
-        # One new row moves exactly that kernel's tier.
-        domination_number(path(5))
-        tmp_store.flush()
-        KERNEL_CACHE.clear()
-        after = tmp_store.seed_digest()
-        assert after != digest
-        changed = {pair for pair in digest if after[pair] != digest[pair]}
-        # The new graph lands in domination_number plus its helper
-        # kernels (iso_key, the certificate) — never anything else.
-        assert "domination_number" in {kernel for kernel, _ in changed}
-        for pair in changed:
-            before_count = int(digest[pair].partition(":")[0])
-            after_count = int(after[pair].partition(":")[0])
-            assert after_count > before_count
-
-    def test_fresh_worker_without_digest_gets_full_stream(self, tmp_store):
-        graphs = _warm_domination_store(tmp_store)
-        with Coordinator(_mul_jobs(1)) as coord:
-            worker = _FakeWorker(coord.address)
-            try:
-                kind, welcome = worker.handshake()
-                assert kind == "welcome"
-                assert welcome["seed"]["enabled"]
-                assert worker.drain_seed() >= len(graphs)
-                worker.request_bye()
-            finally:
-                worker.close()
-            assert coord.rows_seeded >= len(graphs)
-
-    def test_matching_digest_skips_every_tier(self, tmp_store):
-        _warm_domination_store(tmp_store)
-        digest = tmp_store.seed_digest()
-        with Coordinator(_mul_jobs(1)) as coord:
-            worker = _FakeWorker(coord.address)
-            try:
-                kind, welcome = worker.handshake(seed_digest=digest)
-                assert kind == "welcome"
-                assert welcome["seed"]["enabled"]
-                assert worker.drain_seed() == 0  # nothing new: zero rows
-                worker.request_bye()
-            finally:
-                worker.close()
-            assert coord.rows_seeded == 0
-
-    def test_stale_tier_streams_in_full_others_skipped(self, tmp_store):
-        graphs = _warm_domination_store(tmp_store)
-        digest = dict(tmp_store.seed_digest())
-        # Pretend the worker's domination tier is out of date: the
-        # coordinator must re-stream that tier (dedup on the worker
-        # makes over-sending harmless) and still skip the rest.
-        stale = next(
-            pair for pair in digest if pair[0] == "domination_number"
-        )
-        digest[stale] = "0:" + "0" * 16
-        with Coordinator(_mul_jobs(1)) as coord:
-            worker = _FakeWorker(coord.address)
-            try:
-                worker.handshake(seed_digest=digest)
-                rows = worker.drain_seed()
-            finally:
-                worker.request_bye()
-                worker.close()
-            assert rows >= len(graphs)
-            tier_count = int(
-                tmp_store.seed_digest()[stale].partition(":")[0]
-            )
-            assert rows == tier_count  # exactly the stale tier, no more
 
 
 class TestDistCheckpoint:

@@ -1,4 +1,4 @@
-"""Tests for repro.obs: tracing, shipping, export, metrics, watch mode.
+"""Tests for repro.obs: tracing, shipping, export, watch mode.
 
 The load-bearing properties:
 
@@ -30,9 +30,7 @@ from repro.dist.worker import run_worker
 from repro.engine import KERNEL_CACHE
 from repro.errors import DistError
 from repro.obs import (
-    METRICS,
     TRACER,
-    MetricsRegistry,
     configure_trace,
     describe_summary,
     estimate_clock_offset,
@@ -349,60 +347,6 @@ class TestSummary:
         assert summary["wall"] == 0.0
         assert summary["straggler"] is None
         describe_summary(summary)  # must not raise
-
-
-class TestMetricsRegistry:
-    def test_counter_and_histogram_get_or_create(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc()
-        registry.counter("jobs").inc(2)
-        registry.histogram("flush").observe(1.0)
-        registry.histogram("flush").observe(3.0)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"jobs": 3}
-        assert snap["histograms"]["flush"]["count"] == 2
-        assert snap["histograms"]["flush"]["mean"] == 2.0
-        assert snap["histograms"]["flush"]["min"] == 1.0
-        assert snap["histograms"]["flush"]["max"] == 3.0
-
-    def test_provider_error_is_isolated(self):
-        registry = MetricsRegistry()
-
-        def boom():
-            raise RuntimeError("down")
-
-        registry.register_stats("flaky", boom)
-        registry.register_stats("ok", lambda: {"fine": True})
-        stats = registry.snapshot()["stats"]
-        assert stats["ok"] == {"fine": True}
-        assert stats["flaky"] == {"error": "RuntimeError: down"}
-
-    def test_reset_keeps_providers(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.register_stats("p", lambda: {})
-        registry.reset()
-        snap = registry.snapshot()
-        assert snap["counters"] == {}
-        assert "p" in snap["stats"]
-
-    def test_global_registry_serves_cache_and_store_shapes(self):
-        stats = METRICS.snapshot()["stats"]
-        assert "hits" in stats["cache"] and "by_kernel" in stats["cache"]
-        assert "writes" in stats["store"] and "seed_hits" in stats["store"]
-
-    def test_stats_surfaces_share_the_as_dict_spelling(self):
-        from repro.engine.batch import dist_metrics_as_dict
-
-        cache = METRICS.snapshot()["stats"]["cache"]
-        assert cache == KERNEL_CACHE.stats().as_dict()
-        assert KERNEL_CACHE.stats().as_dict() == KERNEL_CACHE.stats().to_dict()
-        shaped = dist_metrics_as_dict(
-            {"workers": [{"worker": "w", "completed": 3}]}
-        )
-        assert shaped["requeues"] == 0
-        assert shaped["workers"][0]["completed"] == 3
-        assert dist_metrics_as_dict(None)["workers"] == []
 
 
 class TestWatchStatus:
