@@ -78,17 +78,13 @@ def iso_key(g: Digraph) -> GraphKey:
     return (n, best)
 
 
-def graph_set_key(
-    graphs: Iterable[Digraph], invariant: bool = False
-) -> tuple[GraphKey, ...]:
-    """Order- and multiplicity-insensitive key for a set of graphs.
-
-    With ``invariant=True`` each member key is :func:`iso_key` — use only
-    for kernels invariant under *simultaneous* relabelling of a set that
-    is itself closed under relabelling (e.g. symmetric closures).
-    """
-    member_key = iso_key if invariant else adjacency_key
-    return tuple(sorted(set(member_key(g) for g in graphs)))
+def graph_set_key(graphs: Iterable[Digraph]) -> tuple[GraphKey, ...]:
+    """Order- and multiplicity-insensitive key for a set of graphs: the
+    sorted distinct :func:`adjacency_key` of its members."""
+    # Deduplicated by a dict, not a set, to keep the members' order: an
+    # enumerated model comes in long descending runs, which sorted()
+    # merges in far fewer comparisons than it needs for a set's order.
+    return tuple(sorted({(g.n, g.out_rows): None for g in graphs}))
 
 
 _INTERNED: dict[GraphKey, Digraph] = {}

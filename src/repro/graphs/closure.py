@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from itertools import product
 
 from .._bitops import bit, full_mask, iter_supersets
-from ..errors import GraphError
+from ..errors import GraphError, ProcessMismatchError
 from .digraph import Digraph
 
 __all__ = [
@@ -120,18 +120,25 @@ def minimal_generators(graphs: Iterable[Digraph]) -> frozenset[Digraph]:
     """Drop generators that lie in the closure of another generator.
 
     The closed-above model of ``S`` equals that of its ⊆-minimal elements;
-    normalising keeps combinatorial-number computations canonical.
+    normalising keeps combinatorial-number computations canonical.  Raises
+    :class:`ProcessMismatchError` if the graphs differ in process count.
     """
     graphs = list(set(graphs))
     if not graphs:
         raise GraphError("need at least one generator")
+    counts = sorted({g.n for g in graphs})
+    if len(counts) > 1:
+        raise ProcessMismatchError(
+            f"generators over different process counts: {counts}"
+        )
     minimal = []
     for g in graphs:
-        if any(h is not g and h.is_subgraph_of(g) and h != g for h in graphs):
+        # A strict subgraph has fewer edges, and the set() above merged
+        # equal graphs, so only graphs with fewer edges are tested.
+        size = g.edge_count
+        if any(h.edge_count < size and h.is_subgraph_of(g) for h in graphs):
             continue
         minimal.append(g)
-    # Equal graphs were deduplicated by the initial set(); every strict
-    # superset of another generator has been dropped.
     return frozenset(minimal)
 
 

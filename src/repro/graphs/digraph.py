@@ -56,7 +56,7 @@ class Digraph:
     3
     """
 
-    __slots__ = ("_n", "_out", "_hash", "__dict__")
+    __slots__ = ("_n", "_out", "_in", "_hash", "__dict__")
 
     def __init__(self, n: int, out_rows: Iterable[int]):
         if n <= 0:
@@ -80,7 +80,25 @@ class Digraph:
             rows = tuple([row | 1 << u for u, row in enumerate(rows)])
         self._n = n
         self._out = rows
+        self._in = None
         self._hash = hash((n, rows))
+
+    def __getstate__(self) -> tuple:
+        # The in-rows stay out of a pickle.  That keeps the form pickles
+        # had when the in-rows were cached in the instance dict, so stores
+        # and wire frames written here still load in that code.
+        return self.__dict__ or None, {
+            "_n": self._n, "_out": self._out, "_hash": self._hash
+        }
+
+    def __setstate__(self, state: tuple) -> None:
+        # ``(__dict__ or None, slots)``.  Older pickles kept the in-rows in
+        # the dict half or left them out, so the slot starts empty and
+        # takes them from whichever half names them.
+        cached, slots = state
+        self._in = None
+        for name, value in {**(cached or {}), **slots}.items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -127,20 +145,27 @@ class Digraph:
         """Bitmask of ``Out(u)``: processes that hear ``u`` (incl. ``u``)."""
         return self._out[u]
 
-    @cached_property
-    def _in(self) -> tuple[int, ...]:
-        rows = [0] * self._n
-        for u, out in enumerate(self._out):
-            here = 1 << u
-            while out:
-                low = out & -out
-                rows[low.bit_length() - 1] |= here
-                out ^= low
-        return tuple(rows)
+    @property
+    def in_rows(self) -> tuple[int, ...]:
+        """In-neighbour bitmask of each process (row ``v`` = ``In(v)``).
+
+        Transposed from the out-rows on first read and kept in a slot.
+        """
+        rows = self._in
+        if rows is None:
+            rows = [0] * self._n
+            for u, out in enumerate(self._out):
+                here = 1 << u
+                while out:
+                    low = out & -out
+                    rows[low.bit_length() - 1] |= here
+                    out ^= low
+            rows = self._in = tuple(rows)
+        return rows
 
     def in_mask(self, v: int) -> int:
         """Bitmask of ``In(v)``: processes ``v`` hears from (incl. ``v``)."""
-        return self._in[v]
+        return self.in_rows[v]
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted tuple of processes hearing ``u``."""
@@ -148,7 +173,7 @@ class Digraph:
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted tuple of processes heard by ``v``."""
-        return bits_tuple(self._in[v])
+        return bits_tuple(self.in_rows[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return True iff ``(u, v)`` is an edge (messages from u reach v)."""
@@ -235,7 +260,7 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         """Return the graph with every edge reversed."""
-        return Digraph(self._n, self._in)
+        return Digraph(self._n, self.in_rows)
 
     def permute(self, perm: Iterable[int]) -> "Digraph":
         """Relabel processes: ``perm[i]`` is the new name of process ``i``.

@@ -44,10 +44,7 @@ class ClosedAboveModel(ObliviousModel):
 
     def __init__(self, generators: Iterable[Digraph]):
         generators = minimal_generators(generators)
-        n = next(iter(generators)).n
-        if any(g.n != n for g in generators):
-            raise ModelError("all generators must share the same process count")
-        super().__init__(n)
+        super().__init__(next(iter(generators)).n)
         self._generators = generators
         self._ordered = sorted(generators)
 

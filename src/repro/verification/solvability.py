@@ -131,7 +131,7 @@ def index_views(
     columns: dict[int, list[int]] = {}  # column -> view index per assignment
     keys: dict[frozenset[int], None] = {}  # graph keys, first appearance
     for g in graphs:
-        cols = list(map(g.in_mask, range(n)))
+        cols = g.in_rows
         if colored:
             cols = [p << n | mask for p, mask in enumerate(cols)]
         key = frozenset(cols)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from repro._bitops import full_mask, iter_supersets
-from repro.errors import GraphError
+from repro.errors import GraphError, ProcessMismatchError
 from repro.graphs import (
     Digraph,
     canonical_form,
@@ -59,6 +59,16 @@ def reference_model_graphs(generators):
             if h not in seen:
                 seen.add(h)
                 yield h
+
+
+def reference_minimal_generators(graphs):
+    """All-pairs reference: the distinct graphs with no other distinct
+    graph below them."""
+    distinct = set(graphs)
+    return frozenset(
+        g for g in distinct
+        if not any(h != g and h.is_subgraph_of(g) for h in distinct)
+    )
 
 
 def rows_of(graphs):
@@ -134,6 +144,41 @@ class TestUpwardClosure:
     def test_minimal_generators_empty_rejected(self):
         with pytest.raises(GraphError):
             minimal_generators([])
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [Digraph.complete(2), Digraph.empty(4)],  # both have 4 edges
+            [Digraph.empty(3), Digraph.empty(4)],
+        ],
+        ids=["equal-edge-counts", "fewer-edges"],
+    )
+    def test_mixed_process_counts_rejected(self, generators):
+        with pytest.raises(ProcessMismatchError):
+            minimal_generators(generators)
+        with pytest.raises(ProcessMismatchError):
+            ClosedAboveModel(generators)
+
+    def test_minimal_generators_of_every_n3_class_closure(self):
+        for g in iter_isomorphism_classes(iter_all_digraphs(3)):
+            sym = symmetric_closure([g])
+            assert minimal_generators(sym) == reference_minimal_generators(sym)
+
+    def test_minimal_generators_on_chains_with_duplicates(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            graphs = []
+            for _ in range(rng.randint(1, 3)):
+                # A nested chain: each link adds random edges to the last.
+                g = Digraph(n, [rng.getrandbits(n) for _ in range(n)])
+                for _ in range(rng.randint(1, 4)):
+                    graphs.append(g)
+                    g = sample_superset(g, rng, rng.random())
+            # Equal copies as distinct objects.
+            graphs += [Digraph(n, h.out_rows) for h in graphs[:rng.randint(0, 3)]]
+            rng.shuffle(graphs)
+            assert minimal_generators(graphs) == reference_minimal_generators(graphs)
 
     def test_sample_superset_in_closure(self):
         rng = random.Random(0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -135,6 +138,64 @@ class TestDerived:
             Digraph.empty(2).is_subgraph_of(Digraph.empty(3))
 
 
+class TestPickle:
+    # Pickle protocol 5 bytes written by the code that cached the in-rows
+    # in the instance dict.  READ is from_edges(3, [(0, 1), (1, 2)]) after
+    # in_mask and edge_count were read, so both sit in the dict half of
+    # its state; FRESH is from_edges(4, [(0, 1), (2, 3), (3, 0)]) with
+    # nothing cached, so its state has no dict half.
+    READ = (
+        b"\x80\x05\x95w\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.graphs.digraph"
+        b"\x94\x8c\x07Digraph\x94\x93\x94)\x81\x94}\x94(\x8c\x03_in\x94K\x01K\x03"
+        b"K\x06\x87\x94\x8c\nedge_count\x94K\x05u}\x94(\x8c\x02_n\x94K\x03\x8c\x04"
+        b"_out\x94K\x03K\x06K\x04\x87\x94\x8c\x05_hash\x94\x8a\x08\xb29\xa8d\xe4"
+        b"\x03\xcb3u\x86\x94b."
+    )
+    FRESH = (
+        b"\x80\x05\x95Z\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.graphs.digraph"
+        b"\x94\x8c\x07Digraph\x94\x93\x94)\x81\x94N}\x94(\x8c\x02_n\x94K\x04\x8c"
+        b"\x04_out\x94(K\x03K\x02K\x0cK\tt\x94\x8c\x05_hash\x94\x8a\x08\\\x0c\x9e"
+        b"\xec\x0eG\xf9\x8au\x86\x94b."
+    )
+
+    @staticmethod
+    def assert_same_graph(loaded, g):
+        assert loaded == g
+        assert hash(loaded) == hash(g)
+        assert loaded.in_rows == g.in_rows
+        for v in g.processes():
+            assert loaded.in_neighbors(v) == g.in_neighbors(v)
+        assert loaded.reverse() == g.reverse()
+        assert loaded.edge_count == g.edge_count
+
+    @pytest.mark.parametrize(
+        "blob, edges",
+        [
+            (READ, (3, [(0, 1), (1, 2)])),
+            (FRESH, (4, [(0, 1), (2, 3), (3, 0)])),
+        ],
+        ids=["read", "fresh"],
+    )
+    def test_older_pickles_load(self, blob, edges):
+        self.assert_same_graph(pickle.loads(blob), Digraph.from_edges(*edges))
+
+    @pytest.mark.parametrize("read", [False, True], ids=["fresh", "read"])
+    def test_round_trip(self, read):
+        g = Digraph.from_edges(4, [(0, 1), (2, 3), (3, 0)])
+        if read:
+            g.in_rows, g.edge_count
+        for loaded in (pickle.loads(pickle.dumps(g)), copy.copy(g)):
+            self.assert_same_graph(loaded, Digraph(g.n, g.out_rows))
+
+    def test_pickles_in_the_older_form(self):
+        # The in-rows stay out of a pickle, so the older code, which would
+        # take a None slot value for its cached in-rows, loads it too.
+        g = Digraph.from_edges(4, [(0, 1), (2, 3), (3, 0)])
+        assert pickle.dumps(g, protocol=5) == self.FRESH
+        g.in_rows
+        assert pickle.dumps(g, protocol=5) == self.FRESH
+
+
 class TestInterop:
     def test_networkx_roundtrip(self):
         g = Digraph.from_edges(4, [(0, 1), (2, 3), (3, 0)])
@@ -155,6 +216,11 @@ class TestPropertyBased:
         for u in g.processes():
             for v in g.processes():
                 assert g.has_edge(u, v) == bool(g.in_mask(v) >> u & 1)
+        for v in g.processes():
+            assert g.in_rows[v] == g.in_mask(v)
+        assert g.reverse().out_rows == g.in_rows
+        # Read first on a fresh graph, the in-rows are the same.
+        assert Digraph(g.n, g.out_rows).in_rows == g.in_rows
 
     @given(random_digraphs())
     def test_edge_count_is_sum_of_degrees(self, g):

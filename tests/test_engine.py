@@ -47,6 +47,8 @@ from repro.graphs import (
     union_of_stars,
     wheel,
 )
+from repro.models import ClosedAboveModel
+from repro.store import encode_key
 from repro.verification import decide_one_round_solvability
 
 
@@ -86,6 +88,21 @@ class TestCanonicalKeys:
         key = graph_set_key(graphs)
         assert key == graph_set_key(reversed(graphs))
         assert key == graph_set_key(graphs + [cycle(4)])
+        rng = random.Random(24)
+        model = list(ClosedAboveModel(symmetric_closure([star(3, 0)])).iter_graphs())
+        for _ in range(100):
+            pool = [random_digraph(rng.randint(1, 4), rng, rng.random())
+                    for _ in range(rng.randint(1, 8))]
+            # Equal graphs as distinct objects, and an enumerated model
+            # in its own order and shuffled.
+            graphs = [Digraph(g.n, g.out_rows)
+                      for g in rng.choices(pool, k=rng.randint(1, 20))]
+            graphs += model[:rng.randint(0, len(model))]
+            if rng.random() < 0.5:
+                rng.shuffle(graphs)
+            want = tuple(sorted(set(adjacency_key(g) for g in graphs)))
+            assert graph_set_key(graphs) == want
+            assert encode_key(graph_set_key(graphs)) == encode_key(want)
 
     def test_intern_graph_shares_one_object(self):
         a = intern_graph(cycle(6))
