@@ -41,7 +41,7 @@ import pytest
 
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
-from repro.dist import DistExecutor, PoolExecutor, SerialExecutor
+from repro.dist import DistExecutor
 from repro.engine import KERNEL_CACHE
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -98,7 +98,7 @@ def _cold_min(fn, setup, repeats: int):
 def _measure_serial_sweep(repeats: int = 2):
     """Cold serial frontier, fastest of ``repeats`` runs: (seconds, rows)."""
     return _cold_min(
-        lambda: solvability_sweep(3, executor=SerialExecutor()).rows,
+        lambda: solvability_sweep(3, jobs=1).rows,
         KERNEL_CACHE.clear,
         repeats,
     )
@@ -149,7 +149,7 @@ def _measure_dist_sweep(workers: int = 2, repeats: int = 2):
 def test_bench_frontier_serial(benchmark):
     def once():
         KERNEL_CACHE.clear()
-        return solvability_sweep(3, executor=SerialExecutor()).rows
+        return solvability_sweep(3, jobs=1).rows
 
     with store_pkg.RESULT_STORE.disabled():
         rows = benchmark(once)
@@ -219,7 +219,7 @@ def test_seeded_dist_beats_unseeded():
         )
         try:
             KERNEL_CACHE.clear()
-            reference = solvability_sweep(3, executor=SerialExecutor())
+            reference = solvability_sweep(3, jobs=1)
             store.flush()
 
             with store.disabled():
@@ -242,7 +242,7 @@ def test_dist_matches_pool_rows():
     """Transparency: pool and dist agree shard for shard."""
     with store_pkg.RESULT_STORE.disabled():
         KERNEL_CACHE.clear()
-        pool = solvability_sweep(3, limit=8, executor=PoolExecutor(2))
+        pool = solvability_sweep(3, limit=8, jobs=2)
         KERNEL_CACHE.clear()
         _, dist_rows = _measure_dist_sweep(2, repeats=1)
     KERNEL_CACHE.clear()

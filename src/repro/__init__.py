@@ -29,11 +29,12 @@ The library provides, from scratch:
   fresh processes from everything earlier processes computed, with
   per-kernel implementation versioning;
 * :mod:`repro.dist` — distributed execution: a TCP work-queue
-  coordinator plus ``python -m repro worker`` processes behind the same
-  executor protocol as the serial and pool paths, with the store as the
-  cluster-wide warm-start substrate — streamed over the wire to remote
-  hosts at handshake (store seeding) and served on demand mid-run
-  (remote loads), no shared filesystem required;
+  coordinator plus ``python -m repro worker`` processes, reached by
+  passing a ``DistExecutor`` to the same ``run_batch`` that runs the
+  serial and pool paths, with the store as the cluster-wide warm-start
+  substrate — streamed over the wire to remote hosts at handshake
+  (store seeding) and served on demand mid-run (remote loads), no
+  shared filesystem required;
 * :mod:`repro.analysis` — the experiment tables (E1..E16) reproducing every
   figure and worked example of the paper, plus the sharded resumable
   solvability sweeps (``python -m repro sweep``).

@@ -181,24 +181,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _executor_for(args: argparse.Namespace):
-    """Executor from ``--jobs`` / ``--distributed`` (None = plain jobs).
+    """The :class:`~repro.dist.DistExecutor` that ``--distributed`` asks
+    for, or ``None`` to run on this host with ``--jobs``.
 
-    One chokepoint: the flags go to :func:`repro.dist.make_executor`,
-    the same call the programmatic surface uses, so the two cannot drift.
+    A bad address exits with one line; ``run_batch`` checks ``--jobs``
+    either way.
     """
     if getattr(args, "distributed", None) is None:
         return None
-    from .dist import make_executor
-    from .errors import ConfigError, DistError
+    from .dist import DistExecutor
+    from .errors import DistError
 
     try:
-        return make_executor(
-            args.jobs,
+        return DistExecutor(
             args.distributed,
             seed_store=args.seed_store == "on",
             log=lambda message: print(f"[dist] {message}", file=sys.stderr),
         )
-    except (ConfigError, DistError) as exc:
+    except DistError as exc:
         raise SystemExit(f"{args.command}: {exc}") from exc
 
 
@@ -351,32 +351,28 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _render_dist_status(address: str, status: dict) -> str:
-    """The human rendering of one coordinator status snapshot."""
+    """The human rendering of one coordinator status snapshot.
+
+    The queue lines are status-only; the counters and per-worker rows
+    are :func:`~repro.engine.batch.describe_dist_metrics`, the same
+    formatter as the sweep and experiment footers.
+    """
+    from .engine.batch import describe_dist_metrics
+
     lines = [
         f"coordinator {address}: "
         f"{status['completed']}/{status['jobs']} jobs done, "
         f"queue depth {status['queue_depth']}, "
-        f"{status['leases']} lease(s), {status['requeues']} requeue(s), "
-        f"{status.get('replayed', 0)} replayed",
+        f"{status['leases']} lease(s)",
         f"  store seeding {'on' if status['seed_store'] else 'off'}, "
-        f"remote loads {'on' if status['remote_loads'] else 'off'}: "
-        f"{status['rows_seeded']} row(s) seeded, "
-        f"{status['loads_served']} load(s) served",
+        f"remote loads {'on' if status['remote_loads'] else 'off'}",
     ]
     if status.get("reductions_total"):
         lines.append(
             f"  reductions: {status['reductions_done']}"
             f"/{status['reductions_total']} fired"
         )
-    for worker in status["workers"]:
-        lines.append(
-            f"  worker {worker['worker']}: {worker['completed']} done, "
-            f"{worker['failed']} failed, "
-            f"{worker['jobs_per_minute']:.1f} jobs/min, "
-            f"{worker['seeded_rows']} seeded, "
-            f"{worker['loads_served']} served, "
-            f"idle {worker['idle']:.1f}s"
-        )
+    lines.append(describe_dist_metrics(status))
     return "\n".join(lines)
 
 

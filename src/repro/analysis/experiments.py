@@ -93,10 +93,10 @@ def run(
 
     ``stream`` defaults to the *current* ``sys.stdout`` (resolved at call
     time so output capture/redirection works).  ``jobs`` fans the
-    experiments out over worker processes; an ``executor``
-    (:func:`repro.dist.make_executor`) overrides ``jobs`` and can fan
-    them out over remote workers instead.  Tables are printed in request
-    order either way, byte-identical across all three execution modes.
+    experiments out over worker processes; an ``executor`` (a
+    :class:`repro.dist.DistExecutor`) fans them out over remote workers
+    instead.  Tables are printed in request order either way,
+    byte-identical serially, on a pool and on a cluster.
     """
     if stream is None:
         stream = sys.stdout

@@ -465,9 +465,9 @@ def solvability_sweep(
     instead of stranding on them.  Resume is per job: any bounds or
     per-``k`` verdict persisted by an earlier run, in any order, is
     skipped.  ``budget`` caps each class's enumerated model exactly like
-    ``search --budget``.  ``executor`` (:func:`repro.dist.make_executor`)
-    overrides ``jobs``: a ``DistExecutor`` runs the same plan across
-    every connected ``python -m repro worker``, with the coordinator
+    ``search --budget``.  ``executor`` (a
+    :class:`repro.dist.DistExecutor`) runs the same plan across every
+    connected ``python -m repro worker`` instead, with the coordinator
     persisting each job as it completes and firing the reductions
     itself — identical results, identical resumability.  ``backend``
     selects the CSP compute backend (resolved once, at plan time, so

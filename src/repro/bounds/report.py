@@ -165,11 +165,11 @@ def bound_report_many(
     same order.  ``jobs`` is the worker-process count handed to
     :func:`repro.engine.batch.run_batch` — ``jobs=1`` is the serial
     reference path, and any value produces identical reports; an
-    ``executor`` (:func:`repro.dist.make_executor`) overrides ``jobs``
-    and can fan the reports out across hosts, still with identical
-    results.  Kernel results memoized while one model is processed are
-    reused by every later model that shares graphs (within a worker),
-    which is the common case for sweeps over overlapping families.
+    ``executor`` (a :class:`repro.dist.DistExecutor`) fans the reports
+    out across hosts instead, still with identical results.  Kernel
+    results memoized while one model is processed are reused by every
+    later model that shares graphs (within a worker), which is the
+    common case for sweeps over overlapping families.
     """
     prepared = [tuple(generators) for generators in models]
     tasks = [

@@ -1,8 +1,8 @@
 """Distributed execution: the batch driver generalised beyond one host.
 
-PR 1's ``run_batch`` fans jobs over one machine's cores; this package
-adds the third execution mode — a TCP work queue spanning hosts — behind
-a common executor protocol:
+``run_batch(tasks, jobs=N)`` fans jobs over one machine's cores;
+``run_batch(tasks, executor=DistExecutor("HOST:PORT"))`` runs the same
+jobs on a TCP work queue spanning hosts:
 
 * :mod:`~repro.dist.protocol` — length-prefixed pickled frames with a
   version handshake (one trust domain; never expose the port publicly);
@@ -13,9 +13,8 @@ a common executor protocol:
 * :mod:`~repro.dist.worker` — ``python -m repro worker --connect
   HOST:PORT``; executes jobs through the same kernel-cache/result-store
   tiers as local runs and streams results + store-row deltas home;
-* :mod:`~repro.dist.executor` — :class:`SerialExecutor` /
-  :class:`PoolExecutor` / :class:`DistExecutor` behind one protocol, and
-  :func:`make_executor` mapping ``--jobs`` / ``--distributed`` onto them.
+* :mod:`~repro.dist.executor` — :class:`DistExecutor`, which owns one
+  coordinator per batch, and the ``dist status`` probe client.
 
 Delivery is at-least-once with idempotent jobs: results are pure
 functions of content-addressed inputs, so a requeued job's replay is
@@ -50,10 +49,6 @@ from .checkpoint import (
 )
 from .executor import (
     DistExecutor,
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
     parse_address,
     probe_status,
     render_status_json,
@@ -68,15 +63,11 @@ __all__ = [
     "CheckpointWriter",
     "Coordinator",
     "DistExecutor",
-    "Executor",
-    "PoolExecutor",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteStoreTier",
-    "SerialExecutor",
     "WorkerReport",
     "load_checkpoint",
-    "make_executor",
     "parse_address",
     "probe_status",
     "render_status_json",

@@ -64,6 +64,7 @@ from ..engine.batch import (
     _ReductionState,
     finalize_outcomes,
     fire_reduction,
+    land_outcome,
 )
 from ..engine.cache import KERNEL_CACHE, CacheStats
 from ..errors import DistError
@@ -89,7 +90,7 @@ __all__ = ["Coordinator"]
 _SEED_LOW_WATER = 1 << 18
 
 #: Seconds a post-``done`` connection may take to deliver its farewell
-#: ``delta``/``bye`` before being closed anyway (wedged worker).
+#: ``bye`` before being closed anyway (wedged worker).
 _FAREWELL_GRACE = 5.0
 
 #: Seconds :meth:`Coordinator.close` lets in-flight farewells and write
@@ -180,10 +181,6 @@ class Coordinator:
         it is requeued for another worker.  Workers heartbeat at a third
         of this interval (told to them in the handshake), so only a dead
         or wedged worker trips it.
-    warmup:
-        Optional picklable zero-argument callable shipped to each worker
-        in the handshake and run once before its first job — the remote
-        analogue of ``run_batch``'s per-worker warmup.
     seed_store:
         When True (the default) and a result store is active, every
         remote worker's handshake is followed by a ``store_seed`` stream:
@@ -227,7 +224,6 @@ class Coordinator:
         port: int = 0,
         lease_timeout: float = 60.0,
         wait_delay: float = 0.25,
-        warmup: Callable[[], object] | None = None,
         seed_store: bool = True,
         remote_loads: bool | None = None,
         reductions: Sequence[Reduction] = (),
@@ -244,7 +240,6 @@ class Coordinator:
         self._port = port
         self._lease_timeout = lease_timeout
         self._wait_delay = wait_delay
-        self._warmup = warmup
         self._seed_store = bool(seed_store)
         self._remote_loads = (
             self._seed_store if remote_loads is None else bool(remote_loads)
@@ -364,8 +359,8 @@ class Coordinator:
 
         A subset of :meth:`status_snapshot` that stays meaningful after
         the run: per-worker throughput plus the seed/serve/requeue
-        counters.  :class:`~repro.dist.executor.DistExecutor` attaches it
-        to ``BatchResult.dist_metrics`` so experiment footers and
+        counters.  :meth:`serve` attaches it to
+        ``BatchResult.dist_metrics`` so experiment footers and
         ``sweep --json`` can report cluster behaviour without a live
         probe.
         """
@@ -551,7 +546,7 @@ class Coordinator:
                     # Idle pollers on a finished batch deserve a proper
                     # "done" instead of a cut connection; draining
                     # connections keep the loop alive (bounded by the
-                    # grace) until their farewell delta/bye lands.
+                    # grace) until their farewell bye lands.
                     self._broadcast_done()
                     for conn in list(self._conns):
                         if conn.draining:
@@ -794,9 +789,7 @@ class Coordinator:
         if conn.draining:
             # After ``done`` only the farewell matters; anything else
             # (late heartbeats, a duplicate result's next poll) is noise.
-            if kind == "delta":
-                self._import_delta(payload, conn.local)
-            elif kind == "bye":
+            if kind == "bye":
                 self._drop(conn, None)
             return
         if kind == "heartbeat":
@@ -809,9 +802,6 @@ class Coordinator:
             return
         if kind == STORE_LOAD:
             self._answer_load(conn, payload)
-            return
-        if kind == "delta":
-            self._import_delta(payload, conn.local)
             return
         if kind == "bye":
             self._drop(conn, None)
@@ -886,7 +876,6 @@ class Coordinator:
             {
                 "version": PROTOCOL_VERSION,
                 "jobs": len(self._tasks),
-                "warmup": self._warmup,
                 "heartbeat": self._lease_timeout / 3,
                 "seed": {"enabled": seed, "remote": remote},
                 # Observability: the coordinator's wall clock (the
@@ -964,15 +953,7 @@ class Coordinator:
                     )
         # Persist outside the queue lock: the store has its own lock, and
         # a slow flush must not stall a status probe mid-snapshot.
-        if isinstance(outcome, JobResult):
-            # Worker spans shipped inside the result join this process's
-            # buffer — the only one the trace file is written from.
-            TRACER.absorb(outcome.trace_events)
-        if self._store is not None and isinstance(outcome, JobResult):
-            self._store.absorb_touches(outcome.store_touches)
-            if outcome.store_rows:
-                self._store.absorb_rows(outcome.store_rows)
-                self._store.flush()
+        land_outcome(outcome, self._store)
         if self._checkpoint is not None and isinstance(outcome, JobResult):
             # After the store flush on purpose: a checkpoint must never
             # claim a completion whose rows a crash could still lose.
@@ -996,15 +977,7 @@ class Coordinator:
         with self._lock:
             inputs = [self._outcomes[i] for i in reduction.over]
         outcome = fire_reduction(reduction, inputs)
-        if isinstance(outcome, JobResult):
-            # The reduction ran here, so this re-absorbs our own drained
-            # spans — a harmless round trip that keeps one code path.
-            TRACER.absorb(outcome.trace_events)
-        if self._store is not None and isinstance(outcome, JobResult):
-            self._store.absorb_touches(outcome.store_touches)
-            if outcome.store_rows:
-                self._store.absorb_rows(outcome.store_rows)
-                self._store.flush()
+        land_outcome(outcome, self._store)
         with self._lock:
             self._reductions.outcomes[rid] = outcome
             self._reductions_pending -= 1
@@ -1131,13 +1104,3 @@ class Coordinator:
             )
             return
         self._send(conn, DIST_STATUS_REPLY, self.status_snapshot())
-
-    def _import_delta(self, payload: object, local: bool) -> None:
-        """Absorb stray store rows/touches a worker produced outside jobs.
-
-        A local (in-process) worker's statistics already live in this
-        store's counters, so only its rows and touches are taken.
-        """
-        if self._store is not None:
-            # import_delta validates the payload type itself.
-            self._store.import_delta(payload, stats=not local)

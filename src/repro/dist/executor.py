@@ -1,19 +1,13 @@
-"""One protocol, three executors: serial, process pool, distributed.
+"""The distributed executor and the client side of the status probe.
 
-Every batch consumer in the codebase — ``run_batch`` itself,
-``bounds.bound_report_many``, the experiment runner, and the sharded
-sweeps — executes through an object satisfying :class:`Executor`:
-
-* :class:`SerialExecutor` — in-process, the reference semantics;
-* :class:`PoolExecutor` — ``multiprocessing`` fan-out over one host's
-  cores (PR 1's driver);
-* :class:`DistExecutor` — a TCP coordinator serving any number of
-  ``python -m repro worker`` processes, on this host or others.
-
-All three return the same :class:`~repro.engine.batch.BatchResult` with
-results in submission order and merged statistics; the equivalence tests
-pin serial == pool == dist.  :func:`make_executor` maps the CLI surface
-(``--jobs N`` / ``--distributed HOST:PORT``) onto the right one.
+:class:`DistExecutor` is how a batch runs on a cluster:
+``run_batch(tasks, executor=DistExecutor("HOST:PORT"))`` binds a TCP
+coordinator for the batch, serves every ``python -m repro worker`` that
+connects, on this host or others, and returns the same
+:class:`~repro.engine.batch.BatchResult` — results in submission order,
+merged statistics — as ``run_batch(tasks, jobs=N)`` on this host; the
+equivalence tests pin serial == pool == dist.  :func:`probe_status` and
+:func:`watch_status` ask a running coordinator how its batch is going.
 """
 
 from __future__ import annotations
@@ -22,11 +16,9 @@ import json
 import socket
 import sys
 import time
-from collections.abc import Callable, Sequence
-from typing import Protocol, runtime_checkable
+from collections.abc import Callable
 
-from ..engine.batch import BatchResult, Job, run_batch
-from ..errors import ConfigError, DistError
+from ..errors import DistError
 from .protocol import (
     DIST_STATUS,
     DIST_STATUS_REPLY,
@@ -36,96 +28,11 @@ from .protocol import (
 )
 
 __all__ = [
-    "Executor",
-    "SerialExecutor",
-    "PoolExecutor",
     "DistExecutor",
-    "make_executor",
     "parse_address",
     "probe_status",
     "watch_status",
 ]
-
-
-@runtime_checkable
-class Executor(Protocol):
-    """Anything that can run a batch of jobs with run_batch semantics.
-
-    ``reductions`` is the two-phase plan of
-    :class:`~repro.engine.batch.Reduction`\\ s: every executor fires each
-    reduction in the batch parent (serial driver, pool parent, or
-    distributed coordinator) as soon as its last input job lands.
-    """
-
-    def run(
-        self,
-        tasks: Sequence[Job],
-        *,
-        warmup: Callable[[], object] | None = None,
-        on_error: str = "raise",
-        reductions: Sequence = (),
-        completed: Sequence[int] = (),
-        checkpoint=None,
-    ) -> BatchResult: ...
-
-
-class SerialExecutor:
-    """The in-process reference path (``jobs=1``)."""
-
-    jobs = 1
-
-    def run(
-        self,
-        tasks,
-        *,
-        warmup=None,
-        on_error="raise",
-        reductions=(),
-        completed=(),
-        checkpoint=None,
-    ):
-        return run_batch(
-            tasks,
-            jobs=1,
-            warmup=warmup,
-            on_error=on_error,
-            reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
-        )
-
-    def __repr__(self) -> str:
-        return "SerialExecutor()"
-
-
-class PoolExecutor:
-    """One host's cores via the ``multiprocessing`` batch driver."""
-
-    def __init__(self, jobs: int):
-        self.jobs = jobs
-
-    def run(
-        self,
-        tasks,
-        *,
-        warmup=None,
-        on_error="raise",
-        reductions=(),
-        completed=(),
-        checkpoint=None,
-    ):
-        return run_batch(
-            tasks,
-            jobs=self.jobs,
-            warmup=warmup,
-            on_error=on_error,
-            reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
-        )
-
-    def __repr__(self) -> str:
-        return f"PoolExecutor(jobs={self.jobs})"
 
 
 class DistExecutor:
@@ -144,18 +51,14 @@ class DistExecutor:
         self,
         address: str | tuple[str, int],
         *,
-        lease_timeout: float = 60.0,
         seed_store: bool = True,
-        remote_loads: bool | None = None,
         log: Callable[[str], None] | None = None,
         on_bound: Callable[[tuple[str, int]], object] | None = None,
     ):
         if isinstance(address, str):
             address = parse_address(address)
         self.host, self.port = address
-        self.lease_timeout = lease_timeout
         self.seed_store = seed_store
-        self.remote_loads = remote_loads
         self.log = log
         self.on_bound = on_bound
         self.bound_address: tuple[str, int] | None = None
@@ -164,7 +67,6 @@ class DistExecutor:
         self,
         tasks,
         *,
-        warmup=None,
         on_error="raise",
         reductions=(),
         completed=(),
@@ -176,10 +78,7 @@ class DistExecutor:
             tasks,
             host=self.host,
             port=self.port,
-            lease_timeout=self.lease_timeout,
-            warmup=warmup,
             seed_store=self.seed_store,
-            remote_loads=self.remote_loads,
             reductions=reductions,
             completed=completed,
             checkpoint=checkpoint,
@@ -216,30 +115,6 @@ def parse_address(spec: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise DistError(f"invalid port {port} in address {spec!r}")
     return host, port
-
-
-def make_executor(
-    jobs: int = 1,
-    distributed: str | None = None,
-    *,
-    seed_store: bool = True,
-    log: Callable[[str], None] | None = None,
-) -> Executor:
-    """Map the CLI surface onto an executor.
-
-    ``distributed`` (a ``HOST:PORT`` / ``:PORT`` spec) wins over ``jobs``,
-    ``jobs > 1`` selects the pool, ``jobs == 1`` the serial reference
-    path, and ``seed_store`` maps ``--seed-store on|off`` onto the
-    coordinator's store-seeding handshake (and remote loads).  Raises
-    :class:`~repro.errors.ConfigError` unless ``jobs`` is a positive int.
-    """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
-    if distributed is not None:
-        return DistExecutor(distributed, seed_store=seed_store, log=log)
-    if jobs > 1:
-        return PoolExecutor(jobs)
-    return SerialExecutor()
 
 
 def probe_status(

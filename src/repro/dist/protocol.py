@@ -12,8 +12,8 @@ The conversation, after a version handshake, is worker-driven::
     worker                          coordinator
     ------                          -----------
     hello {version, worker}    ->
-                               <-   welcome {version, jobs, warmup, seed,
-                                    now, trace}
+                               <-   welcome {version, jobs, heartbeat,
+                                    seed, now, trace}
                                <-   store_seed {rows, done}*  (warm start,
                                     zero or more chunks, last has done=True)
     next {}                    ->
@@ -23,7 +23,6 @@ The conversation, after a version handshake, is worker-driven::
                                <-   store_load_result {row | None}
     result {index, outcome}    ->
                                <-   job | wait | done      (piggybacked next)
-    delta {rows, stats}        ->   (one-way, stray store rows, e.g. warmup's)
     bye {}                     ->   (one-way, then close)
 
 ``result`` replies double as the next directive so a busy worker pays one
@@ -31,9 +30,9 @@ round trip per job.  Heartbeats are fire-and-forget and never answered,
 which keeps the request/response streams aligned even though a worker's
 heartbeat thread interleaves them with the main loop's requests (sends are
 serialised by a per-socket lock on the worker side).  ``store_load``
-requests only ever happen while a job (or warmup) is computing — the main
-loop is then blocked inside ``execute_job`` and not reading the socket —
-so their replies cannot race the job/wait/done stream.
+requests only ever happen while a job is computing — the main loop is
+then blocked inside ``execute_job`` and not reading the socket — so
+their replies cannot race the job/wait/done stream.
 
 A second, trivial conversation supports observability: a probe client's
 *first* frame may be ``status {version}`` instead of ``hello``, answered
@@ -78,8 +77,11 @@ __all__ = [
 #: Bumped on any incompatible change; the handshake rejects mismatches
 #: outright rather than guessing at cross-version semantics.  v2 added
 #: the store data plane (seed streaming, remote loads) and the status
-#: probe.
-PROTOCOL_VERSION = 2
+#: probe; v3 removed the worker's one-way ``delta`` frame and the
+#: per-worker setup callable the ``welcome`` used to carry, so a v2
+#: worker, which sends ``delta`` right after its handshake, is refused
+#: at ``hello`` instead of dropped.
+PROTOCOL_VERSION = 3
 
 #: Frame kinds of the store data plane and the status probe.  The job
 #: frames (``hello``/``welcome``/``next``/``job``/``result``/...) predate

@@ -12,10 +12,11 @@ store rows and cache/store statistics deltas.
 Workers never write SQLite.  On startup the process-global store is
 switched into *worker mode* (:attr:`repro.store.ResultStore.worker_mode`),
 which defers every write: rows queue in memory and ride home inside each
-``JobResult`` (or a final ``delta`` frame for rows produced outside jobs,
-e.g. by warmup), mirroring the daemonic-pool-worker invariant of PR 2.
-Reads still work, so a worker pointed at a shared (or pre-seeded) store
-file warm-starts from everything already computed.
+``JobResult``, exactly as a daemonic pool worker's do.  Rows a failed job
+computed before it raised stay queued and ride home with the next job's
+result (or are recomputed).  Reads still work, so a worker pointed at a
+shared (or pre-seeded) store file warm-starts from everything already
+computed.
 
 Network warm start: when the coordinator offers seeding (``--seed-store``,
 the default), the handshake is followed by a ``store_seed`` stream — the
@@ -280,10 +281,9 @@ def run_worker(
     """Serve one coordinator until it reports the batch done.
 
     Connects (retrying while the coordinator is not up yet), handshakes,
-    runs the coordinator's warmup callable if it shipped one, then pulls
-    and executes jobs until told ``done``.  Returns a summary; raises
-    :class:`~repro.errors.DistError` only when the coordinator was never
-    reachable or rejects the protocol version — a coordinator that
+    then pulls and executes jobs until told ``done``.  Returns a summary;
+    raises :class:`~repro.errors.DistError` only when the coordinator was
+    never reachable or rejects the protocol version — a coordinator that
     vanishes mid-run yields a report with ``clean=False`` instead, since
     by then the batch may have completed without us.
     """
@@ -323,7 +323,6 @@ def run_worker(
         if kind != "welcome" or not isinstance(payload, dict):
             raise DistError(f"unexpected handshake reply {kind!r}")
         heartbeat = float(payload.get("heartbeat") or 20.0)
-        warmup = payload.get("warmup")
         seed_offer = payload.get("seed") or {}
         seed_enabled = bool(seed_offer.get("enabled"))
         remote_enabled = bool(seed_offer.get("remote"))
@@ -356,15 +355,6 @@ def run_worker(
             log(f"worker {name}: seeded {seeded_rows} store row(s)")
         if remote_enabled and store is not None:
             store.remote_tier = RemoteStoreTier(sock, send_lock)
-        baseline = store.stats() if store is not None else None
-        if warmup is not None:
-            warmup()
-        if store is not None:
-            # Rows computed by warmup belong to no job; ship them home
-            # now so the coordinator (the only SQLite writer) banks them.
-            with send_lock:
-                send_message(sock, "delta", store.export_delta(since=baseline))
-            baseline = store.stats()
         log(f"worker {name} serving {payload.get('jobs')} job(s)")
 
         with send_lock:
@@ -379,14 +369,6 @@ def run_worker(
             kind, payload = message
             if kind == "done":
                 clean = True
-                if store is not None:
-                    # since=baseline: each job's stats already rode home
-                    # inside its JobResult; only the post-last-job slice
-                    # (normally empty) is new.
-                    with send_lock:
-                        send_message(
-                            sock, "delta", store.export_delta(since=baseline)
-                        )
                 with send_lock:
                     send_message(sock, "bye", {})
                 break
@@ -409,11 +391,6 @@ def run_worker(
                 outcome = replace(outcome.sanitized(), index=index)
             else:
                 completed += 1
-            if store is not None:
-                # execute_job drained this job's rows into the outcome;
-                # advance the delta baseline past its stats so the final
-                # export never double-ships what the result already did.
-                baseline = store.stats()
             with send_lock:
                 send_message(sock, "result", {"index": index, "outcome": outcome})
     except OSError:

@@ -18,9 +18,10 @@ infrastructure out of the call sites:
   :mod:`repro.graphs`, :mod:`repro.combinatorics`, :mod:`repro.topology`
   and :mod:`repro.verification`.
 * :mod:`~repro.engine.batch` — :class:`Job` / :func:`run_batch`, a
-  ``multiprocessing`` fan-out driver with per-worker cache warmup and
-  merged statistics, used by ``bounds.bound_report_many`` and the
-  experiment runner (``python -m repro experiments --jobs N``).
+  ``multiprocessing`` fan-out driver whose fork workers inherit the
+  parent's warm cache, with merged statistics, used by
+  ``bounds.bound_report_many`` and the experiment runner (``python -m
+  repro experiments --jobs N``).
 
 The cache can be disabled globally (``KERNEL_CACHE.enabled = False``),
 temporarily (:func:`cache_disabled`), or via the ``REPRO_NO_CACHE``

@@ -1,4 +1,4 @@
-"""Parallel batch driver: fan experiment jobs out across cores.
+"""Batch driver: run experiment jobs serially or over one host's cores.
 
 A :class:`Job` names a picklable top-level callable plus its arguments;
 :func:`run_batch` executes a sequence of jobs either serially (``jobs=1``,
@@ -6,26 +6,22 @@ the reference path) or on a ``multiprocessing`` pool, returning values in
 submission order together with per-job timings and merged kernel-cache
 statistics.  The two paths are observationally identical: jobs must be
 independent pure computations, so the only difference is wall-clock.
-A third path — a TCP work queue spanning hosts — lives in
-:mod:`repro.dist`; pass any of its executors via ``executor=`` (or build
-one with :func:`repro.dist.make_executor`) and the same jobs run
-cluster-wide with the same results.
+Passing a :class:`repro.dist.DistExecutor` as ``executor=`` runs the same
+jobs on a TCP work queue spanning hosts, with the same results.
 
 Worker caches: on fork-capable platforms every worker inherits the
-parent's warm :data:`~repro.engine.cache.KERNEL_CACHE` at fork time; an
-optional ``warmup`` callable runs once per worker for spawn platforms or
-for priming beyond the parent's state.  Each job ships its cache-stats
-delta back with its result, and the parent absorbs the deltas so global
-statistics reflect work done everywhere.
+parent's warm :data:`~repro.engine.cache.KERNEL_CACHE` at fork time.
+Each job ships its cache-stats delta back with its result, and the parent
+absorbs the deltas so global statistics reflect work done everywhere.
 
 Persistent store merge: when the result store (:mod:`repro.store`) is in
 ``rw`` mode, every job also ships back the store *rows* it queued (its
 write delta) and its store-stats delta.  Only the parent process ever
-writes to SQLite: it absorbs each job's rows as that job completes —
-completions stream back unordered, so a run killed midway has already
-persisted every finished job, which is what makes sharded sweeps
-resumable.  The distributed executor preserves the same invariant with
-the coordinator in the parent role.
+writes to SQLite: :func:`land_outcome` absorbs each job's rows as that
+job completes — completions stream back unordered, so a run killed
+midway has already persisted every finished job, which is what makes
+sharded sweeps resumable.  The distributed coordinator calls the same
+function in the parent role.
 
 Two-phase plans: a batch may carry :class:`Reduction`\\ s — phase-2 jobs
 that fold the values of named phase-1 jobs into one result.  Reductions
@@ -72,6 +68,7 @@ __all__ = [
     "execute_job",
     "fire_reduction",
     "finalize_outcomes",
+    "land_outcome",
 ]
 
 
@@ -258,10 +255,13 @@ def _active_store():
 
 
 def describe_dist_metrics(metrics: Mapping) -> str:
-    """Human-readable rendering of :attr:`BatchResult.dist_metrics`.
+    """Human-readable rendering of the dist counters and per-worker rows.
 
-    One formatter shared by the sweep CLI and the experiment runner, so
-    the coordinator's accounting reads the same everywhere it surfaces.
+    ``metrics`` is a :attr:`BatchResult.dist_metrics` (pool or
+    coordinator) or a coordinator's ``status_snapshot()``, which carries
+    the same keys.  The one formatter behind the sweep and experiment
+    footers and ``dist status``, so the accounting reads the same
+    everywhere it surfaces.
     """
     lines = [
         f"dist: {metrics['rows_seeded']} row(s) seeded, "
@@ -275,7 +275,10 @@ def describe_dist_metrics(metrics: Mapping) -> str:
         lines.append(
             f"  worker {worker['worker']}: {worker['completed']} done, "
             f"{worker['failed']} failed, "
-            f"{worker['jobs_per_minute']:.1f} jobs/min"
+            f"{worker['jobs_per_minute']:.1f} jobs/min, "
+            f"{worker['seeded_rows']} seeded, "
+            f"{worker['loads_served']} served, "
+            f"idle {worker['idle']:.1f}s"
         )
     return "\n".join(lines)
 
@@ -329,8 +332,9 @@ def _pool_metrics(outcomes, wall: float) -> dict:
 def _execute_indexed(
     item: tuple[int, Job]
 ) -> tuple[int, JobResult | JobFailure]:
-    """Pool adapter: keep the submission index with the outcome so the
-    parent can consume completions out of order and reorder at the end."""
+    """Run one job, keeping its submission index with the outcome so the
+    pool parent can consume completions out of order and reorder at the
+    end (the serial path and checkpoint replays use it too)."""
     index, job = item
     outcome = execute_job(job)
     if isinstance(outcome, JobFailure):
@@ -373,8 +377,8 @@ def execute_job(job: Job) -> JobResult | JobFailure:
         store_rows = store.drain_pending()
         store_touches = store.drain_touches()
     # Drain *everything* buffered, not just this job's spans: stray
-    # events recorded between jobs (handshakes, warmup flushes) ride
-    # home with the next result instead of lingering in the worker.
+    # events recorded between jobs (handshakes, seed streams) ride home
+    # with the next result instead of lingering in the worker.
     trace_events = TRACER.drain() if TRACER.enabled else ()
     return JobResult(
         name=job.name,
@@ -387,6 +391,28 @@ def execute_job(job: Job) -> JobResult | JobFailure:
         worker=lane,
         trace_events=trace_events,
     )
+
+
+def land_outcome(outcome: JobResult | JobFailure, store) -> None:
+    """Bank one finished job in the process that owns the writes.
+
+    The single-writer landing shared by :func:`run_batch` and the
+    distributed coordinator: the one process allowed to write SQLite
+    absorbs the job's trace spans, store touches and rows, then flushes
+    — the moment the outcome arrives, so a run killed later has already
+    banked every job finished by then.  A failure banks nothing.
+    """
+    if not isinstance(outcome, JobResult):
+        return
+    # From pool and remote workers this is the only way spans reach the
+    # (single-writer) trace buffer; re-absorbing this process's own
+    # drained spans (serial path, reductions) is a harmless round trip.
+    TRACER.absorb(outcome.trace_events)
+    if store is not None:
+        store.absorb_touches(outcome.store_touches)
+        if outcome.store_rows:
+            store.absorb_rows(outcome.store_rows)
+            store.flush()
 
 
 class _ReductionState:
@@ -546,11 +572,6 @@ def finalize_outcomes(
     )
 
 
-def _init_worker(warmup: Callable[[], object] | None) -> None:
-    if warmup is not None:
-        warmup()
-
-
 def _in_daemon_process() -> bool:
     return multiprocessing.current_process().daemon
 
@@ -560,7 +581,6 @@ def run_batch(
     /,
     *,
     jobs: int = 1,
-    warmup: Callable[[], object] | None = None,
     on_error: str = "raise",
     executor=None,
     reductions: Sequence[Reduction] = (),
@@ -581,19 +601,14 @@ def run_batch(
         the reference path the parallel path must match exactly.  Values
         above the task count are clamped; inside an existing worker the
         call degrades to serial.
-    warmup:
-        Optional picklable zero-argument callable run once per worker
-        before any job, for cache priming (fork workers already inherit
-        the parent's warm cache; this matters on spawn platforms or when
-        priming beyond the parent's state).
     on_error:
         ``"raise"`` (default) raises one :class:`JobError` enumerating
         every failed job; ``"collect"`` returns them on
         ``BatchResult.failures`` instead.
     executor:
-        Optional :mod:`repro.dist` executor; when given, ``jobs`` is
-        ignored and the batch is delegated to it (``DistExecutor`` runs
-        the same jobs across hosts with identical results).
+        Optional :class:`repro.dist.DistExecutor`; when given, the batch
+        runs on the workers its coordinator serves, across hosts, with
+        identical results (``jobs`` is still checked, then unused).
     reductions:
         Optional phase-2 plan: each :class:`Reduction` fires in this
         process the moment the last of its ``over`` jobs completes —
@@ -613,18 +628,17 @@ def run_batch(
         a resumable snapshot, and the final state is flushed when the
         batch finishes.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     if executor is not None:
         return executor.run(
             tasks,
-            warmup=warmup,
             on_error=on_error,
             reductions=reductions,
             completed=completed,
             checkpoint=checkpoint,
         )
     tasks = list(tasks)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     completed_set = frozenset(completed)
     for index in completed_set:
         if not 0 <= index < len(tasks):
@@ -642,29 +656,11 @@ def run_batch(
         # attribute rows to the jobs that actually produced them.
         store.flush()
 
-    def _absorb(outcome: JobResult | JobFailure) -> None:
-        """Persist one finished job's store writes immediately.
-
-        Called the moment an outcome arrives — out of submission order on
-        the parallel path — so a run killed later has already banked
-        every job finished by then, independent of slower neighbours.
-        """
-        if isinstance(outcome, JobResult):
-            # Re-absorbing the serial path's own drained events is a
-            # harmless round trip; from pool workers this is the only
-            # way spans reach the (single-writer) trace buffer.
-            TRACER.absorb(outcome.trace_events)
-        if store is not None and isinstance(outcome, JobResult):
-            store.absorb_touches(outcome.store_touches)
-            if outcome.store_rows:
-                store.absorb_rows(outcome.store_rows)
-                store.flush()
-
     outcomes: list[JobResult | JobFailure | None] = [None] * len(tasks)
 
     def _land(index: int, outcome: JobResult | JobFailure) -> None:
         """Record one completion and fire any reduction it unblocks."""
-        _absorb(outcome)
+        land_outcome(outcome, store)
         outcomes[index] = outcome
         if checkpoint is not None and isinstance(outcome, JobResult):
             checkpoint.record_done(tasks[index].name)
@@ -673,23 +669,16 @@ def run_batch(
             fired = fire_reduction(
                 reduction, [outcomes[i] for i in reduction.over]
             )
-            _absorb(fired)
+            land_outcome(fired, store)
             plan.outcomes[rid] = fired
 
-    def _replay_completed() -> None:
-        """Re-land checkpoint-completed jobs in the parent.
-
-        The warm store that banked them answers every kernel, so this is
-        accounting (values for reductions, rows for assembly), not
-        recomputation — and remaining work never waits on it because
-        replays are the cheapest jobs in the batch by construction.
-        """
-        for index in sorted(completed_set):
-            outcome = execute_job(tasks[index])
-            if isinstance(outcome, JobFailure):
-                outcome = replace(outcome, index=index)
-            _land(index, outcome)
-
+    # Checkpoint-completed jobs re-land in the parent first.  The warm
+    # store that banked them answers every kernel, so this is accounting
+    # (values for reductions, rows for assembly), not recomputation — and
+    # remaining work never waits on it because replays are the cheapest
+    # jobs in the batch by construction.
+    for index in sorted(completed_set):
+        _land(*_execute_indexed((index, tasks[index])))
     remaining = [
         (index, job)
         for index, job in enumerate(tasks)
@@ -697,23 +686,14 @@ def run_batch(
     ]
     if workers <= 1 or _in_daemon_process():
         workers = 1
-        if warmup is not None:
-            warmup()
-        _replay_completed()
-        for index, job in remaining:
-            outcome = execute_job(job)
-            if isinstance(outcome, JobFailure):
-                outcome = replace(outcome, index=index)
-            _land(index, outcome)
+        for item in remaining:
+            _land(*_execute_indexed(item))
     else:
-        _replay_completed()
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
-        with context.Pool(
-            processes=workers, initializer=_init_worker, initargs=(warmup,)
-        ) as pool:
+        with context.Pool(processes=workers) as pool:
             # imap_unordered (not map): completions stream back as they
             # finish, so the parent persists each one immediately even
             # while a slow job holds up earlier submission slots — and
@@ -734,7 +714,7 @@ def run_batch(
     )
     if workers > 1:
         # Pool runs fill dist_metrics in the coordinator's shape so
-        # executor footers render uniformly (serial stays None: one
+        # the footers render uniformly (serial stays None: one
         # process, nothing worth a per-worker breakdown).
         result = replace(
             result,

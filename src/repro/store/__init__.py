@@ -42,7 +42,6 @@ from .backend import (
     MISS,
     MODES,
     ResultStore,
-    StoreDelta,
     StoreError,
     StoreRow,
     StoreStats,
@@ -53,7 +52,6 @@ __all__ = [
     "MISS",
     "MODES",
     "ResultStore",
-    "StoreDelta",
     "StoreError",
     "StoreRow",
     "StoreStats",

@@ -64,7 +64,6 @@ __all__ = [
     "MISS",
     "StoreError",
     "StoreStats",
-    "StoreDelta",
     "StoreRow",
     "ResultStore",
     "MODES",
@@ -205,22 +204,6 @@ class StoreStats:
 StoreRow = tuple[str, str, str, bytes, str, float, float]
 
 
-@dataclass(frozen=True)
-class StoreDelta:
-    """A worker's exportable store state: rows, touches, a stats delta.
-
-    The picklable unit the distributed workers ship to the coordinator
-    for activity that happened *outside* any job (warmup, stragglers):
-    per-job rows and stats already ride inside each ``JobResult``.
-    """
-
-    rows: tuple[StoreRow, ...] = ()
-    stats: "StoreStats | None" = None
-    touches: tuple = ()
-    """Last-used refreshes (``((kernel, version, key_hash), when)``) for
-    rows this worker served from the store — prune's recency signal."""
-
-
 @dataclass
 class _StoreCounters:
     hits: int = 0
@@ -261,8 +244,8 @@ class ResultStore:
         self.mode = mode
         self.batch_size = batch_size
         #: Distributed-worker switch: when True this process never writes
-        #: SQLite — flush defers, rows accumulate for :meth:`drain_pending`
-        #: / :meth:`export_delta`, exactly like a daemonic pool worker.
+        #: SQLite — flush defers, rows accumulate for :meth:`drain_pending`,
+        #: exactly like a daemonic pool worker.
         self.worker_mode = False
         #: Incremented by a dist coordinator serving from this process:
         #: an in-process worker must then leave ``worker_mode`` off, or
@@ -587,7 +570,7 @@ class ResultStore:
         :attr:`worker_mode`) this is a no-op that *keeps* the pending
         rows: the parent process is the only database writer, and the
         batch driver or coordinator ships the worker's rows home with its
-        job results (:meth:`drain_pending` / :meth:`export_delta`).
+        job results (:meth:`drain_pending`).
         """
         if self._defer_writes():
             return 0
@@ -614,9 +597,9 @@ class ResultStore:
             ):
                 if rows:
                     # Upsert rather than replace: a duplicate arrival (e.g.
-                    # a requeued job recomputed elsewhere, or an imported
-                    # delta of rows this file already holds) must never
-                    # move a hot row's last_used backwards.
+                    # a requeued job recomputed elsewhere, or absorbed rows
+                    # this file already holds) must never move a hot row's
+                    # last_used backwards.
                     conn.executemany(
                         "INSERT INTO results "
                         "(kernel, version, key_hash, value, checksum, created, "
@@ -678,42 +661,6 @@ class ResultStore:
             for key, when in touches:
                 if self._touched.get(key, 0.0) < when:
                     self._touched[key] = when
-
-    def export_delta(self, since: "StoreStats | None" = None) -> StoreDelta:
-        """Drain rows + touches plus a stats delta into one picklable unit.
-
-        ``since`` is the baseline the stats delta is computed against
-        (``None`` means "everything this store has seen").  Distributed
-        workers ship these to the coordinator for activity outside any
-        job; :meth:`import_delta` is the receiving side.
-        """
-        with self._lock:
-            rows = self.drain_pending()
-            touches = self.drain_touches()
-            stats = self.stats()
-            if since is not None:
-                stats = stats.delta_since(since)
-            return StoreDelta(rows=rows, stats=stats, touches=touches)
-
-    def import_delta(self, delta: object, *, stats: bool = True) -> None:
-        """Absorb a worker's :class:`StoreDelta` and flush its rows.
-
-        ``stats=False`` skips the statistics merge — used when the delta
-        came from a worker in this very process, whose activity already
-        sits in this store's live counters.
-        """
-        if not isinstance(delta, StoreDelta):
-            return
-        self.absorb_touches(delta.touches)
-        if delta.rows:
-            self.absorb_rows(delta.rows)
-            self.flush()
-        if (
-            stats
-            and delta.stats is not None
-            and delta.stats.lookups + delta.stats.writes
-        ):
-            self.absorb_stats(delta.stats)
 
     def absorb_rows(self, rows: tuple[StoreRow, ...] | list[StoreRow]) -> None:
         """Queue rows drained from a worker for this process's next flush.

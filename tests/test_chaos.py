@@ -36,7 +36,7 @@ import pytest
 
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
-from repro.dist import DistExecutor, SerialExecutor, probe_status
+from repro.dist import DistExecutor, probe_status
 from repro.engine import KERNEL_CACHE
 from repro.errors import DistError
 
@@ -118,7 +118,7 @@ def _drain_worker(worker, scenario: str, role: str) -> str:
 
 def _serial_reference(limit: int = _LIMIT):
     """Storeless in-process reference rows (and headers) for n=3."""
-    report = solvability_sweep(3, limit=limit, executor=SerialExecutor())
+    report = solvability_sweep(3, limit=limit, jobs=1)
     KERNEL_CACHE.clear()
     return report.rows
 
@@ -159,7 +159,7 @@ def _assert_nothing_lost(store, limit: int) -> None:
     completed shard's rows really landed — zero lost completed work."""
     store.flush()
     KERNEL_CACHE.clear()
-    rerun = solvability_sweep(3, limit=limit, executor=SerialExecutor())
+    rerun = solvability_sweep(3, limit=limit, jobs=1)
     assert rerun.resumed == limit
 
 

@@ -1,10 +1,10 @@
 """Tests for the distributed executor (repro.dist).
 
-Covers the wire protocol, the executor protocol equivalence
-(serial == pool == dist), at-least-once delivery (requeue on worker
-death and on lease expiry), the coordinator-only SQLite write invariant,
-and a full coordinator + worker-subprocesses integration run of the
-sweep machinery.
+Covers the wire protocol, the equivalence of ``run_batch`` serially, on
+a pool and through a ``DistExecutor`` (serial == pool == dist),
+at-least-once delivery (requeue on worker death and on lease expiry),
+the coordinator-only SQLite write invariant, and a full coordinator +
+worker-subprocesses integration run of the sweep machinery.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from repro.dist import (
     CheckpointWriter,
     Coordinator,
     DistExecutor,
-    PoolExecutor,
-    SerialExecutor,
     load_checkpoint,
-    make_executor,
     parse_address,
     probe_status,
     run_workers,
@@ -52,6 +49,7 @@ from repro.engine import (
     execute_job,
     run_batch,
 )
+from repro.engine.batch import describe_dist_metrics
 from repro.errors import ConfigError, DistError
 
 
@@ -152,14 +150,19 @@ class TestProtocol:
             b.close()
 
     def test_version_mismatch_rejected_by_coordinator(self):
+        # 999 is from the future; PROTOCOL_VERSION - 1 is a worker one
+        # release behind, refused at hello rather than mid-conversation.
         with Coordinator(_mul_jobs(1)) as coord:
-            client = _FakeWorker(coord.address)
-            try:
-                kind, payload = client.handshake(version=999)
-                assert kind == "reject"
-                assert "999" in payload["reason"]
-            finally:
-                client.close()
+            for version in (999, PROTOCOL_VERSION - 1):
+                client = _FakeWorker(coord.address)
+                try:
+                    kind, payload = client.handshake(version=version)
+                    assert kind == "reject"
+                    assert payload["reason"] == (
+                        f"protocol version {version} != {PROTOCOL_VERSION}"
+                    )
+                finally:
+                    client.close()
 
 
 class TestParseAddress:
@@ -176,28 +179,35 @@ class TestParseAddress:
 
 
 class TestMakeExecutor:
-    def test_selection(self):
-        assert isinstance(make_executor(jobs=1), SerialExecutor)
-        assert isinstance(make_executor(jobs=3), PoolExecutor)
-        dist = make_executor(jobs=3, distributed=":0")
-        assert isinstance(dist, DistExecutor)
-        assert (dist.host, dist.port) == ("127.0.0.1", 0)
-        unseeded = make_executor(distributed=":0", seed_store=False)
-        assert unseeded.seed_store is False
+    """How ``--jobs`` / ``--distributed`` become a batch run."""
+
+    def test_distributed_flag_builds_a_dist_executor(self):
+        from argparse import Namespace
+
+        from repro.__main__ import _executor_for
+
+        args = Namespace(
+            command="sweep", jobs=1, distributed=":0", seed_store="off"
+        )
+        executor = _executor_for(args)
+        assert isinstance(executor, DistExecutor)
+        assert (executor.host, executor.port) == ("127.0.0.1", 0)
+        assert executor.seed_store is False
+        # Without --distributed the batch runs here, on --jobs.
+        args.distributed = None
+        assert _executor_for(args) is None
 
     def test_rejects_non_positive_jobs(self):
-        # Checked even when ``distributed`` wins over ``jobs``.
-        for jobs, distributed in ((0, None), (-2, None), (0, ":0")):
-            with pytest.raises(ConfigError, match="must be a positive int"):
-                make_executor(jobs, distributed)
-        # The batch driver and the worker fleet raise the same error.
-        for call in (
-            lambda: run_batch([], jobs=0),
-            lambda: PoolExecutor(0).run([]),
-            lambda: run_workers("127.0.0.1", 1, jobs=0),
+        # The batch driver checks ``jobs`` even when an executor runs the
+        # batch elsewhere, and the worker fleet raises the same error.
+        for jobs, call in (
+            (0, lambda: run_batch([], jobs=0)),
+            (-2, lambda: run_batch([], jobs=-2)),
+            (0, lambda: run_batch([], jobs=0, executor=DistExecutor(":0"))),
+            (0, lambda: run_workers("127.0.0.1", 1, jobs=0)),
         ):
             with pytest.raises(
-                ConfigError, match="^jobs must be a positive int, got 0$"
+                ConfigError, match=f"^jobs must be a positive int, got {jobs}$"
             ):
                 call()
 
@@ -218,8 +228,8 @@ def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
 class TestEquivalence:
     def test_serial_pool_dist_identical_values(self, fresh_cache):
         tasks = _mul_jobs(8)
-        serial = SerialExecutor().run(tasks)
-        pool = PoolExecutor(2).run(tasks)
+        serial = run_batch(tasks)
+        pool = run_batch(tasks, jobs=2)
         dist = _serve_with_local_worker(tasks)
         assert serial.values == pool.values == dist.values
         assert [r.name for r in dist.results] == [t.name for t in tasks]
@@ -292,7 +302,7 @@ class TestCoordinatorReductions:
     def test_dist_reductions_match_serial(self, fresh_cache):
         tasks = _mul_jobs(4)
         reductions = [Reduction("sum", _sum_values, over=(0, 1, 2, 3))]
-        serial = SerialExecutor().run(tasks, reductions=reductions)
+        serial = run_batch(tasks, reductions=reductions)
         dist = _serve_with_local_worker(tasks, reductions=reductions)
         assert serial.values == dist.values
         assert [r.value for r in serial.reduction_results] == [
@@ -317,11 +327,11 @@ class TestDistMetricsInBatchResult:
 
     def test_serial_has_no_dist_metrics(self, fresh_cache):
         tasks = _mul_jobs(3)
-        assert SerialExecutor().run(tasks).dist_metrics is None
+        assert run_batch(tasks).dist_metrics is None
 
     def test_pool_fills_dist_metrics_in_coordinator_shape(self, fresh_cache):
         """Pool runs report per-worker-process metrics like dist runs do."""
-        metrics = PoolExecutor(2).run(_mul_jobs(5)).dist_metrics
+        metrics = run_batch(_mul_jobs(5), jobs=2).dist_metrics
         assert metrics is not None
         assert metrics["requeues"] == 0
         assert metrics["rows_seeded"] == 0
@@ -356,6 +366,31 @@ class TestDistMetricsInBatchResult:
         assert worker["completed"] == len(tasks)
         assert worker["failed"] == 0
         assert worker["jobs_per_minute"] > 0
+
+    def test_one_renderer_for_status_and_pool_metrics(self, fresh_cache):
+        """A live coordinator's status and a pool run's metrics render
+        through the same formatter, one full line per worker."""
+        pool = run_batch(_mul_jobs(4), jobs=2).dist_metrics
+        with Coordinator(_mul_jobs(2)) as coord:
+            client = _FakeWorker(coord.address, name="w1")
+            try:
+                assert client.handshake()[0] == "welcome"
+                status = coord.status_snapshot()
+            finally:
+                client.close()
+        assert [w["worker"] for w in status["workers"]] == ["w1"]
+        worker_line = re.compile(
+            r"  worker (\S+): \d+ done, \d+ failed, \d+\.\d jobs/min, "
+            r"0 seeded, 0 served, idle \d+\.\ds"
+        )
+        for metrics in (pool, status):
+            first, *rows = describe_dist_metrics(metrics).splitlines()
+            assert first == (
+                "dist: 0 row(s) seeded, 0 load(s) served, 0 requeue(s)"
+            )
+            assert [worker_line.fullmatch(row)[1] for row in rows] == [
+                w["worker"] for w in metrics["workers"]
+            ]
 
     def test_seeded_run_metrics_count_rows_seeded(self, tmp_store):
         graphs = _warm_domination_store(tmp_store)
@@ -499,11 +534,13 @@ class TestStoreInvariant:
         tmp_store.save("k", "1", ("key",), 42)
         assert tmp_store.flush() == 0
         assert not os.path.exists(tmp_store.path)  # nothing ever hit SQLite
-        delta = tmp_store.export_delta()
-        assert len(delta.rows) == 1
-        assert delta.stats.writes == 1
+        rows = tmp_store.drain_pending()
+        assert len(rows) == 1
+        assert tmp_store.stats().writes == 1
+        assert tmp_store.drain_pending() == ()  # the drain took everything
         tmp_store.worker_mode = False
-        tmp_store.import_delta(delta)
+        tmp_store.absorb_rows(rows)
+        tmp_store.flush()
         assert os.path.exists(tmp_store.path)
         assert tmp_store.load("k", "1", ("key",)) == 42
 
@@ -612,7 +649,7 @@ class TestWorkerSubprocesses:
         env["PYTHONPATH"] = os.path.abspath(src)
         env["REPRO_STORE"] = "off"
         with store_pkg.RESULT_STORE.disabled():
-            serial = solvability_sweep(3, limit=6, executor=SerialExecutor())
+            serial = solvability_sweep(3, limit=6, jobs=1)
             KERNEL_CACHE.clear()
 
             workers = []
@@ -981,7 +1018,7 @@ class TestNetworkWarmStart:
         """Acceptance: workers with empty local stores, seeded from the
         coordinator's warm store, reproduce the serial E10-style sweep
         with >=1 seeded hit and zero recomputation of seeded kernels."""
-        serial = solvability_sweep(3, limit=6, executor=SerialExecutor())
+        serial = solvability_sweep(3, limit=6, jobs=1)
         tmp_store.flush()
         KERNEL_CACHE.clear()
 

@@ -354,24 +354,10 @@ class TestRunBatch:
         with pytest.raises(Exception, match="jobs"):
             run_batch([], jobs=0)
 
-    def test_warmup_runs_before_jobs(self):
-        batch = run_batch(
-            [Job(name="geq", fn=equal_domination_number, args=(cycle(4),))],
-            jobs=1,
-            warmup=_warm_cycle4,
-        )
-        # The warmup primed the cache, so the job itself only hits.
-        assert batch.results[0].stats.misses == 0
-        assert batch.results[0].stats.hits >= 1
-
     def test_digraph_pickle_round_trip(self):
         g = random_digraph(6, random.Random(3), 0.4)
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g and hash(clone) == hash(g)
-
-
-def _warm_cycle4():
-    equal_domination_number(cycle(4))
 
 
 class TestDiagnostics:

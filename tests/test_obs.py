@@ -3,7 +3,8 @@
 The load-bearing properties:
 
 * tracing is inert by default and **never changes results** — traced and
-  untraced sweeps produce identical rows on all three executors;
+  untraced sweeps produce identical rows serially, on a pool and on a
+  cluster;
 * span shipping follows the store-row path: workers drain into
   ``JobResult.trace_events``, parents absorb, only the parent exports
   (and garbage shipped by a dying worker is dropped, never written);
@@ -25,7 +26,7 @@ import pytest
 
 from repro import store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
-from repro.dist import DistExecutor, PoolExecutor, watch_status
+from repro.dist import DistExecutor, watch_status
 from repro.dist.worker import run_worker
 from repro.engine import KERNEL_CACHE
 from repro.errors import DistError
@@ -180,11 +181,12 @@ class TestClockOffset:
 
 
 class TestTracedEquivalence:
-    """Tracing never changes results: traced == untraced, every executor."""
+    """Tracing never changes results: traced == untraced, serial, pool and
+    dist alike."""
 
-    def _rows(self, executor=None):
+    def _rows(self, **run):
         KERNEL_CACHE.clear()
-        report = solvability_sweep(3, limit=6, executor=executor)
+        report = solvability_sweep(3, limit=6, **run)
         return json.dumps(
             [[repr(cell) for cell in row] for row in report.rows]
         )
@@ -194,7 +196,7 @@ class TestTracedEquivalence:
         configure_trace(str(tmp_path / "t.json"))
         try:
             assert self._rows() == untraced
-            assert self._rows(PoolExecutor(2)) == untraced
+            assert self._rows(jobs=2) == untraced
         finally:
             TRACER.clear()
             configure_trace(None, enabled=False)
@@ -208,7 +210,7 @@ class TestTracedEquivalence:
                     target=run_worker, args=address, daemon=True
                 ).start()
 
-            traced = self._rows(DistExecutor(":0", on_bound=launch))
+            traced = self._rows(executor=DistExecutor(":0", on_bound=launch))
             assert traced == untraced
         finally:
             TRACER.clear()
@@ -219,7 +221,7 @@ class TestTracedEquivalence:
         self, no_store, traced
     ):
         KERNEL_CACHE.clear()
-        solvability_sweep(3, limit=6, executor=PoolExecutor(2))
+        solvability_sweep(3, limit=6, jobs=2)
         count = write_trace()
         assert count > 0
         events = load_trace(traced)

@@ -710,7 +710,7 @@ class TestWorkerModeDelta:
 
     def test_worker_touches_ride_home_and_refresh_last_used(self, tmp_path):
         """Regression: loads inside workers must still feed prune's
-        recency signal — touches ship home with the delta/job payloads."""
+        recency signal — touches ship home with the job payloads."""
         parent = ResultStore(tmp_path / "shared.sqlite", mode="rw")
         parent.save("k", "1", ("hot",), 7)
         parent.flush()
@@ -721,9 +721,9 @@ class TestWorkerModeDelta:
         worker = ResultStore(tmp_path / "shared.sqlite", mode="rw")
         worker.worker_mode = True
         assert worker.load("k", "1", ("hot",)) == 7  # a store hit
-        delta = worker.export_delta(since=worker.stats())
-        assert delta.touches, "worker hit produced no touch"
-        parent.import_delta(delta)
+        touches = worker.drain_touches()
+        assert touches, "worker hit produced no touch"
+        parent.absorb_touches(touches)
         parent.flush()
         (value,) = conn.execute("SELECT last_used FROM results").fetchone()
         assert value > 1.0
@@ -749,26 +749,6 @@ class TestWorkerModeDelta:
         isolated_store.flush()
         (value,) = conn.execute("SELECT last_used FROM results").fetchone()
         assert value > 1.0
-
-    def test_export_import_delta_round_trip(self, tmp_path):
-        worker = ResultStore(tmp_path / "shared.sqlite", mode="rw")
-        worker.worker_mode = True
-        baseline = worker.stats()
-        worker.save("k", "1", ("a",), 41)
-        delta = worker.export_delta(since=baseline)
-        assert len(delta.rows) == 1
-        assert delta.stats.writes == 1
-        # A second export is empty: the first drained everything.
-        again = worker.export_delta(since=worker.stats())
-        assert again.rows == ()
-        parent = ResultStore(tmp_path / "shared.sqlite", mode="rw")
-        parent.import_delta(delta)
-        assert parent.load("k", "1", ("a",)) == 41
-        assert parent.stats().writes >= 1
-        # Garbage payloads are ignored rather than crashing the server.
-        parent.import_delta({"rows": "nonsense"})
-        parent.close()
-        worker.close()
 
 
 class TestConfiguration:
@@ -941,7 +921,8 @@ class TestLastUsedRoundTrip:
         worker = ResultStore(":memory:", mode="rw")
         worker.worker_mode = True
         worker.save("k", "1", ("x",), 42)
-        isolated_store.import_delta(worker.export_delta())
+        isolated_store.absorb_rows(worker.drain_pending())
+        isolated_store.flush()
         assert self._last_used(isolated_store) == hot
 
     def test_rows_without_seven_fields_are_skipped(self, isolated_store):

@@ -26,7 +26,7 @@ from repro.analysis.sweeps import (
     solvability_sweep,
 )
 from repro.bounds.report import bound_report
-from repro.dist import DistExecutor, PoolExecutor
+from repro.dist import DistExecutor
 from repro.dist.worker import run_worker
 from repro.engine import (
     KERNEL_CACHE,
@@ -265,7 +265,7 @@ class TestSubshardEquivalence:
     def test_split_pool_matches_serial(self, no_store):
         serial = solvability_sweep(3, limit=6)
         KERNEL_CACHE.clear()
-        pool = solvability_sweep(3, limit=6, executor=PoolExecutor(2))
+        pool = solvability_sweep(3, limit=6, jobs=2)
         assert pool.rows == serial.rows
 
     def test_split_dist_matches_serial(self, no_store):
