@@ -33,8 +33,7 @@ The library provides, from scratch:
   passing a ``DistExecutor`` to the same ``run_batch`` that runs the
   serial and pool paths, with the store as the cluster-wide warm-start
   substrate — streamed over the wire to remote hosts at handshake
-  (store seeding) and served on demand mid-run (remote loads), no
-  shared filesystem required;
+  (store seeding), no shared filesystem required;
 * :mod:`repro.analysis` — the experiment tables (E1..E16) reproducing every
   figure and worked example of the paper, plus the sharded resumable
   solvability sweeps (``python -m repro sweep``).

@@ -45,10 +45,10 @@ and ``sweep``) binds a TCP coordinator and serves the same jobs to every
 forking a local pool; results are identical to serial/pool runs and only
 the coordinator writes the result store.  With ``--seed-store on`` (the
 default) the coordinator also streams its store's relevant rows to every
-connecting remote worker and answers their store misses over the wire,
-so hosts without a shared filesystem start warm; ``python -m repro dist
-status HOST:PORT`` probes a live coordinator for queue depth, leases,
-per-worker throughput, and rows seeded/served (``--watch N`` polls).
+connecting remote worker at handshake, so hosts without a shared
+filesystem start warm; ``python -m repro dist status HOST:PORT`` probes
+a live coordinator for queue depth, leases, per-worker throughput, and
+rows seeded (``--watch N`` polls).
 
 Tracing: ``--trace FILE`` (on ``experiments`` and ``sweep``, or
 ``REPRO_TRACE=FILE`` for any command) records spans across every layer —
@@ -364,8 +364,7 @@ def _render_dist_status(address: str, status: dict) -> str:
         f"{status['completed']}/{status['jobs']} jobs done, "
         f"queue depth {status['queue_depth']}, "
         f"{status['leases']} lease(s)",
-        f"  store seeding {'on' if status['seed_store'] else 'off'}, "
-        f"remote loads {'on' if status['remote_loads'] else 'off'}",
+        f"  store seeding {'on' if status['seed_store'] else 'off'}",
     ]
     if status.get("reductions_total"):
         lines.append(
@@ -619,9 +618,8 @@ def main(argv: list[str] | None = None) -> int:
             "--seed-store", choices=("on", "off"), default="on",
             help="with --distributed and an active result store: stream "
             "the store's relevant rows to each connecting worker at "
-            "handshake and answer worker store misses over the wire, so "
-            "remote hosts start warm without a shared filesystem "
-            "(default: on)",
+            "handshake, so remote hosts start warm without a shared "
+            "filesystem (default: on)",
         )
 
     def add_trace_arg(p: argparse.ArgumentParser) -> None:

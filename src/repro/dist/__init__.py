@@ -21,16 +21,13 @@ functions of content-addressed inputs, so a requeued job's replay is
 harmless and the first result per job wins.  Equivalence tests pin that
 serial, pool, and distributed execution produce identical results.
 
-Network warm start (PR 4): the coordinator's store is the warm substrate
-for the whole cluster.  On handshake it streams its relevant rows into
-each remote worker's in-memory seed tier (``--seed-store on|off``), and
-worker store misses may fall through to a
-:class:`~repro.dist.worker.RemoteStoreTier` — a ``store_load`` round trip
-— so results banked mid-run by other workers are reused too.  Both paths
-are read-only; the cluster-wide single-writer invariant stands.
+Network warm start: the coordinator's store is the warm substrate for
+the whole cluster.  On handshake it streams its relevant rows into each
+remote worker's in-memory seed tier (``--seed-store on|off``).  The seed
+tier is read-only; the cluster-wide single-writer invariant stands.
 :func:`probe_status` (CLI: ``python -m repro dist status HOST:PORT``)
-reports queue depth, leases, per-worker throughput, and rows
-seeded/served against a live coordinator.
+reports queue depth, leases, per-worker throughput, and rows seeded
+against a live coordinator.
 
 Survivability: requeue covers a lost worker, and
 :mod:`~repro.dist.checkpoint` covers a lost coordinator.  It snapshots
@@ -56,7 +53,7 @@ from .executor import (
 )
 from .coordinator import Coordinator
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .worker import RemoteStoreTier, WorkerReport, run_worker, run_workers
+from .worker import WorkerReport, run_worker, run_workers
 
 __all__ = [
     "CheckpointState",
@@ -65,7 +62,6 @@ __all__ = [
     "DistExecutor",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteStoreTier",
     "WorkerReport",
     "load_checkpoint",
     "parse_address",

@@ -53,7 +53,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..engine.batch import (
     BatchResult,
@@ -65,6 +65,7 @@ from ..engine.batch import (
     finalize_outcomes,
     fire_reduction,
     land_outcome,
+    worker_row,
 )
 from ..engine.cache import KERNEL_CACHE, CacheStats
 from ..errors import DistError
@@ -74,8 +75,6 @@ from .protocol import (
     DIST_STATUS_REPLY,
     MAX_FRAME,
     PROTOCOL_VERSION,
-    STORE_LOAD,
-    STORE_LOAD_RESULT,
     STORE_SEED,
     ProtocolError,
     _HEADER,
@@ -113,22 +112,15 @@ class _WorkerInfo:
     connected_at: float
     completed: int = 0
     failed: int = 0
+    busy: float = 0.0
+    """Summed ``elapsed`` of this worker's accepted results."""
     seeded_rows: int = 0
-    loads_served: int = 0
-    last_seen: float = field(default=0.0)
 
     def snapshot(self, name: str, now: float) -> dict:
-        elapsed = max(now - self.connected_at, 1e-9)
-        return {
-            "worker": name,
-            "completed": self.completed,
-            "failed": self.failed,
-            "seeded_rows": self.seeded_rows,
-            "loads_served": self.loads_served,
-            "elapsed": elapsed,
-            "jobs_per_minute": 60.0 * self.completed / elapsed,
-            "idle": now - max(self.last_seen, self.connected_at),
-        }
+        return worker_row(
+            name, self.completed, self.failed, self.busy,
+            now - self.connected_at, self.seeded_rows,
+        )
 
 
 class _Conn:
@@ -188,11 +180,6 @@ class Coordinator:
         the worker's in-memory seed tier, so hosts without a shared
         filesystem start as warm as the coordinator.  Seeding is
         read-only; the single-writer invariant is untouched.
-    remote_loads:
-        Whether workers may resolve store misses with ``store_load``
-        round trips against this coordinator's store mid-run (results
-        banked by *other* workers get reused before being recomputed).
-        ``None`` (default) follows ``seed_store``.
     reductions:
         Optional two-phase plan (:class:`~repro.engine.batch.Reduction`):
         each reduction fires *in this process* — the store-writing parent
@@ -225,7 +212,6 @@ class Coordinator:
         lease_timeout: float = 60.0,
         wait_delay: float = 0.25,
         seed_store: bool = True,
-        remote_loads: bool | None = None,
         reductions: Sequence[Reduction] = (),
         completed=(),
         checkpoint=None,
@@ -241,9 +227,6 @@ class Coordinator:
         self._lease_timeout = lease_timeout
         self._wait_delay = wait_delay
         self._seed_store = bool(seed_store)
-        self._remote_loads = (
-            self._seed_store if remote_loads is None else bool(remote_loads)
-        )
         self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
@@ -273,7 +256,6 @@ class Coordinator:
         self._workers_seen: set[str] = set()
         self._worker_info: dict[str, _WorkerInfo] = {}
         self._rows_seeded = 0
-        self._loads_served = 0
         self._requeues = 0
         self._replayed = 0
         self._owner_counter = 0
@@ -321,12 +303,6 @@ class Coordinator:
         with self._lock:
             return self._rows_seeded
 
-    @property
-    def loads_served(self) -> int:
-        """``store_load`` requests answered with a row (remote-tier hits)."""
-        with self._lock:
-            return self._loads_served
-
     def status_snapshot(self) -> dict:
         """The machine-readable state behind ``dist status`` probes."""
         now = time.monotonic()
@@ -339,10 +315,10 @@ class Coordinator:
                 "leases": len(self._leases),
                 "requeues": self._requeues,
                 "replayed": self._replayed,
-                "seed_store": self._seed_store,
-                "remote_loads": self._remote_loads,
+                # The condition _on_first_frame seeds under, minus its
+                # per-connection test: no store, nothing to seed from.
+                "seed_store": self._seed_store and self._store is not None,
                 "rows_seeded": self._rows_seeded,
-                "loads_served": self._loads_served,
                 "reductions_total": len(self._reductions.reductions),
                 "reductions_done": (
                     len(self._reductions.reductions)
@@ -358,11 +334,10 @@ class Coordinator:
         """The coordinator-side metrics threaded onto the batch result.
 
         A subset of :meth:`status_snapshot` that stays meaningful after
-        the run: per-worker throughput plus the seed/serve/requeue
-        counters.  :meth:`serve` attaches it to
-        ``BatchResult.dist_metrics`` so experiment footers and
-        ``sweep --json`` can report cluster behaviour without a live
-        probe.
+        the run: per-worker throughput plus the seed/requeue counters.
+        :meth:`serve` attaches it to ``BatchResult.dist_metrics`` so
+        experiment footers and ``sweep --json`` can report cluster
+        behaviour without a live probe.
         """
         now = time.monotonic()
         with self._lock:
@@ -370,7 +345,6 @@ class Coordinator:
                 "requeues": self._requeues,
                 "replayed": self._replayed,
                 "rows_seeded": self._rows_seeded,
-                "loads_served": self._loads_served,
                 "workers": [
                     info.snapshot(name, now)
                     for name, info in sorted(self._worker_info.items())
@@ -783,9 +757,6 @@ class Coordinator:
         if not conn.handshaken:
             self._on_first_frame(conn, kind, payload)
             return
-        if conn.info is not None:
-            with self._lock:
-                conn.info.last_seen = time.monotonic()
         if conn.draining:
             # After ``done`` only the farewell matters; anything else
             # (late heartbeats, a duplicate result's next poll) is noise.
@@ -799,9 +770,6 @@ class Coordinator:
             )
             if isinstance(payload, dict):
                 self._extend_lease(conn.owner, payload.get("index"))
-            return
-        if kind == STORE_LOAD:
-            self._answer_load(conn, payload)
             return
         if kind == "bye":
             self._drop(conn, None)
@@ -821,6 +789,7 @@ class Coordinator:
                         conn.info.failed += 1
                     else:
                         conn.info.completed += 1
+                        conn.info.busy += outcome.elapsed
         elif kind != "next":
             raise ProtocolError(
                 f"unexpected frame {kind!r} from {conn.worker_name}"
@@ -860,10 +829,9 @@ class Coordinator:
             payload.get("host") == socket.gethostname()
             and payload.get("pid") == os.getpid()
         )
-        # Seeding and remote loads target *remote* workers: an
-        # in-process worker already reads this very store directly.
+        # Seeding targets *remote* workers: an in-process worker
+        # already reads this very store directly.
         seed = self._seed_store and self._store is not None and not conn.local
-        remote = self._remote_loads and self._store is not None and not conn.local
         with self._lock:
             self._workers_seen.add(conn.worker_name)
             conn.info = self._worker_info.setdefault(
@@ -877,7 +845,7 @@ class Coordinator:
                 "version": PROTOCOL_VERSION,
                 "jobs": len(self._tasks),
                 "heartbeat": self._lease_timeout / 3,
-                "seed": {"enabled": seed, "remote": remote},
+                "seed": {"enabled": seed},
                 # Observability: the coordinator's wall clock (the
                 # worker's clock-offset reference point) and whether
                 # the worker should buffer + ship trace spans.
@@ -1063,33 +1031,8 @@ class Coordinator:
             self._checkpoint.record_requeues(requeues)
 
     # ------------------------------------------------------------------
-    # Store data plane (remote loads) and the status probe
+    # The status probe
     # ------------------------------------------------------------------
-    def _answer_load(self, conn: _Conn, payload: object) -> None:
-        """Serve one ``store_load``: a worker's store miss, mid-job.
-
-        Read-only: the row (pending overlay included, so results banked
-        by other workers moments ago count) ships back verbatim, or
-        ``None`` for a miss and the worker computes as usual.
-        """
-        row = None
-        if self._store is not None and isinstance(payload, dict):
-            kernel = payload.get("kernel")
-            version = payload.get("version")
-            key_hash = payload.get("key_hash")
-            if (
-                isinstance(kernel, str)
-                and isinstance(version, str)
-                and isinstance(key_hash, str)
-            ):
-                row = self._store.load_row(kernel, version, key_hash)
-        self._send(conn, STORE_LOAD_RESULT, {"row": row})
-        if row is not None:
-            with self._lock:
-                self._loads_served += 1
-                if conn.info is not None:
-                    conn.info.loads_served += 1
-
     def _answer_status(self, conn: _Conn, payload: object) -> None:
         """Serve a ``status`` probe (first frame of its own connection)."""
         version = payload.get("version") if isinstance(payload, dict) else None

@@ -19,8 +19,6 @@ The conversation, after a version handshake, is worker-driven::
     next {}                    ->
                                <-   job {index, job} | wait {delay} | done {}
     heartbeat {index}          ->   (one-way, extends the job's lease)
-    store_load {kernel, ...}   ->   (mid-job store miss, remote tier)
-                               <-   store_load_result {row | None}
     result {index, outcome}    ->
                                <-   job | wait | done      (piggybacked next)
     bye {}                     ->   (one-way, then close)
@@ -29,15 +27,12 @@ The conversation, after a version handshake, is worker-driven::
 round trip per job.  Heartbeats are fire-and-forget and never answered,
 which keeps the request/response streams aligned even though a worker's
 heartbeat thread interleaves them with the main loop's requests (sends are
-serialised by a per-socket lock on the worker side).  ``store_load``
-requests only ever happen while a job is computing — the main loop is
-then blocked inside ``execute_job`` and not reading the socket — so
-their replies cannot race the job/wait/done stream.
+serialised by a per-socket lock on the worker side).
 
 A second, trivial conversation supports observability: a probe client's
 *first* frame may be ``status {version}`` instead of ``hello``, answered
 with one ``status_reply {...}`` (queue depth, leases, per-worker
-throughput, seed/serve counters) after which the connection closes.  That
+throughput, seed counters) after which the connection closes.  That
 is what ``python -m repro dist status HOST:PORT`` speaks.
 
 Tracing rides the existing frames rather than adding new ones: the
@@ -62,8 +57,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME",
     "STORE_SEED",
-    "STORE_LOAD",
-    "STORE_LOAD_RESULT",
     "DIST_STATUS",
     "DIST_STATUS_REPLY",
     "ProtocolError",
@@ -80,15 +73,17 @@ __all__ = [
 #: probe; v3 removed the worker's one-way ``delta`` frame and the
 #: per-worker setup callable the ``welcome`` used to carry, so a v2
 #: worker, which sends ``delta`` right after its handshake, is refused
-#: at ``hello`` instead of dropped.
+#: at ``hello`` instead of dropped.  Dropping remote loads (a worker's
+#: mid-job store-miss request and the welcome's ``seed["remote"]``
+#: offer) needed no bump: a v3 worker reads a welcome without that key
+#: as "remote loads off", which it already handles, and a current worker
+#: never sends the request, so either side may meet an older v3 peer.
 PROTOCOL_VERSION = 3
 
-#: Frame kinds of the store data plane and the status probe.  The job
+#: Frame kinds of the store seed stream and the status probe.  The job
 #: frames (``hello``/``welcome``/``next``/``job``/``result``/...) predate
 #: these constants and stay literal strings at their call sites.
 STORE_SEED = "store_seed"
-STORE_LOAD = "store_load"
-STORE_LOAD_RESULT = "store_load_result"
 DIST_STATUS = "status"
 DIST_STATUS_REPLY = "status_reply"
 

@@ -23,11 +23,10 @@ the default), the handshake is followed by a ``store_seed`` stream — the
 coordinator's store rows land in this worker's in-memory seed tier, so a
 host with an *empty* local store still starts warm.  A worker with no
 active store at all gets a throwaway in-memory one (worker mode, never
-touching disk) just to host the seed tier and carry rows home.  Store
-misses mid-run may additionally fall through to a :class:`RemoteStoreTier`
-— one ``store_load`` round trip on the job connection — so results banked
-moments ago by *other* workers are reused instead of recomputed.  Both
-tiers are read-only; writes still ride home inside each ``JobResult``.
+touching disk) just to host the seed tier and carry rows home.  The
+seed tier is read-only; writes still ride home inside each ``JobResult``.
+A lookup that misses the memo, the seed tier and the local store file
+computes.
 
 While a job computes, a background thread heartbeats the coordinator at
 the interval named in the handshake (a third of the coordinator's lease
@@ -48,17 +47,9 @@ from dataclasses import dataclass, replace
 from ..engine.batch import JobFailure, execute_job
 from ..errors import ConfigError, DistError
 from ..obs.trace import TRACER, estimate_clock_offset
-from .protocol import (
-    PROTOCOL_VERSION,
-    STORE_LOAD,
-    STORE_LOAD_RESULT,
-    STORE_SEED,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
+from .protocol import PROTOCOL_VERSION, STORE_SEED, recv_message, send_message
 
-__all__ = ["RemoteStoreTier", "WorkerReport", "run_worker", "run_workers"]
+__all__ = ["WorkerReport", "run_worker", "run_workers"]
 
 
 @dataclass(frozen=True)
@@ -85,89 +76,6 @@ class WorkerReport:
         if self.seeded_rows:
             text += f"; {self.seeded_rows} store row(s) seeded"
         return text
-
-
-class RemoteStoreTier:
-    """Resolve store misses against the coordinator over the job socket.
-
-    Installed as :attr:`repro.store.ResultStore.remote_tier` when the
-    coordinator's handshake offers remote loads.  ``load`` runs on the
-    job's own thread (inside ``execute_job``'s kernel miss path), while
-    the main loop is *not* reading the socket — and the coordinator never
-    answers heartbeats — so the reply frame cannot be claimed by anyone
-    else.  Every failure degrades to ``None`` (a plain miss) and marks
-    the tier broken so a dead coordinator costs at most one timeout, not
-    one per miss.  A failure that may leave the reply stream misaligned
-    (timeout, torn frame, unexpected kind) also shuts the socket down:
-    a late ``store_load_result`` must never be mistaken for the main
-    loop's next directive, so the worker takes the ordinary
-    "coordinator went away" exit and its leased job is requeued intact.
-    """
-
-    def __init__(
-        self, sock: socket.socket, send_lock: threading.Lock,
-        *, timeout: float = 30.0,
-    ):
-        self._sock = sock
-        self._send_lock = send_lock
-        self._timeout = timeout
-        self._lock = threading.Lock()
-        self.loads = 0
-        self.hits = 0
-        self.broken = False
-
-    def _poison(self) -> None:
-        """Mark the tier broken and tear the stream down.
-
-        After a timeout or a torn/unexpected frame, bytes of (or a whole
-        late) reply may still arrive; shutting the socket turns every
-        subsequent read into a clean error instead of letting the main
-        loop parse a stale ``store_load_result`` as its next directive.
-        """
-        self.broken = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # already closed/reset: the stream is dead either way
-
-    def load(self, kernel: str, version: str, key_hash: str):
-        if self.broken:
-            return None
-        with self._lock:
-            self.loads += 1
-            try:
-                with self._send_lock:
-                    send_message(
-                        self._sock,
-                        STORE_LOAD,
-                        {
-                            "kernel": kernel,
-                            "version": version,
-                            "key_hash": key_hash,
-                        },
-                    )
-                # Bound the wait: a vanished coordinator must not wedge
-                # the kernel call forever (the timeout is reset so the
-                # main loop's blocking reads keep their old semantics).
-                self._sock.settimeout(self._timeout)
-                try:
-                    reply = recv_message(self._sock)
-                finally:
-                    self._sock.settimeout(None)
-            except (OSError, ProtocolError):
-                self._poison()
-                return None
-            if reply is None:
-                self.broken = True  # clean EOF: nothing left to desync
-                return None
-            kind, payload = reply
-            if kind != STORE_LOAD_RESULT or not isinstance(payload, dict):
-                self._poison()
-                return None
-            row = payload.get("row")
-            if row is not None:
-                self.hits += 1
-            return row
 
 
 class _HeartbeatPump(threading.Thread):
@@ -241,7 +149,7 @@ def _install_memory_store():
     would waste the coordinator's seed stream.  An in-memory, worker-mode
     store never touches disk (worker mode defers every write; the rows it
     accumulates ride home inside job results exactly like a file-backed
-    worker's) but gives the seed and remote tiers a place to live.
+    worker's) but gives the seed tier a place to live.
     Returns the store plus the previous global configuration so
     ``run_worker`` can restore it on exit (in-process callers must not
     keep the throwaway).
@@ -323,9 +231,7 @@ def run_worker(
         if kind != "welcome" or not isinstance(payload, dict):
             raise DistError(f"unexpected handshake reply {kind!r}")
         heartbeat = float(payload.get("heartbeat") or 20.0)
-        seed_offer = payload.get("seed") or {}
-        seed_enabled = bool(seed_offer.get("enabled"))
-        remote_enabled = bool(seed_offer.get("remote"))
+        seed_enabled = bool((payload.get("seed") or {}).get("enabled"))
         if payload.get("trace"):
             # The coordinator traces, so this worker buffers spans and
             # ships them inside each JobResult — no local environment
@@ -344,17 +250,15 @@ def run_worker(
                 offset=TRACER.clock_offset,
                 rtt=welcome_received - hello_sent,
             )
-        if (seed_enabled or remote_enabled) and store is None:
-            store, store_restore = _install_memory_store()
         if seed_enabled:
+            if store is None:
+                store, store_restore = _install_memory_store()
             with TRACER.span(
                 "dist:seed_receive", cat="dist", worker=name
             ) as sp:
                 seeded_rows = _receive_seed(sock, store)
                 sp.set(rows=seeded_rows)
             log(f"worker {name}: seeded {seeded_rows} store row(s)")
-        if remote_enabled and store is not None:
-            store.remote_tier = RemoteStoreTier(sock, send_lock)
         log(f"worker {name} serving {payload.get('jobs')} job(s)")
 
         with send_lock:
@@ -409,10 +313,8 @@ def run_worker(
         if store is not None:
             # Dedicated worker processes exit anyway; in-thread workers
             # (tests) share the process-global store and must hand the
-            # write path back — and must not keep a tier bound to this
-            # (now closing) connection or this batch's seed rows.
+            # write path back — and must not keep this batch's seed rows.
             store.worker_mode = False
-            store.remote_tier = None
             store.clear_seed()
         if store_restore is not None:
             # The throwaway in-memory store must not outlive this run in

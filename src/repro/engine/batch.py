@@ -69,6 +69,7 @@ __all__ = [
     "fire_reduction",
     "finalize_outcomes",
     "land_outcome",
+    "worker_row",
 ]
 
 
@@ -234,9 +235,10 @@ class BatchResult:
     :class:`JobResult`."""
 
     dist_metrics: Mapping | None = None
-    """Coordinator-side metrics of a distributed batch (per-worker
-    throughput, rows seeded, loads served, requeues); ``None`` for the
-    serial and pool paths."""
+    """Per-worker metrics (throughput, busy and idle time, rows seeded)
+    plus the requeue and replay counters: the coordinator's on a
+    distributed batch, the same shape built from the job lanes on a
+    pool batch, and ``None`` on the serial path."""
 
     @property
     def values(self) -> tuple[object, ...]:
@@ -265,7 +267,6 @@ def describe_dist_metrics(metrics: Mapping) -> str:
     """
     lines = [
         f"dist: {metrics['rows_seeded']} row(s) seeded, "
-        f"{metrics['loads_served']} load(s) served, "
         f"{metrics['requeues']} requeue(s)"
     ]
     replayed = metrics.get("replayed", 0)
@@ -277,10 +278,37 @@ def describe_dist_metrics(metrics: Mapping) -> str:
             f"{worker['failed']} failed, "
             f"{worker['jobs_per_minute']:.1f} jobs/min, "
             f"{worker['seeded_rows']} seeded, "
-            f"{worker['loads_served']} served, "
             f"idle {worker['idle']:.1f}s"
         )
     return "\n".join(lines)
+
+
+def worker_row(
+    worker: str,
+    completed: int,
+    failed: int,
+    busy: float,
+    wall: float,
+    seeded_rows: int = 0,
+) -> dict:
+    """One per-worker row of :attr:`BatchResult.dist_metrics`.
+
+    ``busy`` is the summed ``elapsed`` of the worker's completed jobs and
+    ``wall`` the time it was available (the pool batch's wall clock, or
+    a dist worker's connection lifetime).  ``elapsed`` is the busy time,
+    ``jobs_per_minute`` completions per busy minute and ``idle`` the
+    available time spent not computing, as ``trace summary`` reports per
+    lane — so pool and cluster rows mean the same thing.
+    """
+    return {
+        "worker": worker,
+        "completed": completed,
+        "failed": failed,
+        "seeded_rows": seeded_rows,
+        "elapsed": busy,
+        "jobs_per_minute": 60.0 * completed / busy if busy > 0 else 0.0,
+        "idle": max(wall - busy, 0.0),
+    }
 
 
 def _pool_metrics(outcomes, wall: float) -> dict:
@@ -288,44 +316,25 @@ def _pool_metrics(outcomes, wall: float) -> dict:
 
     Built from each outcome's ``worker`` lane so the pool path fills
     :attr:`BatchResult.dist_metrics` in exactly the coordinator's shape
-    (seeding/remote-load counters are structurally present but zero —
-    pool workers share the parent's filesystem and never seed).
+    (the seeding counters are present but zero — pool workers share the
+    parent's filesystem and never seed).
     """
-    lanes: dict[str, dict] = {}
+    lanes: dict[str, list] = {}  # lane -> [completed, failed, busy]
     for outcome in outcomes:
         lane = getattr(outcome, "worker", "") or "?"
-        info = lanes.setdefault(
-            lane, {"completed": 0, "failed": 0, "elapsed": 0.0}
-        )
+        info = lanes.setdefault(lane, [0, 0, 0.0])
         if isinstance(outcome, JobFailure):
-            info["failed"] += 1
+            info[1] += 1
         else:
-            info["completed"] += 1
-            info["elapsed"] += outcome.elapsed
-    workers = []
-    for lane in sorted(lanes):
-        info = lanes[lane]
-        busy = info["elapsed"]
-        workers.append(
-            {
-                "worker": lane,
-                "completed": info["completed"],
-                "failed": info["failed"],
-                "seeded_rows": 0,
-                "loads_served": 0,
-                "elapsed": busy,
-                "jobs_per_minute": (
-                    info["completed"] / (busy / 60.0) if busy > 0 else 0.0
-                ),
-                "idle": max(wall - busy, 0.0),
-            }
-        )
+            info[0] += 1
+            info[2] += outcome.elapsed
     return {
         "requeues": 0,
         "replayed": 0,
         "rows_seeded": 0,
-        "loads_served": 0,
-        "workers": workers,
+        "workers": [
+            worker_row(lane, *lanes[lane], wall) for lane in sorted(lanes)
+        ],
     }
 
 

@@ -378,7 +378,7 @@ def cached_kernel(
             """One kernel call; returns ``(value, tier)``.
 
             ``tier`` names which memoization layer served the call —
-            ``memo`` / ``seed`` / ``store`` / ``remote`` / ``computed``
+            ``memo`` / ``seed`` / ``store`` / ``computed``
             (or ``bypass`` when caching is off) — and is what the trace
             spans record as hit attribution.
             """
@@ -405,7 +405,7 @@ def cached_kernel(
                 else:
                     value = stored
                     # The store knows which of its layers answered
-                    # (pending/sqlite, seed overlay, remote fallthrough).
+                    # (pending/sqlite or seed overlay).
                     served = tier.last_load_tier() or "store"
             else:
                 value = fn(*args, **kwargs)

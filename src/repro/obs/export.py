@@ -36,7 +36,7 @@ __all__ = [
 _US = 1_000_000
 
 #: The kernel-call cache tiers, in lookup order (for stable reporting).
-TIERS = ("memo", "seed", "store", "remote", "computed", "bypass")
+TIERS = ("memo", "seed", "store", "computed", "bypass")
 
 
 def _chrome_events(events) -> list[dict]:

@@ -28,15 +28,13 @@ Design points:
 * **Integrity.**  Every row carries a SHA-256 checksum of its value blob;
   corrupt or unreadable rows are treated as misses and deleted on sight,
   and :meth:`integrity_report` audits the whole file.
-* **Network warm start.**  Two read-only tiers sit around SQLite for
-  distributed workers without a shared filesystem: an in-memory *seed*
-  tier (:meth:`import_seed_rows`, populated from the coordinator's
+* **Network warm start.**  Distributed workers without a shared
+  filesystem start warm from an in-memory *seed* tier
+  (:meth:`import_seed_rows`, populated from the coordinator's
   ``store_seed`` stream at handshake; :meth:`export_seed` is the sending
-  side) consulted before the database, and an optional *remote* tier
-  (:attr:`remote_tier`, a ``store_load`` round trip to the coordinator)
-  consulted after a database miss.  Both only ever read — writes still
-  ride home inside job results — and both count into the ordinary
-  hit statistics plus dedicated ``seed_hits`` / ``remote_hits`` counters.
+  side), consulted before the database.  It only ever reads — writes
+  still ride home inside job results — and its hits count into the
+  ordinary hit statistics plus a dedicated ``seed_hits`` counter.
 
 Modes: ``rw`` (read + write-back), ``ro`` (warm-start only, never writes),
 ``off`` (inert).  The module-level switchboard lives in
@@ -112,10 +110,6 @@ class StoreStats:
     distributed coordinator's store at handshake); always also counted in
     ``hits``."""
 
-    remote_hits: int = 0
-    """Hits served by the remote tier (a ``store_load`` round trip to the
-    coordinator mid-run); always also counted in ``hits``."""
-
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -141,7 +135,6 @@ class StoreStats:
                 (name, *row) for name, row in sorted(merged.items())
             ),
             seed_hits=self.seed_hits + other.seed_hits,
-            remote_hits=self.remote_hits + other.remote_hits,
         )
 
     def delta_since(self, baseline: "StoreStats") -> "StoreStats":
@@ -158,7 +151,6 @@ class StoreStats:
             writes=self.writes - baseline.writes,
             by_kernel=tuple(rows),
             seed_hits=self.seed_hits - baseline.seed_hits,
-            remote_hits=self.remote_hits - baseline.remote_hits,
         )
 
     def to_dict(self) -> dict:
@@ -169,7 +161,6 @@ class StoreStats:
             "writes": self.writes,
             "hit_rate": self.hit_rate,
             "seed_hits": self.seed_hits,
-            "remote_hits": self.remote_hits,
             "by_kernel": [
                 {"kernel": name, "hits": h, "misses": m, "writes": w}
                 for name, h, m, w in self.by_kernel
@@ -181,10 +172,9 @@ class StoreStats:
             f"result store: {self.hits} hits / {self.misses} misses "
             f"({self.hit_rate:.0%} hit rate), {self.writes} writes"
         ]
-        if self.seed_hits or self.remote_hits:
+        if self.seed_hits:
             lines.append(
-                f"  network warm start: {self.seed_hits} seeded hit(s), "
-                f"{self.remote_hits} remote load(s)"
+                f"  network warm start: {self.seed_hits} seeded hit(s)"
             )
         for name, hits, misses, writes in self.by_kernel:
             total = hits + misses
@@ -210,7 +200,6 @@ class _StoreCounters:
     misses: int = 0
     writes: int = 0
     seed_hits: int = 0
-    remote_hits: int = 0
 
 
 def _checksum(blob: bytes) -> str:
@@ -251,12 +240,6 @@ class ResultStore:
         #: an in-process worker must then leave ``worker_mode`` off, or
         #: it would stall the coordinator's own flushes.
         self.coordinator_owned = 0
-        #: Optional remote tier: an object with ``load(kernel, version,
-        #: key_hash) -> StoreRow | None`` consulted after a SQLite miss
-        #: (distributed workers point it at the coordinator's store over
-        #: the job connection).  Rows it returns are installed into the
-        #: seed tier so a repeat lookup never pays the round trip again.
-        self.remote_tier = None
         self._seed: dict[tuple[str, str, str], StoreRow] = {}
         self._pending: dict[tuple[str, str, str], StoreRow] = {}
         self._touched: dict[tuple[str, str, str], float] = {}
@@ -307,9 +290,9 @@ class ResultStore:
         """Which layer answered this thread's most recent :meth:`load`.
 
         ``"store"`` (pending overlay or SQLite), ``"seed"`` (in-memory
-        warm-start tier), ``"remote"`` (coordinator round trip), or
-        ``None`` after a miss.  Consumed by :func:`~repro.engine.cache.
-        cached_kernel` to stamp the ``tier`` attribute on kernel spans.
+        warm-start tier), or ``None`` after a miss.  Consumed by
+        :func:`~repro.engine.cache.cached_kernel` to stamp the ``tier``
+        attribute on kernel spans.
         """
         return getattr(self._last_tier, "value", None)
 
@@ -456,15 +439,8 @@ class ResultStore:
                             self._touch(full_key)
                             self._served_by("store")
                             return value
-            if self.remote_tier is None:
-                counters.misses += 1
-                return MISS
-        # Remote fallthrough runs *outside* the store lock: the round trip
-        # can block for the full network timeout against a stalled
-        # coordinator, and holding the RLock would freeze every other
-        # thread's store access (including loads that would hit locally)
-        # for the duration.
-        return self._remote_fallthrough(full_key)
+            counters.misses += 1
+            return MISS
 
     def _touch(self, full_key: tuple[str, str, str]) -> None:
         """Record a recency signal for prune (next flush applies it).
@@ -479,48 +455,6 @@ class ResultStore:
         """
         if self.writable or self.worker_mode:
             self._touched[full_key] = time.time()
-
-    def _remote_fallthrough(self, full_key: tuple[str, str, str]) -> object:
-        """Last tier before computing: ask the remote store, if any.
-
-        A returned row is checksum-verified and installed into the seed
-        tier, so results banked mid-run by *other* workers are fetched at
-        most once per worker.  Any failure (miss, torn connection,
-        corrupt row) degrades to a plain miss — persistence stays
-        best-effort.
-
-        Called *without* the store lock held — the network round trip
-        must not serialize the store — and re-takes it only to install
-        the row and book the counters.
-        """
-        tier = self.remote_tier
-        value = MISS
-        row = None
-        if tier is not None:
-            try:
-                row = tier.load(*full_key)
-            except Exception:
-                row = None
-            if (
-                row is not None
-                and len(row) == 7
-                and _checksum(row[3]) == row[4]
-            ):
-                try:
-                    value = pickle.loads(row[3])
-                except Exception:
-                    value = MISS
-        with self._lock:
-            counters = self._counters.setdefault(full_key[0], _StoreCounters())
-            if value is MISS:
-                counters.misses += 1
-                return MISS
-            self._seed[full_key] = tuple(row)
-            counters.hits += 1
-            counters.remote_hits += 1
-            self._touch(full_key)
-            self._served_by("remote")
-            return value
 
     def save(self, kernel: str, version: str, key: object, value: object) -> None:
         """Queue a computed result for write-back (no-op unless ``rw``)."""
@@ -681,7 +615,7 @@ class ResultStore:
             self._absorbed = self._absorbed.merge(delta)
 
     # ------------------------------------------------------------------
-    # Network warm start (distributed seeding / remote loads)
+    # Network warm start (distributed seeding)
     # ------------------------------------------------------------------
     @property
     def seed_rows(self) -> int:
@@ -787,44 +721,6 @@ class ResultStore:
             if chunk:
                 yield chunk
 
-    def load_row(self, kernel: str, version: str, key_hash: str):
-        """The raw stored row (pending overlay included), or ``None``.
-
-        The coordinator's answer to a worker's ``store_load``: unlike
-        :meth:`load` it ships the pickled blob untouched and counts no
-        hit/miss — serving a remote lookup is not a local kernel event —
-        but it does refresh the row's recency, since a row another worker
-        needed is demonstrably hot.
-        """
-        with self._lock:
-            if not self.active:
-                return None
-            full_key = (kernel, version, key_hash)
-            row = self._pending.get(full_key)
-            if row is not None:
-                return row
-            conn = self._connection()
-            if conn is None:
-                return None
-            try:
-                fetched = conn.execute(
-                    "SELECT value, checksum, created, "
-                    "COALESCE(last_used, created) FROM results "
-                    "WHERE kernel = ? AND version = ? AND key_hash = ?",
-                    (kernel, version, key_hash),
-                ).fetchone()
-            except sqlite3.Error:
-                return None
-            if fetched is None:
-                return None
-            blob, checksum, created, last_used = fetched
-            if _checksum(blob) != checksum:
-                self._drop_row(kernel, version, key_hash)
-                return None
-            self._touch(full_key)
-            return (kernel, version, key_hash, blob, checksum, created,
-                    last_used)
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -841,9 +737,6 @@ class ResultStore:
                 ),
                 seed_hits=sum(
                     c.seed_hits for c in self._counters.values()
-                ),
-                remote_hits=sum(
-                    c.remote_hits for c in self._counters.values()
                 ),
             )
             return local.merge(self._absorbed)

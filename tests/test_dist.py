@@ -335,7 +335,6 @@ class TestDistMetricsInBatchResult:
         assert metrics is not None
         assert metrics["requeues"] == 0
         assert metrics["rows_seeded"] == 0
-        assert metrics["loads_served"] == 0
         assert sum(w["completed"] for w in metrics["workers"]) == 5
         for snapshot in metrics["workers"]:
             assert {
@@ -343,7 +342,6 @@ class TestDistMetricsInBatchResult:
                 "completed",
                 "failed",
                 "seeded_rows",
-                "loads_served",
                 "elapsed",
                 "jobs_per_minute",
                 "idle",
@@ -361,11 +359,35 @@ class TestDistMetricsInBatchResult:
         metrics = result.dist_metrics
         assert metrics is not None
         assert metrics["requeues"] == 0
-        assert metrics["rows_seeded"] == metrics["loads_served"] == 0
+        assert metrics["rows_seeded"] == 0
         (worker,) = metrics["workers"]
         assert worker["completed"] == len(tasks)
         assert worker["failed"] == 0
         assert worker["jobs_per_minute"] > 0
+
+    @pytest.mark.parametrize("path", ["pool", "dist"])
+    def test_worker_rows_count_busy_time(self, fresh_cache, path):
+        """A pool row and a cluster row mean the same thing: ``elapsed``
+        is the worker's summed job time and ``jobs_per_minute`` its
+        completions per busy minute."""
+        tasks = _mul_jobs(6)
+        if path == "pool":
+            result = run_batch(tasks, jobs=2)
+        else:
+            result = DistExecutor(
+                ":0",
+                on_bound=lambda address: threading.Thread(
+                    target=run_worker, args=address, daemon=True
+                ).start(),
+            ).run(tasks)
+        rows = result.dist_metrics["workers"]
+        for row in rows:
+            assert row["jobs_per_minute"] == (
+                60 * row["completed"] / row["elapsed"]
+            )
+        assert sum(row["elapsed"] for row in rows) == pytest.approx(
+            sum(r.elapsed for r in result.results)
+        )
 
     def test_one_renderer_for_status_and_pool_metrics(self, fresh_cache):
         """A live coordinator's status and a pool run's metrics render
@@ -381,13 +403,11 @@ class TestDistMetricsInBatchResult:
         assert [w["worker"] for w in status["workers"]] == ["w1"]
         worker_line = re.compile(
             r"  worker (\S+): \d+ done, \d+ failed, \d+\.\d jobs/min, "
-            r"0 seeded, 0 served, idle \d+\.\ds"
+            r"0 seeded, idle \d+\.\ds"
         )
         for metrics in (pool, status):
             first, *rows = describe_dist_metrics(metrics).splitlines()
-            assert first == (
-                "dist: 0 row(s) seeded, 0 load(s) served, 0 requeue(s)"
-            )
+            assert first == "dist: 0 row(s) seeded, 0 requeue(s)"
             assert [worker_line.fullmatch(row)[1] for row in rows] == [
                 w["worker"] for w in metrics["workers"]
             ]
@@ -853,7 +873,7 @@ def _spawn_cli_worker(address, env):
 
 
 class TestNetworkWarmStart:
-    """Store seeding, remote loads, and the status probe (PR 4)."""
+    """Store seeding and the status probe."""
 
     @pytest.mark.parametrize("worker_store", ["off", "rw"])
     def test_seeded_worker_recomputes_nothing(self, tmp_store, worker_store):
@@ -904,29 +924,6 @@ class TestNetworkWarmStart:
                 worker.close()
             assert coord.rows_seeded >= len(graphs)
 
-    def test_remote_loads_serve_unseeded_misses(self, tmp_store):
-        """With seeding off but remote loads on, worker store misses are
-        answered by the coordinator's store over the wire."""
-        from repro.combinatorics.domination import domination_number
-
-        graphs = _warm_domination_store(tmp_store)
-        tasks = [
-            Job(f"dom[{i}]", domination_number, (g,))
-            for i, g in enumerate(graphs)
-        ]
-        coord = Coordinator(tasks, seed_store=False, remote_loads=True)
-        address = coord.start()
-        worker = _spawn_cli_worker(address, _storeless_worker_env())
-        result = coord.serve()
-        out, _ = worker.communicate(timeout=30)
-        assert worker.returncode == 0, out
-        stats = result.store_stats
-        assert stats.remote_hits >= 1
-        assert stats.seed_hits == 0
-        assert stats.misses == 0
-        assert coord.rows_seeded == 0
-        assert coord.loads_served == stats.remote_hits
-
     def test_seeding_skipped_for_in_process_worker(self, tmp_store):
         """An in-process worker reads the coordinator's store directly;
         streaming it a copy would only duplicate memory."""
@@ -942,9 +939,7 @@ class TestNetworkWarmStart:
             domination_number.__wrapped__(g) for g in graphs
         )
         assert result.store_stats.seed_hits == 0
-        assert result.store_stats.remote_hits == 0
         assert not tmp_store.worker_mode
-        assert tmp_store.remote_tier is None
         assert tmp_store.seed_rows == 0
 
     def test_status_probe_reports_queue_and_seed_counters(self, tmp_store):
@@ -1014,6 +1009,18 @@ class TestNetworkWarmStart:
                 "dist status: timeout must be positive, got 0.0"
             )
 
+    def test_status_reports_seeding_off_without_a_store(self, capsys):
+        """Seeding needs a store to seed from: a coordinator without one
+        offers no seed, and its status says so."""
+        from repro.__main__ import main
+
+        with store_pkg.RESULT_STORE.disabled():
+            with Coordinator(_mul_jobs(2)) as coord:
+                assert coord.status_snapshot()["seed_store"] is False
+                host, port = coord.address
+                assert main(["dist", "status", f"{host}:{port}"]) == 0
+        assert "  store seeding off\n" in capsys.readouterr().out
+
     def test_seeded_sweep_cold_remote_equals_warm(self, tmp_store):
         """Acceptance: workers with empty local stores, seeded from the
         coordinator's warm store, reproduce the serial E10-style sweep
@@ -1037,6 +1044,9 @@ class TestNetworkWarmStart:
             stats = dist.batch.store_stats
             assert stats is not None
             assert stats.seed_hits >= 1
+            # Seeding alone answers the rerun: no kernel anywhere missed
+            # the seed tier, so nothing was computed or banked.
+            assert (stats.misses, stats.writes) == (0, 0)
             by_kernel = {
                 name: (h, m, w)
                 for name, h, m, w in stats.by_kernel

@@ -937,84 +937,3 @@ class TestLastUsedRoundTrip:
         assert isolated_store.flush() == 1
         assert isolated_store.load("k", "1", ("x",)) == 42
         assert isolated_store.load("k", "1", ("y",)) is MISS
-
-
-class TestRemoteTierLocking:
-    """The PR-4 carry-over fix: ``ResultStore.load`` must not hold the
-    store-wide lock across the remote tier's network round trip (up to
-    the 30 s frame timeout against a stalled coordinator), or one slow
-    remote load freezes every other thread's store access."""
-
-    def test_slow_remote_load_does_not_block_other_threads(
-        self, isolated_store
-    ):
-        import threading
-        import time
-
-        entered = threading.Event()
-        release = threading.Event()
-
-        class SlowTier:
-            def load(self, kernel, version, key_hash):
-                if kernel == "slow":
-                    entered.set()
-                    # Guarded stand-in for a stalled coordinator: the
-                    # test releases it long before the timeout.
-                    release.wait(timeout=10)
-                return None
-
-        isolated_store.remote_tier = SlowTier()
-        slow_result = []
-        worker = threading.Thread(
-            target=lambda: slow_result.append(
-                isolated_store.load("slow", "1", ("a",))
-            )
-        )
-        worker.start()
-        try:
-            assert entered.wait(timeout=5)
-            # While the slow load sits in its round trip, an unrelated
-            # load must come straight back.  Before the fix this waited
-            # out the full SlowTier stall on the store lock.
-            start = time.perf_counter()
-            assert isolated_store.load("fast", "1", ("b",)) is MISS
-            elapsed = time.perf_counter() - start
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert slow_result == [MISS]
-        assert elapsed < 2.0
-
-    def test_remote_hit_installs_seed_row_once(self, isolated_store):
-        import hashlib
-        import pickle
-
-        value = {"deep": (1, 2)}
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        checksum = hashlib.sha256(blob).hexdigest()
-        calls = []
-
-        class Tier:
-            def load(self, *full_key):
-                calls.append(full_key)
-                return (*full_key, blob, checksum, 0.0, 0.0)
-
-        isolated_store.remote_tier = Tier()
-        assert isolated_store.load("k", "1", ("x",)) == value
-        # Served from the installed seed row: no second round trip.
-        assert isolated_store.load("k", "1", ("x",)) == value
-        assert len(calls) == 1
-        stats = isolated_store.stats()
-        assert stats.remote_hits == 1
-        assert (stats.hits, stats.misses) == (2, 0)
-
-    def test_corrupt_remote_row_counts_a_miss(self, isolated_store):
-        class CorruptTier:
-            def load(self, *full_key):
-                return (*full_key, b"\x00garbage", "bad-checksum", 0.0, 0.0)
-
-        isolated_store.remote_tier = CorruptTier()
-        assert isolated_store.load("k", "1", ("x",)) is MISS
-        stats = isolated_store.stats()
-        assert (stats.hits, stats.misses, stats.remote_hits) == (0, 1, 0)
