@@ -18,9 +18,7 @@ Usage::
     python -m repro trace summary FILE [--json] [--top 8]
     python -m repro store stats [--json]
     python -m repro store probe [--n 5] [--passes 2] [--json]
-    python -m repro store vacuum | clear | integrity
-    python -m repro store prune --max-age-days 30 --max-size-mb 256
-    python -m repro store export --out backup.sqlite
+    python -m repro store vacuum | integrity
 
 ``--family`` names any zero/one-argument constructor from
 :mod:`repro.graphs.families` (star, cycle, wheel, path, out_tree,
@@ -442,7 +440,7 @@ def _store_for_cli(args: argparse.Namespace, mode: str):
 #: a side effect, making a typo'd ``--path`` report a vacuously healthy
 #: store.  (``stats`` reports a missing file explicitly; ``probe`` is
 #: expected to create/populate the store.)
-_STORE_ACTIONS_NEED_FILE = ("vacuum", "clear", "export", "integrity", "prune")
+_STORE_ACTIONS_NEED_FILE = ("vacuum", "integrity")
 
 
 def cmd_store(args: argparse.Namespace) -> int:
@@ -500,32 +498,6 @@ def cmd_store(args: argparse.Namespace) -> int:
                 f"vacuum: deleted {result['deleted']} stale entries, "
                 f"{result['remaining']} remain"
             )
-        elif action == "prune":
-            if args.max_age_days is None and args.max_size_mb is None:
-                raise SystemExit(
-                    "store prune requires --max-age-days and/or --max-size-mb"
-                )
-            store = _store_for_cli(args, "rw")
-            result = store.prune(
-                max_age_days=args.max_age_days,
-                max_size_mb=args.max_size_mb,
-            )
-            print(
-                f"prune: evicted {result['deleted_age']} by age, "
-                f"{result['deleted_size']} by size; "
-                f"{result['remaining']} remain "
-                f"({result['file_bytes']} bytes)"
-            )
-        elif action == "clear":
-            store = _store_for_cli(args, "rw")
-            removed = store.clear()
-            print(f"clear: removed {removed} entries")
-        elif action == "export":
-            if not args.out:
-                raise SystemExit("store export requires --out PATH")
-            store = _store_for_cli(args, "ro")
-            copied = store.export(args.out)
-            print(f"export: copied {copied} entries to {args.out}")
         elif action == "integrity":
             store = _store_for_cli(args, "rw")
             report = store.integrity_report()
@@ -777,25 +749,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_store.add_argument(
         "action",
-        choices=(
-            "stats", "probe", "vacuum", "clear", "export", "integrity",
-            "prune",
-        ),
+        choices=("stats", "probe", "vacuum", "integrity"),
     )
     p_store.add_argument(
         "--path", help="store file (default: REPRO_STORE_PATH or "
         ".repro-store.sqlite)",
-    )
-    p_store.add_argument(
-        "--out", help="destination file for 'export'",
-    )
-    p_store.add_argument(
-        "--max-age-days", type=float, default=None,
-        help="prune: evict rows not used (read or written) in this many days",
-    )
-    p_store.add_argument(
-        "--max-size-mb", type=float, default=None,
-        help="prune: evict least-recently-used rows until the file fits",
     )
     p_store.add_argument(
         "--n", type=int, default=6,

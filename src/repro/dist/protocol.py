@@ -77,8 +77,11 @@ __all__ = [
 #: mid-job store-miss request and the welcome's ``seed["remote"]``
 #: offer) needed no bump: a v3 worker reads a welcome without that key
 #: as "remote loads off", which it already handles, and a current worker
-#: never sends the request, so either side may meet an older v3 peer.
-PROTOCOL_VERSION = 3
+#: never sends the request.  v4 ships 6-field store rows (the recency
+#: field is gone) inside ``result`` (``JobResult.store_rows``) and
+#: ``store_seed`` frames; a v3 peer is refused at ``hello``, since
+#: otherwise every row it sent or received would be skipped as malformed.
+PROTOCOL_VERSION = 4
 
 #: Frame kinds of the store seed stream and the status probe.  The job
 #: frames (``hello``/``welcome``/``next``/``job``/``result``/...) predate

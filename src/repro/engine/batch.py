@@ -109,11 +109,6 @@ class JobResult:
     """Pending store rows this job produced; drained from the executing
     process so the batch parent is the only SQLite writer."""
 
-    store_touches: tuple = ()
-    """Last-used refreshes for store rows this job read (drained like
-    ``store_rows``; the parent applies them so prune's recency signal
-    survives pool/dist execution)."""
-
     worker: str = ""
     """Lane label (``host:pid``) of the process that executed this job —
     per-worker attribution for pool metrics and trace summaries."""
@@ -380,11 +375,9 @@ def execute_job(job: Job) -> JobResult | JobFailure:
     delta = KERNEL_CACHE.stats().delta_since(before)
     store_delta = None
     store_rows: tuple = ()
-    store_touches: tuple = ()
     if store is not None:
         store_delta = store.stats().delta_since(store_before)
         store_rows = store.drain_pending()
-        store_touches = store.drain_touches()
     # Drain *everything* buffered, not just this job's spans: stray
     # events recorded between jobs (handshakes, seed streams) ride home
     # with the next result instead of lingering in the worker.
@@ -396,7 +389,6 @@ def execute_job(job: Job) -> JobResult | JobFailure:
         stats=delta,
         store_stats=store_delta,
         store_rows=store_rows,
-        store_touches=store_touches,
         worker=lane,
         trace_events=trace_events,
     )
@@ -407,9 +399,9 @@ def land_outcome(outcome: JobResult | JobFailure, store) -> None:
 
     The single-writer landing shared by :func:`run_batch` and the
     distributed coordinator: the one process allowed to write SQLite
-    absorbs the job's trace spans, store touches and rows, then flushes
-    — the moment the outcome arrives, so a run killed later has already
-    banked every job finished by then.  A failure banks nothing.
+    absorbs the job's trace spans and store rows, then flushes — the
+    moment the outcome arrives, so a run killed later has already banked
+    every job finished by then.  A failure banks nothing.
     """
     if not isinstance(outcome, JobResult):
         return
@@ -417,11 +409,9 @@ def land_outcome(outcome: JobResult | JobFailure, store) -> None:
     # (single-writer) trace buffer; re-absorbing this process's own
     # drained spans (serial path, reductions) is a harmless round trip.
     TRACER.absorb(outcome.trace_events)
-    if store is not None:
-        store.absorb_touches(outcome.store_touches)
-        if outcome.store_rows:
-            store.absorb_rows(outcome.store_rows)
-            store.flush()
+    if store is not None and outcome.store_rows:
+        store.absorb_rows(outcome.store_rows)
+        store.flush()
 
 
 class _ReductionState:

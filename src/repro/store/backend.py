@@ -21,10 +21,6 @@ Design points:
   auto-flush: the batch driver or coordinator drains their pending rows
   back to the parent with the job results, which is how parallel and
   distributed runs populate one store file without concurrent writers.
-* **Last-used tracking.**  Every row records when it last served a hit
-  (``last_used``), updated in the same flush transactions as new rows;
-  :meth:`prune` uses it to evict cold rows by age and to shrink the file
-  under a size cap, so long-lived shared store files stay bounded.
 * **Integrity.**  Every row carries a SHA-256 checksum of its value blob;
   corrupt or unreadable rows are treated as misses and deleted on sight,
   and :meth:`integrity_report` audits the whole file.
@@ -73,10 +69,6 @@ MODES = ("off", "ro", "rw")
 #: perfectly valid stored value (e.g. "no shelling order exists").
 MISS = object()
 
-#: v2 added the ``last_used`` column (prune's eviction signal); v1 files
-#: are migrated in place on the first writable connection.
-_SCHEMA_VERSION = 2
-
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
     kernel    TEXT NOT NULL,
@@ -85,12 +77,7 @@ CREATE TABLE IF NOT EXISTS results (
     value     BLOB NOT NULL,
     checksum  TEXT NOT NULL,
     created   REAL NOT NULL,
-    last_used REAL,
     PRIMARY KEY (kernel, version, key_hash)
-);
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
 );
 """
 
@@ -186,12 +173,10 @@ class StoreStats:
 
 
 #: One pending/persisted row: ``(kernel, version, key_hash, blob, checksum,
-#: created, last_used)`` — plain picklable tuples so workers and seeding
-#: coordinators can ship them over the wire.  Freshly computed rows start
-#: with ``last_used == created``; rows exported from a database carry the
-#: real recency so seeding/importing never resets ``prune``'s signal.
-#: Rows from other processes with any other field count are skipped.
-StoreRow = tuple[str, str, str, bytes, str, float, float]
+#: created)`` — plain picklable tuples so workers and seeding coordinators
+#: can ship them over the wire.  Rows from other processes with any other
+#: field count are skipped.
+StoreRow = tuple[str, str, str, bytes, str, float]
 
 
 @dataclass
@@ -242,7 +227,6 @@ class ResultStore:
         self.coordinator_owned = 0
         self._seed: dict[tuple[str, str, str], StoreRow] = {}
         self._pending: dict[tuple[str, str, str], StoreRow] = {}
-        self._touched: dict[tuple[str, str, str], float] = {}
         self._counters: dict[str, _StoreCounters] = {}
         self._absorbed = StoreStats()
         self._conn: sqlite3.Connection | None = None
@@ -340,12 +324,6 @@ class ResultStore:
                     conn.execute("PRAGMA journal_mode=WAL")
                     conn.execute("PRAGMA synchronous=NORMAL")
                     conn.executescript(_SCHEMA)
-                    self._migrate(conn)
-                    conn.execute(
-                        "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                        ("schema_version", str(_SCHEMA_VERSION)),
-                    )
-                    conn.commit()
                 else:
                     # A read, so a file SQLite cannot read is found here,
                     # once, without writing to the file.
@@ -356,20 +334,6 @@ class ResultStore:
             self._conn = conn
             self._conn_pid = pid
             return conn
-
-    @staticmethod
-    def _migrate(conn: sqlite3.Connection) -> None:
-        """Bring a pre-existing file up to the current schema in place.
-
-        v1 -> v2: add ``last_used``, seeding it from ``created`` so prune's
-        age cap is immediately meaningful on migrated files.
-        """
-        columns = {
-            row[1] for row in conn.execute("PRAGMA table_info(results)")
-        }
-        if "last_used" not in columns:
-            conn.execute("ALTER TABLE results ADD COLUMN last_used REAL")
-            conn.execute("UPDATE results SET last_used = created")
 
     def close(self) -> None:
         """Flush pending writes and drop the connection."""
@@ -412,7 +376,6 @@ class ResultStore:
                 else:
                     counters.hits += 1
                     counters.seed_hits += 1
-                    self._touch(full_key)
                     self._served_by("seed")
                     return value
             conn = self._connection()
@@ -436,25 +399,10 @@ class ResultStore:
                             self._drop_row(kernel, version, key_hash)
                         else:
                             counters.hits += 1
-                            self._touch(full_key)
                             self._served_by("store")
                             return value
             counters.misses += 1
             return MISS
-
-    def _touch(self, full_key: tuple[str, str, str]) -> None:
-        """Record a recency signal for prune (next flush applies it).
-
-        Workers ship theirs home with each job (:meth:`drain_touches`)
-        since their own flush defers — including touches for *seeded*
-        rows, whose home copy lives in the coordinator's database.  A
-        worker-mode store records touches even in ``ro`` mode: this
-        process never flushes them, but the coordinator's writable store
-        does, and an ``ro`` warm-start worker's hits are exactly the
-        recency ``store prune`` must keep seeing.
-        """
-        if self.writable or self.worker_mode:
-            self._touched[full_key] = time.time()
 
     def save(self, kernel: str, version: str, key: object, value: object) -> None:
         """Queue a computed result for write-back (no-op unless ``rw``)."""
@@ -467,9 +415,8 @@ class ResultStore:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return  # unpicklable value: persistence is best-effort
-        now = time.time()
         row: StoreRow = (
-            kernel, version, key_hash, blob, _checksum(blob), now, now
+            kernel, version, key_hash, blob, _checksum(blob), time.time()
         )
         with self._lock:
             self._pending[(kernel, version, key_hash)] = row
@@ -499,12 +446,11 @@ class ResultStore:
     def flush(self) -> int:
         """Write all pending rows in one transaction; returns the count.
 
-        Also applies the accumulated last-used touches in the same
-        transaction.  Inside a batch/dist worker (daemonic process or
-        :attr:`worker_mode`) this is a no-op that *keeps* the pending
-        rows: the parent process is the only database writer, and the
-        batch driver or coordinator ships the worker's rows home with its
-        job results (:meth:`drain_pending`).
+        Inside a batch/dist worker (daemonic process or :attr:`worker_mode`)
+        this is a no-op that *keeps* the pending rows: the parent process
+        is the only database writer, and the batch driver or coordinator
+        ships the worker's rows home with its job results
+        (:meth:`drain_pending`).
         """
         if self._defer_writes():
             return 0
@@ -513,52 +459,32 @@ class ResultStore:
                 # Dropping unwritable pendings keeps ro/off stores bounded.
                 count = len(self._pending)
                 self._pending.clear()
-                self._touched.clear()
                 return count
-            if not self._pending and not self._touched:
+            if not self._pending:
                 return 0
             conn = self._connection()
             if conn is None:
                 # Unreadable database: best-effort persistence gives up on
                 # these rows rather than growing the buffer forever.
                 self._pending.clear()
-                self._touched.clear()
                 return 0
             rows = list(self._pending.values())
-            with TRACER.span(
-                "store:flush", cat="store",
-                rows=len(rows), touches=len(self._touched),
-            ):
-                if rows:
-                    # Upsert rather than replace: a duplicate arrival (e.g.
-                    # a requeued job recomputed elsewhere, or absorbed rows
-                    # this file already holds) must never move a hot row's
-                    # last_used backwards.
-                    conn.executemany(
-                        "INSERT INTO results "
-                        "(kernel, version, key_hash, value, checksum, created, "
-                        "last_used) VALUES (?, ?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT(kernel, version, key_hash) DO UPDATE SET "
-                        "value = excluded.value, checksum = excluded.checksum, "
-                        "last_used = MAX(COALESCE(results.last_used, "
-                        "results.created), excluded.last_used)",
-                        rows,
-                    )
-                # Touches for rows that are also pending were just written
-                # with last_used = created; the UPDATE below refreshes them.
-                if self._touched:
-                    conn.executemany(
-                        "UPDATE results SET last_used = ? "
-                        "WHERE kernel = ? AND version = ? AND key_hash = ?",
-                        [
-                            (when, kernel, version, key_hash)
-                            for (kernel, version, key_hash), when
-                            in self._touched.items()
-                        ],
-                    )
+            with TRACER.span("store:flush", cat="store", rows=len(rows)):
+                # Upsert rather than replace: a duplicate arrival (e.g. a
+                # requeued job recomputed elsewhere, or absorbed rows this
+                # file already holds) keeps its rowid, so a live
+                # export_seed stream, which pages by rowid, never meets
+                # the same row twice.
+                conn.executemany(
+                    "INSERT INTO results "
+                    "(kernel, version, key_hash, value, checksum, created) "
+                    "VALUES (?, ?, ?, ?, ?, ?) "
+                    "ON CONFLICT(kernel, version, key_hash) DO UPDATE SET "
+                    "value = excluded.value, checksum = excluded.checksum",
+                    rows,
+                )
                 conn.commit()
             self._pending.clear()
-            self._touched.clear()
             return len(rows)
 
     def drain_pending(self) -> tuple[StoreRow, ...]:
@@ -573,40 +499,17 @@ class ResultStore:
             self._pending.clear()
             return rows
 
-    def drain_touches(self) -> tuple:
-        """Remove and return the accumulated last-used touches.
-
-        A worker's flush never runs, so its touches ride home with each
-        job result (alongside :meth:`drain_pending`'s rows) and the
-        parent applies them via :meth:`absorb_touches` — otherwise rows
-        served inside pool/dist workers would never look recently used
-        and :meth:`prune` would evict the hottest shards first.
-        """
-        with self._lock:
-            touches = tuple(self._touched.items())
-            self._touched.clear()
-            return touches
-
-    def absorb_touches(self, touches) -> None:
-        """Merge drained worker touches for this process's next flush."""
-        if not touches or not self.writable:
-            return
-        with self._lock:
-            for key, when in touches:
-                if self._touched.get(key, 0.0) < when:
-                    self._touched[key] = when
-
     def absorb_rows(self, rows: tuple[StoreRow, ...] | list[StoreRow]) -> None:
         """Queue rows drained from a worker for this process's next flush.
 
-        A row without the seven :data:`StoreRow` fields is skipped, so it
+        A row without the six :data:`StoreRow` fields is skipped, so it
         never reaches the flush.
         """
         if not rows or not self.writable:
             return
         with self._lock:
             for row in rows:
-                if len(row) == 7:
+                if len(row) == 6:
                     self._pending[(row[0], row[1], row[2])] = row
 
     def absorb_stats(self, delta: StoreStats) -> None:
@@ -637,7 +540,7 @@ class ResultStore:
             with self._lock:
                 for row in rows or ():
                     try:
-                        if len(row) != 7 or _checksum(row[3]) != row[4]:
+                        if len(row) != 6 or _checksum(row[3]) != row[4]:
                             continue
                     except TypeError:
                         continue
@@ -686,7 +589,7 @@ class ResultStore:
         placeholders = ", ".join(["(?, ?)"] * len(pairs))
         query = (
             "SELECT rowid, kernel, version, key_hash, value, checksum, "
-            "created, COALESCE(last_used, created) FROM results "
+            "created FROM results "
             f"WHERE rowid > ? AND (kernel, version) IN (VALUES {placeholders}) "
             "ORDER BY rowid LIMIT ?"
         )
@@ -708,13 +611,10 @@ class ResultStore:
                 return
             chunk: list[StoreRow] = []
             size = 0
-            for rowid, kernel, version, key_hash, blob, checksum, created, last_used in fetched:
+            for rowid, *row in fetched:
                 last_rowid = rowid
-                chunk.append(
-                    (kernel, version, key_hash, blob, checksum, created,
-                     last_used)
-                )
-                size += len(blob)
+                chunk.append(tuple(row))
+                size += len(row[3])
                 if size >= chunk_bytes:
                     yield chunk
                     chunk, size = [], 0
@@ -838,139 +738,6 @@ class ResultStore:
             ).fetchone()[0]
             sp.set(deleted=deleted, remaining=remaining)
             return {"deleted": deleted, "remaining": remaining}
-
-    def prune(
-        self,
-        *,
-        max_age_days: float | None = None,
-        max_size_mb: float | None = None,
-    ) -> dict:
-        """Evict cold rows so long-lived shared store files stay bounded.
-
-        Two independent caps, either or both:
-
-        * ``max_age_days`` — delete rows whose ``last_used`` (falling back
-          to ``created`` for never-read rows) is older than the cutoff;
-        * ``max_size_mb`` — while the database file exceeds the cap,
-          delete the least recently used rows in batches and ``VACUUM``
-          until it fits (or the store is empty).
-
-        Returns ``{"deleted_age", "deleted_size", "remaining",
-        "file_bytes"}``.  Complements :meth:`vacuum`, which evicts by
-        *staleness* (orphaned kernel versions) rather than by recency.
-        """
-        if max_age_days is None and max_size_mb is None:
-            raise StoreError("prune needs max_age_days and/or max_size_mb")
-        if max_age_days is not None and max_age_days < 0:
-            raise StoreError(f"max_age_days must be >= 0, got {max_age_days}")
-        if max_size_mb is not None and max_size_mb <= 0:
-            raise StoreError(f"max_size_mb must be positive, got {max_size_mb}")
-        if not self.writable:
-            raise StoreError("prune needs a writable (rw) store")
-        with self._lock, TRACER.span("store:prune", cat="store") as sp:
-            self.flush()
-            conn = self._connection()
-            if conn is None:
-                raise StoreError(f"store file {self.path} is unreadable")
-            deleted_age = 0
-            if max_age_days is not None:
-                cutoff = time.time() - max_age_days * 86400.0
-                cursor = conn.execute(
-                    "DELETE FROM results "
-                    "WHERE COALESCE(last_used, created) < ?",
-                    (cutoff,),
-                )
-                deleted_age = cursor.rowcount
-            conn.commit()
-            conn.execute("VACUUM")
-            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            deleted_size = 0
-            if max_size_mb is not None:
-                cap = int(max_size_mb * (1 << 20))
-                while os.path.getsize(self.path) > cap:
-                    # Evict the least recently used rows, but only enough
-                    # of them to cover the overshoot (scaled up for page
-                    # and index overhead the value-length estimate cannot
-                    # see), so a barely-over file loses barely any rows
-                    # rather than a fixed-size chunk.  The candidate fetch
-                    # is windowed: a multi-GB store must not materialise
-                    # its whole table per iteration.
-                    overshoot = os.path.getsize(self.path) - cap
-                    candidates = conn.execute(
-                        "SELECT kernel, version, key_hash, LENGTH(value) "
-                        "FROM results "
-                        "ORDER BY COALESCE(last_used, created) ASC "
-                        "LIMIT 4096"
-                    ).fetchall()
-                    if not candidates:
-                        break  # empty schema still over cap: nothing to do
-                    victims = []
-                    freed = 0
-                    for kernel, version, key_hash, nbytes in candidates:
-                        victims.append((kernel, version, key_hash))
-                        freed += (nbytes or 0) + 512
-                        if freed >= overshoot * 1.25:
-                            break
-                    conn.executemany(
-                        "DELETE FROM results "
-                        "WHERE kernel = ? AND version = ? AND key_hash = ?",
-                        victims,
-                    )
-                    deleted_size += len(victims)
-                    conn.commit()
-                    conn.execute("VACUUM")
-                    conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            remaining = conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()[0]
-            sp.set(
-                deleted_age=deleted_age,
-                deleted_size=deleted_size,
-                remaining=remaining,
-            )
-            return {
-                "deleted_age": deleted_age,
-                "deleted_size": deleted_size,
-                "remaining": remaining,
-                "file_bytes": os.path.getsize(self.path),
-            }
-
-    def clear(self) -> int:
-        """Delete every stored result; returns the number removed."""
-        if not self.writable:
-            raise StoreError("clear needs a writable (rw) store")
-        with self._lock:
-            self._pending.clear()
-            self._seed.clear()
-            conn = self._connection()
-            if conn is None:
-                raise StoreError(f"store file {self.path} is unreadable")
-            removed = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-            conn.execute("DELETE FROM results")
-            conn.commit()
-            return removed
-
-    def export(self, destination: str) -> int:
-        """Copy the store to ``destination`` via SQLite's backup API.
-
-        Flushes first so the copy is complete; returns the copied entry
-        count.  The destination is a fully usable store file.
-        """
-        with self._lock:
-            self.flush()
-            conn = self._connection()
-            if conn is None:
-                raise StoreError(f"nothing to export at {self.path}")
-            parent = os.path.dirname(os.path.abspath(destination))
-            os.makedirs(parent, exist_ok=True)
-            target = sqlite3.connect(destination)
-            try:
-                conn.backup(target)
-                return target.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()[0]
-            finally:
-                target.close()
 
     def integrity_report(self) -> dict:
         """Audit the file: SQLite quick_check plus per-row checksums."""

@@ -43,6 +43,7 @@ and CI smoke jobs use it to keep the implementations pinned together.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Sequence
 
 from ...errors import VerificationError
@@ -175,6 +176,12 @@ def solve_csp(
     must validate — the reference answer is returned.
     """
     name = resolve_backend(backend)
+    # The backtracking searches recurse once per assigned view; pure
+    # Python frames, which CPython 3.11+ runs without growing the C
+    # stack.  Raise the limit so a search over many views cannot hit it.
+    depth = len(domains) + 1000
+    if sys.getrecursionlimit() < depth:
+        sys.setrecursionlimit(depth)
     if name != "check":
         return _solver(name)(executions, domains, k)
 

@@ -140,6 +140,18 @@ class TestBitsetMatchesReference:
             reference = _solve([cycle(3), star(3, 0)], k, (0, 1, 2), "reference")
             assert result == reference
 
+    def test_searches_deeper_than_the_default_recursion_limit(self):
+        # The searches recurse once per assigned view, and Python's
+        # default limit is 1,000 frames.
+        views = 1500
+        executions = [(idx,) for idx in range(views)]
+        domains = [(0, 1)] * views
+        solvable, assignment, reduced = solve_csp(
+            executions, domains, 1, backend="check"
+        )
+        assert solvable and reduced == views
+        assert witness_ok(executions, domains, assignment, 1)
+
 
 @needs_sat
 class TestSatMatchesBitset:

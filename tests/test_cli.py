@@ -421,9 +421,8 @@ class TestStoreCLI:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()
 
-    def test_vacuum_clear_export_integrity(self, capsys, tmp_path):
+    def test_vacuum_integrity(self, capsys, tmp_path):
         path = str(tmp_path / "mgmt.sqlite")
-        out_path = str(tmp_path / "backup.sqlite")
         try:
             main(["store", "probe", "--path", path, "--n", "4"])
             capsys.readouterr()
@@ -431,37 +430,6 @@ class TestStoreCLI:
             assert "OK" in capsys.readouterr().out
             assert main(["store", "vacuum", "--path", path]) == 0
             assert "vacuum:" in capsys.readouterr().out
-            assert main(
-                ["store", "export", "--path", path, "--out", out_path]
-            ) == 0
-            assert "copied" in capsys.readouterr().out
-            assert main(["store", "clear", "--path", path]) == 0
-            assert "removed" in capsys.readouterr().out
-            assert main(["store", "stats", "--path", path, "--json"]) == 0
-            assert json.loads(capsys.readouterr().out)["db"]["entries"] == 0
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()
-
-    def test_export_requires_out(self, tmp_path):
-        from repro.store import ResultStore
-
-        path = tmp_path / "x.sqlite"
-        seed = ResultStore(path, mode="rw")
-        seed.save("k", "1", "a", 1)
-        seed.close()
-        try:
-            with pytest.raises(SystemExit, match="--out"):
-                main(["store", "export", "--path", str(path)])
-        finally:
-            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
-
-    def test_export_refuses_missing_file(self, tmp_path):
-        missing = tmp_path / "absent.sqlite"
-        try:
-            with pytest.raises(SystemExit, match="no store file"):
-                main(["store", "export", "--path", str(missing), "--out",
-                      str(tmp_path / "o.sqlite")])
-            assert not missing.exists()
-        finally:
-            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")

@@ -9,7 +9,9 @@ sweep resumes without recomputing completed shards.
 from __future__ import annotations
 
 import enum
+import hashlib
 import os
+import pickle
 import sqlite3
 
 import pytest
@@ -238,16 +240,6 @@ class TestResultStoreBackend:
         report = isolated_store.integrity_report()
         assert not report["ok"]
         assert report["corrupt"] == 1
-
-    def test_clear_and_export(self, isolated_store, tmp_path):
-        isolated_store.save("k", "1", "a", 1)
-        copied_to = tmp_path / "backup.sqlite"
-        assert isolated_store.export(str(copied_to)) == 1
-        backup = ResultStore(copied_to, mode="ro")
-        assert backup.load("k", "1", "a") == 1
-        backup.close()
-        assert isolated_store.clear() == 1
-        assert isolated_store.load("k", "1", "a") is MISS
 
     def test_vacuum_drops_stale_versions(self, isolated_store):
         # domination_number is a registered kernel; plant a row under a
@@ -495,13 +487,6 @@ class TestStoreProbe:
             store_probe(n=4)
 
 
-def _load_seed_row() -> int:
-    """Top-level job hitting a pre-seeded store row (touch regression)."""
-    value = store_pkg.RESULT_STORE.load("seed_kernel", "1", ("row", 0))
-    assert value is not store_pkg.MISS
-    return 7
-
-
 def _nested_batch_job(n: int) -> int:
     """Top-level job that itself runs a batch (the E10-inside-worker shape)."""
     batch = run_batch(
@@ -564,7 +549,7 @@ class TestRobustness:
 
         missing = tmp_path / "typo.sqlite"
         try:
-            for action in ("vacuum", "clear", "integrity"):
+            for action in ("vacuum", "integrity"):
                 with pytest.raises(SystemExit, match="no store file"):
                     main(["store", action, "--path", str(missing)])
                 assert not missing.exists()  # no side-effect creation
@@ -573,127 +558,63 @@ class TestRobustness:
 
 
 def _seed_rows(store: ResultStore, count: int, *, blob_bytes: int = 0) -> None:
-    """Insert ``count`` synthetic rows (optionally padded for size tests)."""
+    """Insert ``count`` synthetic rows (optionally padded to ``blob_bytes``)."""
     payload = "x" * blob_bytes
     for i in range(count):
         store.save("seed_kernel", "1", ("row", i), (i, payload))
     store.flush()
 
 
-class TestPrune:
-    def test_requires_a_cap_and_rw_mode(self, isolated_store, tmp_path):
-        with pytest.raises(StoreError, match="max_age_days"):
-            isolated_store.prune()
-        ro = ResultStore(tmp_path / "ro.sqlite", mode="ro")
-        with pytest.raises(StoreError, match="writable"):
-            ro.prune(max_age_days=1)
+class TestOlderStoreFiles:
+    """Files from before ``last_used`` went: v1 has a ``meta`` table, v2
+    also has the ``last_used`` column; both stay readable and writable."""
 
-    def test_age_cap_evicts_only_cold_rows(self, isolated_store):
-        _seed_rows(isolated_store, 4)
-        conn = isolated_store._connection()
-        # Rows 0 and 1 were last used 10 days ago; 2 and 3 are fresh.
-        import time as _time
-
-        old = _time.time() - 10 * 86400
-        for i in (0, 1):
-            key_hash = store_pkg.fingerprint(("row", i))
-            conn.execute(
-                "UPDATE results SET last_used = ? WHERE key_hash = ?",
-                (old, key_hash),
-            )
-        conn.commit()
-        report = isolated_store.prune(max_age_days=7)
-        assert report["deleted_age"] == 2
-        assert report["remaining"] == 2
-        assert isolated_store.load("seed_kernel", "1", ("row", 0)) is MISS
-        assert isolated_store.load("seed_kernel", "1", ("row", 3)) == (3, "")
-
-    def test_size_cap_evicts_lru_first_until_the_file_fits(
-        self, isolated_store
+    @pytest.mark.parametrize("last_used", [False, True], ids=["v1", "v2"])
+    def test_older_file_loads_accepts_writes_and_seeds(
+        self, tmp_path, last_used
     ):
-        _seed_rows(isolated_store, 40, blob_bytes=32 * 1024)
-        conn = isolated_store._connection()
-        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")  # writes sit in -wal
-        before = os.path.getsize(isolated_store.path)
-        assert before > (1 << 20) // 2
-        # Touch the newest rows so they are the most recently used ones.
-        for i in range(30, 40):
-            assert isolated_store.load("seed_kernel", "1", ("row", i)) != MISS
-        isolated_store.flush()
-        report = isolated_store.prune(max_size_mb=0.5)
-        assert report["deleted_size"] > 0
-        assert report["file_bytes"] <= (1 << 20) // 2
-        assert os.path.getsize(isolated_store.path) <= (1 << 20) // 2
-        # The recently-touched rows survived the LRU eviction.
-        assert isolated_store.load("seed_kernel", "1", ("row", 39)) != MISS
-
-    def test_load_touch_refreshes_last_used(self, isolated_store):
-        _seed_rows(isolated_store, 1)
-        conn = isolated_store._connection()
-        conn.execute("UPDATE results SET last_used = 1.0")
-        conn.commit()
-        assert isolated_store.load("seed_kernel", "1", ("row", 0)) == (0, "")
-        isolated_store.flush()
-        (value,) = conn.execute(
-            "SELECT last_used FROM results"
-        ).fetchone()
-        assert value > 1.0
-
-    def test_cli_prune_reports_and_requires_caps(self, isolated_store, capsys):
-        from repro.__main__ import main
-
-        _seed_rows(isolated_store, 3)
-        with pytest.raises(SystemExit, match="max-age-days"):
-            main(["store", "prune", "--path", isolated_store.path])
-        code = main(
-            [
-                "store", "prune", "--path", isolated_store.path,
-                "--max-age-days", "30",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "prune:" in out and "3 remain" in out
-
-    def test_v1_schema_migrates_in_place(self, tmp_path):
-        """A pre-last_used store file is upgraded without losing rows."""
-        path = tmp_path / "v1.sqlite"
+        path = tmp_path / "older.sqlite"
         conn = sqlite3.connect(path)
         conn.executescript(
-            """
+            f"""
             CREATE TABLE results (
                 kernel TEXT NOT NULL, version TEXT NOT NULL,
                 key_hash TEXT NOT NULL, value BLOB NOT NULL,
                 checksum TEXT NOT NULL, created REAL NOT NULL,
+                {"last_used REAL," if last_used else ""}
                 PRIMARY KEY (kernel, version, key_hash)
             );
             CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-            INSERT INTO meta VALUES ('schema_version', '1');
+            INSERT INTO meta VALUES ('schema_version', '{1 + last_used}');
             """
         )
-        import pickle as _pickle
-
-        blob = _pickle.dumps(123)
-        import hashlib as _hashlib
-
+        blob = pickle.dumps(123)
+        row = (
+            "seed_kernel", "1", fingerprint(("row", 0)),
+            blob, hashlib.sha256(blob).hexdigest(), 1000.0,
+        ) + ((2000.0,) if last_used else ())
         conn.execute(
-            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                "seed_kernel", "1", store_pkg.fingerprint(("row", 0)),
-                blob, _hashlib.sha256(blob).hexdigest(), 1000.0,
-            ),
+            f"INSERT INTO results VALUES ({', '.join('?' * len(row))})", row
         )
         conn.commit()
         conn.close()
+
         store = ResultStore(path, mode="rw")
         assert store.load("seed_kernel", "1", ("row", 0)) == 123
-        report = store.prune(max_age_days=10_000_000)
-        assert report["remaining"] == 1  # seeded last_used = created
-        conn = store._connection()
-        (value,) = conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        assert value == "2"
+        store.save("seed_kernel", "1", ("row", 0), 123)  # already stored
+        store.save("seed_kernel", "1", ("row", 1), 456)
+        assert store.flush() == 2
+        rows = [
+            row
+            for chunk in store.export_seed({"seed_kernel": "1"})
+            for row in chunk
+        ]
+        assert len(rows) == 2
+        worker = ResultStore(":memory:", mode="rw")
+        worker.worker_mode = True
+        assert worker.import_seed_rows(rows) == 2
+        assert worker.load("seed_kernel", "1", ("row", 1)) == 456
+        assert store.integrity_report()["ok"]
         store.close()
 
 
@@ -707,48 +628,6 @@ class TestWorkerModeDelta:
         assert not os.path.exists(store.path)
         # Pending rows still serve reads (the overlay).
         assert store.load("k", "1", ("a",)) == 1
-
-    def test_worker_touches_ride_home_and_refresh_last_used(self, tmp_path):
-        """Regression: loads inside workers must still feed prune's
-        recency signal — touches ship home with the job payloads."""
-        parent = ResultStore(tmp_path / "shared.sqlite", mode="rw")
-        parent.save("k", "1", ("hot",), 7)
-        parent.flush()
-        conn = parent._connection()
-        conn.execute("UPDATE results SET last_used = 1.0")
-        conn.commit()
-
-        worker = ResultStore(tmp_path / "shared.sqlite", mode="rw")
-        worker.worker_mode = True
-        assert worker.load("k", "1", ("hot",)) == 7  # a store hit
-        touches = worker.drain_touches()
-        assert touches, "worker hit produced no touch"
-        parent.absorb_touches(touches)
-        parent.flush()
-        (value,) = conn.execute("SELECT last_used FROM results").fetchone()
-        assert value > 1.0
-        parent.close()
-        worker.close()
-
-    def test_pool_worker_loads_refresh_last_used(self, isolated_store):
-        """End-to-end: a --jobs 2 rerun over a warm store refreshes
-        last_used via the per-job drained touches."""
-        _seed_rows(isolated_store, 1)
-        conn = isolated_store._connection()
-        conn.execute("UPDATE results SET last_used = 1.0")
-        conn.commit()
-        KERNEL_CACHE.clear()
-        batch = run_batch(
-            [
-                Job("load-a", _load_seed_row, ()),
-                Job("load-b", _load_seed_row, ()),
-            ],
-            jobs=2,
-        )
-        assert batch.values == (7, 7)
-        isolated_store.flush()
-        (value,) = conn.execute("SELECT last_used FROM results").fetchone()
-        assert value > 1.0
 
 
 class TestConfiguration:
@@ -835,103 +714,13 @@ class TestSeedTier:
         assert worker.import_seed_rows([tampered, None, ("short",)]) == 0
         assert worker.load("k", "1", ("x",)) is MISS
 
-    def test_ro_worker_mode_still_records_touches(self, isolated_store):
-        """An REPRO_STORE=ro warm-start worker cannot flush, but its hits
-        must still ship recency home (the coordinator applies them)."""
-        isolated_store.save("k", "1", ("x",), 42)
-        isolated_store.flush()
-        rows = [
-            row
-            for chunk in isolated_store.export_seed({"k": "1"})
-            for row in chunk
-        ]
-        worker = ResultStore(":memory:", mode="ro")
-        worker.worker_mode = True
-        worker.import_seed_rows(rows)
-        assert worker.load("k", "1", ("x",)) == 42
-        touches = worker.drain_touches()
-        assert len(touches) == 1
-        # A plain ro store outside worker mode keeps the old behavior:
-        # nothing to ship anywhere, so nothing is recorded.
-        plain = ResultStore(isolated_store.path, mode="ro")
-        assert plain.load("k", "1", ("x",)) == 42
-        assert plain.drain_touches() == ()
-        plain.close()
-
-    def test_seed_hits_ship_touches_home(self, isolated_store):
-        """A seeded row served on a worker must refresh the home copy's
-        last_used once its touches ride back (prune's recency signal)."""
-        isolated_store.save("k", "1", ("x",), 42)
-        isolated_store.flush()
-        conn = isolated_store._connection()
-        conn.execute("UPDATE results SET last_used = 1.0")
-        conn.commit()
-        rows = [
-            row
-            for chunk in isolated_store.export_seed({"k": "1"})
-            for row in chunk
-        ]
-        worker = ResultStore(":memory:", mode="rw")
-        worker.worker_mode = True
-        worker.import_seed_rows(rows)
-        assert worker.load("k", "1", ("x",)) == 42
-        touches = worker.drain_touches()
-        assert len(touches) == 1
-        isolated_store.absorb_touches(touches)
-        isolated_store.flush()
-        (value,) = conn.execute("SELECT last_used FROM results").fetchone()
-        assert value > 1.0
-
-
-class TestLastUsedRoundTrip:
-    """Imported rows keep their recency instead of resetting it."""
-
-    @staticmethod
-    def _last_used(store: ResultStore) -> float:
-        (value,) = (
-            store._connection()
-            .execute("SELECT last_used FROM results")
-            .fetchone()
-        )
-        return value
-
-    def test_imported_rows_carry_last_used(self, isolated_store, tmp_path):
-        worker = ResultStore(tmp_path / "w.sqlite", mode="rw")
-        worker.worker_mode = True
-        worker.save("k", "1", ("x",), 42)
-        (row,) = worker.drain_pending()
-        assert len(row) == 7  # (…, created, last_used) on the wire
-        hot = row[5] + 1000.0
-        touched = row[:6] + (hot,)
-        isolated_store.absorb_rows([touched])
-        isolated_store.flush()
-        assert self._last_used(isolated_store) == hot
-
-    def test_duplicate_import_never_regresses_last_used(
-        self, isolated_store
-    ):
-        isolated_store.save("k", "1", ("x",), 42)
-        isolated_store.flush()
-        hot = self._last_used(isolated_store) + 500.0
-        conn = isolated_store._connection()
-        conn.execute("UPDATE results SET last_used = ?", (hot,))
-        conn.commit()
-        # A requeued job recomputed the same row elsewhere with an older
-        # timestamp; re-importing it must not cool the hot copy down.
-        worker = ResultStore(":memory:", mode="rw")
-        worker.worker_mode = True
-        worker.save("k", "1", ("x",), 42)
-        isolated_store.absorb_rows(worker.drain_pending())
-        isolated_store.flush()
-        assert self._last_used(isolated_store) == hot
-
-    def test_rows_without_seven_fields_are_skipped(self, isolated_store):
+    def test_rows_without_six_fields_are_skipped(self, isolated_store):
         worker = ResultStore(":memory:", mode="rw")
         worker.worker_mode = True
         worker.save("k", "1", ("x",), 42)
         worker.save("k", "1", ("y",), 43)
         good, other = worker.drain_pending()
-        short = other[:6]  # checksum intact, last_used missing
+        short = other[:5]  # checksum intact, created missing
         isolated_store.absorb_rows([short, good])
         assert isolated_store.import_seed_rows([short]) == 0
         assert isolated_store.flush() == 1
