@@ -20,10 +20,11 @@ Measured on a 2-core Xeon under CPython 3.11 (see EXPERIMENTS.md):
 rows the builder already reduced; only the reference still scans them
 pairwise for dominated rows, as the oracle.
 
-Each timing is the fastest of one or two cold runs, each started with
-the kernel cache cleared and the store off.  These tests only *gate*;
-the repository benchmark (``BENCHMARK.json``, ``perfbench/``) is the
-timing of record.
+Each timing is the fastest of one or two runs of
+:meth:`~repro.verification.SolvabilitySearch.solve`, which builds and
+searches the CSP without the kernel cache or the store, so every run is
+cold.  These tests only *gate*; the repository benchmark
+(``BENCHMARK.json``, ``perfbench/``) is the timing of record.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ import time
 
 import pytest
 
-import repro.store as store_pkg
-from repro.engine import KERNEL_CACHE
-from repro.verification import decide_one_round_solvability, sat_available
+from repro.verification import SolvabilitySearch, sat_available
 
 #: The acceptance bound for bitset vs reference on the heaviest n=3
 #: class.  Measured ~58-80x; 3x leaves headroom for loaded CI machines.
@@ -74,26 +73,22 @@ def _n4_tail_sample():
     raise AssertionError("no enumerable n=4 tail class")
 
 
+def _solve(pool, k, backend):
+    return SolvabilitySearch(pool, k, range(k + 1)).solve(backend)
+
+
 def _time_backend(pool, ks, backend, repeats=2):
     """Cold time for the per-k searches; returns (seconds, verdicts).
 
-    The time is the fastest of ``repeats`` runs.  Every run starts with
-    the kernel cache cleared and the store off (scenario isolation: no
-    contamination between backends or between a cold phase here and a
-    warm phase elsewhere in the pytest process), so there is no warmup:
-    it would measure nothing different from a timed run.
+    The time is the fastest of ``repeats`` runs.  Nothing is memoized
+    between runs, so there is no warmup: it would measure nothing
+    different from a timed run.
     """
     best = float("inf")
-    with store_pkg.RESULT_STORE.disabled():
-        for _ in range(repeats):
-            KERNEL_CACHE.clear()
-            started = time.perf_counter()
-            results = [
-                decide_one_round_solvability(pool, k, backend=backend)
-                for k in ks
-            ]
-            best = min(best, time.perf_counter() - started)
-        KERNEL_CACHE.clear()
+    for _ in range(repeats):
+        started = time.perf_counter()
+        results = [_solve(pool, k, backend) for k in ks]
+        best = min(best, time.perf_counter() - started)
     verdicts = [
         (r.solvable, r.view_count, r.execution_count) for r in results
     ]
@@ -139,11 +134,8 @@ def test_backends_agree_on_n4_tail_sample():
 def test_sat_backend_decides_heaviest_n3_class():
     """The sat backend agrees on the heaviest n=3 class (timed above)."""
     pool = _heaviest_n3_model()
-    with store_pkg.RESULT_STORE.disabled():
-        KERNEL_CACHE.clear()
-        for k in (1, 2, 3):
-            sat = decide_one_round_solvability(pool, k, backend="sat")
-            bit = decide_one_round_solvability(pool, k, backend="bitset")
-            assert sat.solvable == bit.solvable
-            assert sat.execution_count == bit.execution_count
-        KERNEL_CACHE.clear()
+    for k in (1, 2, 3):
+        sat = _solve(pool, k, "sat")
+        bit = _solve(pool, k, "bitset")
+        assert sat.solvable == bit.solvable
+        assert sat.execution_count == bit.execution_count

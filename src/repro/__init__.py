@@ -16,10 +16,7 @@ The library provides, from scratch:
 * :mod:`repro.bounds` — every bound theorem of the paper as an executable
   function with provenance;
 * :mod:`repro.verification` — exhaustive algorithm verification and exact
-  one-round solvability search (the ground truth for the bounds), with
-  pluggable CSP compute backends (``REPRO_CSP_BACKEND``: the default
-  ``bitset`` bitmask search, the ``reference`` baseline, optional
-  ``sat`` via `python-sat`, and a ``check`` cross-check mode);
+  one-round solvability search (the ground truth for the bounds);
 * :mod:`repro.engine` — the shared compute layer: canonical graph keys and
   interning, the process-global :class:`~repro.engine.cache.KernelCache`
   that memoizes the hot kernels across call sites, and the

@@ -4,13 +4,12 @@ Usage::
 
     python -m repro bounds --family wheel --n 4 [--symmetric] [--rounds 2]
     python -m repro search --family cycle --n 4 --k 1 [--full]
-                           [--backend bitset|reference|sat|check]
     python -m repro verify --family cycle --n 4 --k 2 [--rounds 3]
     python -m repro experiments [E1 E6 ...] [--jobs 4 | --distributed :7071]
                                 [--trace FILE]
     python -m repro cache-stats [--n 5] [--passes 3] [--json]
     python -m repro sweep --n 4 [--jobs 4 | --distributed :7071] [--limit K]
-                          [--budget 4096] [--backend bitset|reference|sat|check]
+                          [--budget 4096]
                           [--trace FILE]
                           [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
@@ -23,14 +22,6 @@ Usage::
 ``--family`` names any zero/one-argument constructor from
 :mod:`repro.graphs.families` (star, cycle, wheel, path, out_tree,
 tournament, ...); ``union_of_stars`` additionally takes ``--centers``.
-
-Compute backends: the solvability CSP kernels run on a pluggable backend
-(``--backend`` on ``search`` and ``sweep``, or ``REPRO_CSP_BACKEND``):
-``bitset`` (the default under ``auto``), the ``reference`` pure-Python
-search, the optional ``sat`` CNF encoding (requires ``python-sat``), or
-``check`` which runs every available backend and asserts identical
-verdicts.  Results are backend-independent; store rows are not shared
-across backends (each backend persists under its own kernel version).
 
 Persistence: set ``REPRO_STORE=rw`` (and optionally
 ``REPRO_STORE_PATH=...``) to warm-start every command from a persistent
@@ -137,9 +128,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         else:
             pool = generators
             scope = f"generators ({len(pool)} graphs)"
-        result = decide_one_round_solvability(
-            pool, args.k, backend=args.backend
-        )
+        result = decide_one_round_solvability(pool, args.k)
     except ReproError as exc:
         _usage_error(f"search: {exc}")
     print(f"[{scope}] {result.describe()}")
@@ -290,7 +279,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             limit=args.limit,
             budget=args.budget,
             executor=_executor_for(args),
-            backend=args.backend,
             checkpoint_path=args.checkpoint,
             resume_from=args.resume_from,
         )
@@ -306,7 +294,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "resumed": report.resumed,
             "replayed": report.replayed,
             "checkpoint_dropped": report.checkpoint_dropped,
-            "backend": report.backend,
             "classes": [cls.to_dict() for cls in report.classes],
             "headers": report.headers,
             "rows": [[repr(cell) for cell in row] for row in report.rows],
@@ -407,6 +394,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import describe_summary, load_trace, summarize_trace
 
     # argparse restricts action to "summary" already.
+    if args.top < 0:
+        raise SystemExit(
+            f"trace summary: --top must be at least 0, got {args.top}"
+        )
     try:
         events = load_trace(args.file)
     except OSError as exc:
@@ -535,18 +526,6 @@ def main(argv: list[str] | None = None) -> int:
             help="use the symmetric closure of the generator",
         )
 
-    def add_backend_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("auto", "reference", "bitset", "sat", "check"),
-            default=None,
-            help="CSP compute backend (default: REPRO_CSP_BACKEND, else "
-            "auto = bitset).  'reference' is the original pure-Python "
-            "search, 'bitset' the bitmask re-encoding, 'sat' a CNF "
-            "encoding via python-sat (optional dependency), 'check' runs "
-            "every available backend and asserts identical verdicts",
-        )
-
     p_bounds = sub.add_parser("bounds", help="print the paper's bound report")
     add_model_args(p_bounds)
     p_bounds.add_argument("--rounds", type=int, default=1)
@@ -565,7 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         "--budget", type=int, default=1 << 12,
         help="with --full: cap on the enumerated model's graph count",
     )
-    add_backend_arg(p_search)
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser(
@@ -737,7 +715,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    add_backend_arg(p_sweep)
     add_distributed_arg(p_sweep)
     add_trace_arg(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

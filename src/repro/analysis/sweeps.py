@@ -50,7 +50,6 @@ from ..graphs.digraph import Digraph
 from ..graphs.symmetry import symmetric_closure
 from ..models.closed_above import symmetric_closed_above
 from ..obs.trace import TRACER
-from ..verification.backends import CSP_BACKEND_VARIANTS, resolve_backend
 from ..verification.solvability import decide_one_round_solvability
 
 __all__ = [
@@ -109,25 +108,19 @@ def _class_bounds(g: Digraph, n: int) -> tuple[int, int]:
     return (report.best_lower.k, report.best_upper.k)
 
 
+# The version banked rows carry: `store vacuum` deletes any other's rows.
 @cached_kernel(
     name="solvability_subshard",
-    key=lambda g, n, budget, k, backend=None: (iso_key(g), n, budget, k),
-    version="1",
-    variant=lambda g, n, budget, k, backend=None: resolve_backend(backend),
-    variants=CSP_BACKEND_VARIANTS,
+    key=lambda g, n, budget, k: (iso_key(g), n, budget, k),
+    version="1+bitset",
 )
-def _subshard_solvable(
-    g: Digraph, n: int, budget: int, k: int, backend: str | None = None
-) -> bool:
+def _subshard_solvable(g: Digraph, n: int, budget: int, k: int) -> bool:
     """Is ``k``-set agreement one-round solvable on the full model of
     ``g``'s class?
 
     Everything here is invariant under relabelling of ``g`` (solvability
     of a symmetric closed-above model doesn't see labels), which is what
-    makes ``iso_key`` a sound cache key.  ``backend`` selects the CSP
-    compute backend; the verdict is backend-independent but memoized per
-    backend (the version suffix), so equivalence runs never read each
-    other's rows.
+    makes ``iso_key`` a sound cache key.
 
     ``k >= n`` is answered analytically: every graph in this universe
     carries all self-loops (a :class:`~repro.graphs.digraph.Digraph`
@@ -142,7 +135,7 @@ def _subshard_solvable(
         return True
     model = symmetric_closed_above([g])
     full = sorted(model.iter_graphs(max_graphs=budget))
-    return bool(decide_one_round_solvability(full, k, backend=backend).solvable)
+    return bool(decide_one_round_solvability(full, k).solvable)
 
 
 def reduce_sweep_row(values: tuple, g: Digraph) -> list[object]:
@@ -206,13 +199,6 @@ class SweepPlan:
     classes: tuple[_ClassPlan, ...]
     tasks: tuple[Job, ...]
     reductions: tuple[Reduction, ...]
-    backend: str = "bitset"
-    """The *resolved* CSP backend every job in the plan carries.
-
-    Resolved once at plan time so serial runs, pool workers and remote
-    workers (whose ``REPRO_CSP_BACKEND`` environment may differ) all
-    compute — and persist — under the same backend identity.
-    """
 
 
 def plan_sweep(
@@ -220,25 +206,16 @@ def plan_sweep(
     n: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
 ) -> SweepPlan:
     """Build the two-phase job plan for ``representatives``.
 
     Every class becomes one bounds job plus one job per ``k = 1..n``,
     tied together by a :class:`~repro.engine.batch.Reduction` that fires
     as the last of them lands.  The plan depends only on ``(g, n,
-    budget, backend)``, so every process — serial reference, pool
-    parent, coordinator, remote worker — plans identically.
-
-    ``backend`` is resolved here, once, and the concrete name rides in
-    every job's argument tuple: a distributed worker must run the exact
-    backend the coordinator planned with, not whatever its own
-    environment would resolve ``auto`` to.
+    budget)``, so every process — serial reference, pool parent,
+    coordinator, remote worker — plans identically.
     """
-    backend = resolve_backend(backend)
-    with TRACER.span(
-        "sweep:plan", cat="sweep", n=n, backend=backend
-    ) as _plan_span:
+    with TRACER.span("sweep:plan", cat="sweep", n=n) as _plan_span:
         entries = [
             (index, g, estimate_class_cost(g, n, budget))
             for index, g in enumerate(representatives)
@@ -263,7 +240,7 @@ def plan_sweep(
                     Job(
                         name=f"sweep:n={n}:{index}:k={k}",
                         fn=_subshard_solvable,
-                        args=(g, n, budget, k, backend),
+                        args=(g, n, budget, k),
                     )
                 )
             classes[index] = _ClassPlan(
@@ -287,7 +264,6 @@ def plan_sweep(
             classes=tuple(classes),
             tasks=tuple(tasks),
             reductions=tuple(reductions),
-            backend=backend,
         )
         _plan_span.set(
             classes=len(plan.classes),
@@ -301,7 +277,7 @@ def plan_fingerprint(plan: SweepPlan) -> str:
     """12-hex identity of a sweep plan, for checkpoint resume.
 
     Hashes exactly the parameters that pin *which rows* a plan produces —
-    ``(n, budget, backend, class count)`` — and nothing that only steers
+    ``(n, budget, class count)`` — and nothing that only steers
     scheduling, such as job order or task names.  A checkpoint whose
     completed names the re-built plan lacks (one written by an older
     plan layout) is still accepted; those names are dropped with a count
@@ -310,13 +286,9 @@ def plan_fingerprint(plan: SweepPlan) -> str:
     means the checkpoint belongs to a genuinely different sweep, and
     resuming is refused.
     """
-    core = (
-        "sweep-plan",
-        plan.n,
-        plan.budget,
-        plan.backend,
-        len(plan.classes),
-    )
+    # "bitset" keeps the fingerprints of checkpoints written while the
+    # CSP backend was a sweep parameter, so they still resume.
+    core = ("sweep-plan", plan.n, plan.budget, "bitset", len(plan.classes))
     return hashlib.sha256(repr(core).encode("utf-8")).hexdigest()[:12]
 
 
@@ -389,8 +361,6 @@ class SweepReport:
     """Timings and merged cache/store statistics of the job batch."""
     classes: tuple[SweepClassReport, ...] = ()
     """Per-class cost estimates and timings."""
-    backend: str = "bitset"
-    """The resolved CSP compute backend every job ran under."""
 
     replayed: int = 0
     """Jobs restored from a ``--resume-from`` checkpoint this call:
@@ -451,7 +421,6 @@ def solvability_sweep(
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
     executor=None,
-    backend: str | None = None,
     checkpoint_path: str | None = None,
     resume_from: str | None = None,
 ) -> SweepReport:
@@ -469,10 +438,7 @@ def solvability_sweep(
     :class:`repro.dist.DistExecutor`) runs the same plan across every
     connected ``python -m repro worker`` instead, with the coordinator
     persisting each job as it completes and firing the reductions
-    itself — identical results, identical resumability.  ``backend``
-    selects the CSP compute backend (resolved once, at plan time, so
-    every worker runs the same one); the rows are backend-independent —
-    the equivalence tests and the CI ``backends-smoke`` job pin it.
+    itself — identical results, identical resumability.
     A non-positive ``n``, ``jobs``, ``limit`` or ``budget`` raises
     :class:`~repro.errors.ConfigError` before anything is planned (see
     :func:`check_sweep_values`).
@@ -502,7 +468,7 @@ def solvability_sweep(
     total = len(representatives)
     if limit is not None:
         representatives = representatives[:limit]
-    plan = plan_sweep(representatives, n, budget=budget, backend=backend)
+    plan = plan_sweep(representatives, n, budget=budget)
     completed_indices: tuple[int, ...] = ()
     writer = None
     dropped = 0
@@ -570,7 +536,6 @@ def solvability_sweep(
         sharded=len(representatives),
         batch=batch,
         classes=tuple(class_reports),
-        backend=plan.backend,
         replayed=len(completed_indices),
         checkpoint_dropped=dropped,
     )

@@ -194,7 +194,7 @@ def resume_completed(
     Returns ``(completed_names_present_in_plan, dropped_count)``.
     Raises :class:`~repro.errors.DistError` on a fingerprint mismatch —
     the checkpoint belongs to a different plan (different n, budget,
-    backend, …) and resuming would silently corrupt accounting.
+    class count) and resuming would silently corrupt accounting.
     Completed names absent from the new plan (a checkpoint written by
     an older plan layout) are dropped, not fatal: re-running them costs
     a warm store hit, not a kernel.
@@ -203,7 +203,7 @@ def resume_completed(
         raise DistError(
             f"checkpoint fingerprint {state.fingerprint} does not match "
             f"this plan ({fingerprint}); refusing to resume a different "
-            "sweep (check --n/--limit/--budget/--backend)"
+            "sweep (check --n/--limit/--budget)"
         )
     names = set(names)
     present = {name for name in state.completed if name in names}

@@ -81,7 +81,11 @@ __all__ = [
 #: field is gone) inside ``result`` (``JobResult.store_rows``) and
 #: ``store_seed`` frames; a v3 peer is refused at ``hello``, since
 #: otherwise every row it sent or received would be skipped as malformed.
-PROTOCOL_VERSION = 4
+#: v5 drops the CSP backend from a sweep's per-``k`` jobs, whose
+#: arguments are now ``(g, n, budget, k)``: a v4 peer is refused at
+#: ``hello``, since otherwise a v5 worker would fail every five-argument
+#: job a v4 coordinator hands it with a ``TypeError``.
+PROTOCOL_VERSION = 5
 
 #: Frame kinds of the store seed stream and the status probe.  The job
 #: frames (``hello``/``welcome``/``next``/``job``/``result``/...) predate

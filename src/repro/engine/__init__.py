@@ -54,7 +54,6 @@ from .batch import (
 )
 from .cache import (
     KERNEL_CACHE,
-    KERNEL_VERSION_VARIANTS,
     KERNEL_VERSIONS,
     CacheStats,
     KernelCache,
@@ -73,7 +72,6 @@ from .canonical import (
 __all__ = [
     "KERNEL_CACHE",
     "KERNEL_VERSIONS",
-    "KERNEL_VERSION_VARIANTS",
     "CacheStats",
     "KernelCache",
     "cache_disabled",

@@ -35,7 +35,7 @@ import hashlib
 import inspect
 import os
 from collections import OrderedDict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import wraps
@@ -48,7 +48,6 @@ __all__ = [
     "KernelCache",
     "KERNEL_CACHE",
     "KERNEL_VERSIONS",
-    "KERNEL_VERSION_VARIANTS",
     "cached_kernel",
     "cache_disabled",
     "kernel_source_version",
@@ -251,19 +250,11 @@ class KernelCache:
 #: The process-global cache every :func:`cached_kernel` routes through.
 KERNEL_CACHE = KernelCache(enabled=not os.environ.get("REPRO_NO_CACHE"))
 
-#: Registry of every decorated kernel's *base* implementation version,
+#: Registry of every decorated kernel's implementation version,
 #: populated at decoration time.  The persistent store uses it to refuse
 #: results of other implementations and to garbage-collect stale rows
 #: (``python -m repro store vacuum``).
 KERNEL_VERSIONS: dict[str, str] = {}
-
-#: Every store version a kernel may legitimately write, populated at
-#: decoration time.  Kernels without declared variants map to a 1-tuple of
-#: their base version; kernels decorated with ``variants=`` (e.g. the CSP
-#: kernels, one entry per compute backend) map to every
-#: ``"{base}+{suffix}"`` combination, so the store's vacuum/staleness
-#: logic keeps rows of every backend rather than only the default one.
-KERNEL_VERSION_VARIANTS: dict[str, tuple[str, ...]] = {}
 
 
 def cache_disabled():
@@ -305,8 +296,6 @@ def cached_kernel(
     key: Callable[..., object] | None = None,
     cache: KernelCache | None = None,
     version: str | None = None,
-    variant: Callable[..., str] | None = None,
-    variants: Iterable[str] = (),
 ):
     """Decorator memoizing a pure kernel in the global :class:`KernelCache`.
 
@@ -328,18 +317,6 @@ def cached_kernel(
         to :func:`kernel_source_version`.  Bump an explicit version on
         any semantic change, or keep the default to invalidate on every
         source edit.
-    variant:
-        Optional callable over the kernel's arguments returning a short
-        suffix naming the *implementation variant* this call runs under
-        (e.g. the resolved CSP compute backend).  The suffix joins the
-        store version as ``"{version}+{suffix}"`` and scopes the
-        in-process memo key too, so two variants never share results in
-        either tier even though their cache *key* (the mathematical
-        question) is identical.
-    variants:
-        The full set of suffixes ``variant`` may return, declared up
-        front so :data:`KERNEL_VERSION_VARIANTS` can register every
-        live store version for vacuum/staleness accounting.
 
     The undecorated function stays reachable via ``__wrapped__``.
     """
@@ -350,29 +327,7 @@ def cached_kernel(
             str(version) if version is not None else kernel_source_version(fn)
         )
         KERNEL_VERSIONS[kernel] = kernel_version
-        declared = tuple(variants)
-        KERNEL_VERSION_VARIANTS[kernel] = (
-            tuple(f"{kernel_version}+{suffix}" for suffix in declared)
-            if declared
-            else (kernel_version,)
-        )
         store = cache
-
-        def _identity(args, kwargs):
-            """(memo_key, store_key, store_version) for one call."""
-            cache_key = (
-                key(*args, **kwargs)
-                if key is not None
-                else (args, tuple(sorted(kwargs.items())))
-            )
-            if variant is None:
-                return cache_key, cache_key, kernel_version
-            suffix = variant(*args, **kwargs)
-            return (
-                (suffix, cache_key),
-                cache_key,
-                f"{kernel_version}+{suffix}",
-            )
 
         def _invoke(args, kwargs):
             """One kernel call; returns ``(value, tier)``.
@@ -389,18 +344,22 @@ def cached_kernel(
                 # disabling the cache means "compute the reference value".
                 target.lookup(kernel, None)
                 return fn(*args, **kwargs), "bypass"
-            memo_key, store_key, store_version = _identity(args, kwargs)
-            value = target.lookup(kernel, memo_key)
+            cache_key = (
+                key(*args, **kwargs)
+                if key is not None
+                else (args, tuple(sorted(kwargs.items())))
+            )
+            value = target.lookup(kernel, cache_key)
             if value is not _MISSING:
                 return value, "memo"
             tier = _second_tier()
             if tier is not None:
                 from ..store.backend import MISS as _STORE_MISS
 
-                stored = tier.load(kernel, store_version, store_key)
+                stored = tier.load(kernel, kernel_version, cache_key)
                 if stored is _STORE_MISS:
                     value = fn(*args, **kwargs)
-                    tier.save(kernel, store_version, store_key, value)
+                    tier.save(kernel, kernel_version, cache_key, value)
                     served = "computed"
                 else:
                     value = stored
@@ -410,7 +369,7 @@ def cached_kernel(
             else:
                 value = fn(*args, **kwargs)
                 served = "computed"
-            target.store(kernel, memo_key, value)
+            target.store(kernel, cache_key, value)
             return value, served
 
         @wraps(fn)

@@ -169,9 +169,10 @@ def store_probe(n: int = 5, passes: int = 2) -> StoreProbeReport:
     """Measure what the persistent store buys a brand-new process.
 
     Requires an active store (``REPRO_STORE=ro|rw``).  The kernel cache
-    is cleared before *every* pass, so pass 2+ can only be fast by
-    warm-starting from the store; against a pre-populated store even the
-    first pass is warm (the probe is then an end-to-end hit check).
+    is cleared before *every* pass and the store flushed after it, so
+    pass 2+ can only be fast by warm-starting from rows that reached the
+    file; against a pre-populated store even the first pass is warm (the
+    probe is then an end-to-end hit check).
     """
     from .. import store as result_store
 
@@ -190,7 +191,7 @@ def store_probe(n: int = 5, passes: int = 2) -> StoreProbeReport:
         start = time.perf_counter()
         _probe_workload(n)
         times.append(time.perf_counter() - start)
-    store.flush()
+        store.flush()
     return StoreProbeReport(
         pass_times=tuple(times),
         cache_stats=KERNEL_CACHE.stats(),

@@ -112,7 +112,7 @@ def load_trace(path: str) -> list[dict]:
     with open(path) as handle:
         payload = json.load(handle)
     if isinstance(payload, dict):
-        events = payload.get("traceEvents", [])
+        events = payload.get("traceEvents")
     else:
         events = payload
     if not isinstance(events, list):

@@ -565,10 +565,9 @@ class ResultStore:
     ):
         """Yield chunks of raw rows for seeding a connecting worker.
 
-        ``versions`` maps kernel name to an implementation version (or a
-        tuple of versions, for kernels with live variants); only matching
-        rows ship.  ``None`` means "every kernel registered in this
-        process, at its current version(s)" — so rows orphaned by an
+        ``versions`` maps kernel name to an implementation version; only
+        matching rows ship.  ``None`` means "every kernel registered in
+        this process, at its current version" — so rows orphaned by an
         edited kernel never travel.  Chunks are bounded by row count and
         payload bytes, and the database is locked per chunk only, so a
         huge store streams as many modest frames without stalling the
@@ -576,11 +575,7 @@ class ResultStore:
         """
         if versions is None:
             versions = _current_kernel_versions()
-        pairs = sorted(
-            (kernel, version)
-            for kernel, value in versions.items()
-            for version in ((value,) if isinstance(value, str) else tuple(value))
-        )
+        pairs = sorted(versions.items())
         if not pairs:
             return
         # The filter lives in the WHERE clause: a store full of
@@ -687,7 +682,7 @@ class ResultStore:
             stale = 0
             for kernel, version, count, value_bytes in rows:
                 known = current.get(kernel)
-                is_stale = known is not None and version not in known
+                is_stale = known is not None and version != known
                 if is_stale:
                     stale += count
                 info["kernels"].append(
@@ -710,10 +705,9 @@ class ResultStore:
         """Garbage-collect stale kernel versions, then ``VACUUM``.
 
         A row is stale when its kernel is registered in this process and
-        the row's version matches *none* of the kernel's live versions
-        (kernels with implementation variants have one live version per
-        variant); rows of unknown kernels are kept (another tool or an
-        older checkout may still want them).
+        the row's version is not the kernel's current one; rows of
+        unknown kernels are kept (another tool or an older checkout may
+        still want them).
         """
         if not self.writable:
             raise StoreError("vacuum needs a writable (rw) store")
@@ -723,12 +717,10 @@ class ResultStore:
             if conn is None:
                 raise StoreError(f"store file {self.path} is unreadable")
             deleted = 0
-            for kernel, versions in _current_kernel_versions().items():
-                placeholders = ", ".join("?" * len(versions))
+            for kernel, version in _current_kernel_versions().items():
                 cursor = conn.execute(
-                    "DELETE FROM results WHERE kernel = ? "
-                    f"AND version NOT IN ({placeholders})",
-                    (kernel, *versions),
+                    "DELETE FROM results WHERE kernel = ? AND version != ?",
+                    (kernel, version),
                 )
                 deleted += cursor.rowcount
             conn.commit()
@@ -781,18 +773,13 @@ class ResultStore:
             }
 
 
-def _current_kernel_versions() -> dict[str, tuple[str, ...]]:
-    """Every live store version of every kernel registered in this process.
-
-    Most kernels map to a 1-tuple of their pinned version; kernels with
-    declared implementation variants (the CSP compute backends) map to
-    one ``"{version}+{suffix}"`` entry per variant — all of them count as
-    current, so vacuum/staleness never discards another backend's rows.
+def _current_kernel_versions() -> dict[str, str]:
+    """The current version of every kernel registered in this process.
 
     Imported lazily: the store package must stay importable without the
     engine (and vice versa — the engine imports *us* lazily on the miss
     path).
     """
-    from ..engine.cache import KERNEL_VERSION_VARIANTS
+    from ..engine.cache import KERNEL_VERSIONS
 
-    return dict(KERNEL_VERSION_VARIANTS)
+    return dict(KERNEL_VERSIONS)

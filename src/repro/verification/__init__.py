@@ -2,7 +2,7 @@
 searches, and counterexample certificates."""
 
 from .adversarial import WorstCase, achieved_k, worst_case_decisions
-from .backends import available_backends, resolve_backend, sat_available
+from .backends import available_backends, sat_available
 from .certificates import find_violation, tightness_certificate
 from .colored import decide_one_round_solvability_colored
 from .exhaustive import VerificationReport, exhaustive_inputs, verify_algorithm
@@ -23,7 +23,6 @@ __all__ = [
     "achieved_k",
     "worst_case_decisions",
     "available_backends",
-    "resolve_backend",
     "sat_available",
     "decide_one_round_solvability_colored",
     "find_violation",

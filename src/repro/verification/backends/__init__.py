@@ -33,16 +33,16 @@ assignment, reduced_count)`` with ``assignment`` a per-view value index
 as the oracle; under ``check`` its count then differs from the others'
 whenever a builder handed over a dominated row.
 
-Selection: the ``backend=`` parameter threaded through the public search
-functions, else the ``REPRO_CSP_BACKEND`` environment variable, else
-``auto`` (currently the bitset backend).  The pseudo-backend ``check``
-runs every available backend and asserts identical verdicts — the tests
-and CI smoke jobs use it to keep the implementations pinned together.
+Every memoized search runs on ``bitset``.  ``reference`` and ``sat``
+are test oracles, reached by name only through :func:`solve_csp` and
+:meth:`~repro.verification.solvability.SolvabilitySearch.solve`, which
+bypass the memo and the store.  The pseudo-backend ``check`` runs every
+available backend and asserts identical verdicts — the tests use it to
+keep the implementations pinned together.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from collections.abc import Sequence
 
@@ -50,31 +50,14 @@ from ...errors import VerificationError
 
 __all__ = [
     "BACKEND_NAMES",
-    "CSP_BACKEND_VARIANTS",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
     "available_backends",
-    "resolve_backend",
     "sat_available",
     "solve_csp",
     "witness_ok",
 ]
 
-#: Environment variable consulted when no explicit ``backend=`` is given.
-ENV_VAR = "REPRO_CSP_BACKEND"
-
 #: Concrete single-implementation backends.
 BACKEND_NAMES = ("reference", "bitset", "sat")
-
-#: What ``auto`` resolves to.  The bitset backend is the default because
-#: it is exhaustively cross-checked against ``reference`` and strictly
-#: faster; ``sat`` stays opt-in so cluster runs never depend on whether a
-#: worker happens to have `python-sat` installed.
-DEFAULT_BACKEND = "bitset"
-
-#: Every version suffix a CSP kernel can run under — the store registers
-#: all of them as live so ``store vacuum`` keeps rows of every backend.
-CSP_BACKEND_VARIANTS = BACKEND_NAMES + ("check",)
 
 _SAT_AVAILABLE: bool | None = None
 
@@ -98,33 +81,6 @@ def available_backends() -> tuple[str, ...]:
     return names + ("sat",) if sat_available() else names
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend request to a concrete name (or ``check``).
-
-    ``None`` or ``""`` falls back to :data:`ENV_VAR`, then to ``auto``.
-    Raises :class:`VerificationError` for unknown names and for ``sat``
-    when `python-sat` is not importable.
-    """
-    raw = name if name else os.environ.get(ENV_VAR, "")
-    raw = str(raw).strip().lower() or "auto"
-    if raw == "auto":
-        return DEFAULT_BACKEND
-    if raw == "check":
-        return "check"
-    if raw not in BACKEND_NAMES:
-        choices = ", ".join(("auto", "check") + BACKEND_NAMES)
-        raise VerificationError(
-            f"unknown CSP backend {raw!r} (choose from: {choices})"
-        )
-    if raw == "sat" and not sat_available():
-        raise VerificationError(
-            "CSP backend 'sat' requires python-sat "
-            "(pip install python-sat); use backend='bitset' or "
-            "'reference' instead"
-        )
-    return raw
-
-
 def _solver(name: str):
     if name == "reference":
         from . import reference
@@ -135,10 +91,19 @@ def _solver(name: str):
 
         return bitset.solve
     if name == "sat":
+        if not sat_available():
+            raise VerificationError(
+                "CSP backend 'sat' requires python-sat "
+                "(pip install python-sat); use backend='bitset' or "
+                "'reference' instead"
+            )
         from . import sat
 
         return sat.solve
-    raise VerificationError(f"no solver for backend {name!r}")
+    choices = ", ".join(("check",) + BACKEND_NAMES)
+    raise VerificationError(
+        f"unknown CSP backend {name!r} (choose from: {choices})"
+    )
 
 
 def witness_ok(
@@ -167,23 +132,22 @@ def solve_csp(
     executions: list[tuple[int, ...]],
     domains: list[tuple[int, ...]],
     k: int,
-    backend: str | None = None,
+    backend: str = "bitset",
 ) -> tuple[bool, list[int | None], int]:
-    """Dispatch the abstract CSP to the resolved backend.
+    """Dispatch the abstract CSP to the backend named ``backend``.
 
     With ``backend='check'`` every available backend is run and their
     verdicts (solvable, reduced row count) must agree, each SAT witness
     must validate — the reference answer is returned.
     """
-    name = resolve_backend(backend)
     # The backtracking searches recurse once per assigned view; pure
     # Python frames, which CPython 3.11+ runs without growing the C
     # stack.  Raise the limit so a search over many views cannot hit it.
     depth = len(domains) + 1000
     if sys.getrecursionlimit() < depth:
         sys.setrecursionlimit(depth)
-    if name != "check":
-        return _solver(name)(executions, domains, k)
+    if backend != "check":
+        return _solver(backend)(executions, domains, k)
 
     results = {
         candidate: _solver(candidate)(executions, domains, k)

@@ -30,7 +30,6 @@ def decide_one_round_solvability_colored(
     graphs: Sequence[Digraph],
     k: int,
     values: Sequence[Hashable] | None = None,
-    backend: str | None = None,
 ) -> SolvabilityResult:
     """Is there a *colored* one-round decision map for k-set agreement?
 
@@ -38,8 +37,6 @@ def decide_one_round_solvability_colored(
     variable to the values present in the view (the adversary argument is
     identity-independent).  Same soundness caveats as the oblivious search:
     UNSAT on a subset of a model is sound, SAT needs the full model.
-    ``backend`` selects the CSP compute backend
-    (:mod:`repro.verification.backends`).
     """
     graphs = tuple(graphs)
     if not graphs:
@@ -57,4 +54,4 @@ def decide_one_round_solvability_colored(
 
     index, executions = index_views(graphs, values, colored=True)
     domains = _domains(view for _, view in index)
-    return _solve_csp(index, executions, k, domains=domains, backend=backend)
+    return _solve_csp(index, executions, k, domains=domains)

@@ -36,14 +36,12 @@ def decide_multi_round_solvability(
     rounds: int,
     k: int,
     values: Sequence[Hashable] | None = None,
-    backend: str | None = None,
 ) -> SolvabilityResult:
     """Decide ``r``-round oblivious solvability of ``k``-set agreement.
 
     ``graphs`` is the per-round pool (each round's graph drawn from it
     independently — the oblivious adversary); ``values`` defaults to
-    ``0..k``; ``backend`` selects the CSP compute backend
-    (:mod:`repro.verification.backends`).
+    ``0..k``.
     """
     graphs = tuple(graphs)
     if not graphs:
@@ -74,4 +72,4 @@ def decide_multi_round_solvability(
                 exec_views.add(idx)
             executions.append(tuple(sorted(exec_views)))
     executions = reduce_executions(list(dict.fromkeys(executions)))
-    return _solve_csp(view_index, executions, k, rounds=rounds, backend=backend)
+    return _solve_csp(view_index, executions, k, rounds=rounds)

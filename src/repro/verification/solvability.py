@@ -23,11 +23,10 @@ are restricted to those values; an emptied domain backtracks immediately.
 Variables are chosen fail-first (smallest live domain, then most
 constrained).
 
-The search itself runs on one of the pluggable compute backends in
-:mod:`repro.verification.backends` (``reference``, ``bitset``, ``sat``),
-selected by the ``backend=`` parameter or ``REPRO_CSP_BACKEND``; this
-module builds the abstract CSP (views, executions, value indexing) and
-decodes the backend's integer assignment back into a decision map.  An
+The search itself runs on the ``bitset`` backend of
+:mod:`repro.verification.backends`; this module builds the abstract CSP
+(views, executions, value indexing) and decodes the backend's integer
+assignment back into a decision map.  An
 execution whose views are a strict subset of another's constrains
 nothing the other does not, so the builder drops it (the subsumption
 reduction) before handing the rows over; see :func:`index_views`.
@@ -44,7 +43,7 @@ from ..engine.cache import cached_kernel
 from ..engine.canonical import graph_set_key
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
-from .backends import CSP_BACKEND_VARIANTS, resolve_backend, solve_csp
+from .backends import solve_csp
 from .backends.bitset import reduce_executions
 
 __all__ = [
@@ -190,7 +189,7 @@ def _solve_csp(
     k: int,
     rounds: int = 1,
     domains: list[tuple] | None = None,
-    backend: str | None = None,
+    backend: str = "bitset",
 ) -> SolvabilityResult:
     """Shared CSP core: views, per-execution ≤k-distinct constraints.
 
@@ -199,7 +198,7 @@ def _solve_csp(
     contains (validity) unless explicit ``domains`` are given (the
     colored search keys variables by ``(process, view)`` and supplies
     domains itself), maps values to small ints, and hands the abstract
-    CSP to the selected compute backend for the search.  Used by the
+    CSP to the named compute backend for the search.  Used by the
     one-round, multi-round and colored searches.
     """
     views: list[ObliviousView | None] = [None] * len(view_index)
@@ -272,8 +271,8 @@ class SolvabilitySearch:
         )
 
     # ------------------------------------------------------------------
-    def solve(self, backend: str | None = None) -> SolvabilityResult:
-        """Run the search; see the module docstring for the strategy."""
+    def solve(self, backend: str = "bitset") -> SolvabilityResult:
+        """Unmemoized search on ``backend`` (see :func:`solve_csp`)."""
         return _solve_csp(
             self._view_index, self._executions, self._k, backend=backend
         )
@@ -283,7 +282,6 @@ def decide_one_round_solvability(
     graphs: Sequence[Digraph],
     k: int,
     values: Sequence[Hashable] | None = None,
-    backend: str | None = None,
 ) -> SolvabilityResult:
     """Decide one-round oblivious solvability of ``k``-set agreement.
 
@@ -291,12 +289,6 @@ def decide_one_round_solvability(
     to witness impossibility: a violation needs ``k + 1`` distinct decided
     values.  A SAT answer over ``graphs`` that are the *complete* model is
     a genuine algorithm; over a subset it only means "not disproved here".
-
-    ``backend`` selects the compute backend
-    (:mod:`repro.verification.backends`); every backend returns the same
-    verdict, but memoization is backend-scoped: the kernel version carries
-    the resolved backend name as a suffix so the store never replays one
-    backend's rows as another's.
 
     Results are memoized per *graph set* (order- and duplicate-insensitive)
     in the kernel cache, and — when the persistent store
@@ -311,22 +303,18 @@ def decide_one_round_solvability(
     """
     if values is None:
         values = tuple(range(k + 1))
-    return _decide_one_round_solvability(
-        tuple(graphs), k, tuple(values), backend=backend
-    )
+    return _decide_one_round_solvability(tuple(graphs), k, tuple(values))
 
 
+# The version banked rows carry: `store vacuum` deletes any other's rows.
 @cached_kernel(
     name="one_round_solvability",
-    key=lambda graphs, k, values, backend=None: (graph_set_key(graphs), k, values),
-    version="2",
-    variant=lambda graphs, k, values, backend=None: resolve_backend(backend),
-    variants=CSP_BACKEND_VARIANTS,
+    key=lambda graphs, k, values: (graph_set_key(graphs), k, values),
+    version="2+bitset",
 )
 def _decide_one_round_solvability(
     graphs: tuple[Digraph, ...],
     k: int,
     values: tuple[Hashable, ...],
-    backend: str | None = None,
 ) -> SolvabilityResult:
-    return SolvabilitySearch(graphs, k, values).solve(backend=backend)
+    return SolvabilitySearch(graphs, k, values).solve()

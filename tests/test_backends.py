@@ -1,12 +1,12 @@
-"""Cross-check suite for the pluggable CSP compute backends.
+"""Cross-check suite for the CSP compute backends.
 
-The contract of the backends PR: every backend — ``reference`` (the
-original search), ``bitset`` (the bitmask re-encoding) and ``sat`` (the
-CNF encoding, when `python-sat` is installed) — returns the same verdict
-with a valid witness on the same instance, and no two backends ever
-share memoized rows in either cache tier.  The one-round builder that
-hands every backend its rows is pinned here too, against a frozenset
-builder kept in this file.
+Every memoized search runs on ``bitset`` (the bitmask search); the
+``reference`` search and the ``sat`` CNF encoding (when `python-sat` is
+installed) are the oracles it is checked against.  Every backend returns
+the same verdict with a valid witness on the same instance, on random
+instances and on every CSP of the n = 3 sweep.  The one-round builder
+that hands every backend its rows is pinned here too, against a
+frozenset builder kept in this file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from itertools import product
 import pytest
 
 import repro.store as store_pkg
-from repro.engine import KERNEL_CACHE, KERNEL_VERSION_VARIANTS
+from repro.analysis.sweeps import DEFAULT_BUDGET
+from repro.engine import KERNEL_CACHE, KERNEL_VERSIONS
 from repro.errors import VerificationError
 from repro.graphs import Digraph, cycle, star
 from repro.graphs.closure import upward_closure_size
@@ -30,13 +31,11 @@ from repro.verification import (
     decide_multi_round_solvability,
     decide_one_round_solvability,
     decide_one_round_solvability_colored,
-    resolve_backend,
     sat_available,
 )
 from repro.verification import colored as colored_module
 from repro.verification import solvability as solvability_module
 from repro.verification.backends import (
-    CSP_BACKEND_VARIANTS,
     available_backends,
     solve_csp,
     witness_ok,
@@ -183,8 +182,8 @@ def _classes_densest_first(n):
 
 class TestHeavyWorkloadVerdicts:
     """``(solvable, view_count, execution_count)`` per k on the two
-    workloads ``benchmarks/bench_csp_backends.py`` times, with the bitset
-    backend, the store off and the cache cleared.  The constants date
+    workloads ``benchmarks/bench_csp_backends.py`` times, with the store
+    off and the cache cleared.  The constants date
     from the bitset backend's introduction; never regenerate them."""
 
     @staticmethod
@@ -192,10 +191,7 @@ class TestHeavyWorkloadVerdicts:
         with store_pkg.disabled():
             KERNEL_CACHE.clear()
             try:
-                results = [
-                    decide_one_round_solvability(pool, k, backend="bitset")
-                    for k in ks
-                ]
+                results = [decide_one_round_solvability(pool, k) for k in ks]
             finally:
                 KERNEL_CACHE.clear()
         return [
@@ -436,7 +432,7 @@ class TestViewConstruction:
         # solve per class (one class takes seconds at k = 2).
         handed = []
 
-        def spy(index, rows, k, domains, backend):
+        def spy(index, rows, k, domains, backend="bitset"):
             handed.append((index, rows, domains))
             return _solve_csp(index, rows, k, domains=domains, backend=backend)
 
@@ -460,45 +456,55 @@ class TestViewConstruction:
 
 
 # ----------------------------------------------------------------------
-# Selection and environment plumbing
+# Every CSP of the n = 3 sweep under ``check``
 # ----------------------------------------------------------------------
 
-class TestResolveBackend:
-    def test_defaults_to_auto_bitset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CSP_BACKEND", raising=False)
-        assert resolve_backend() == "bitset"
-        assert resolve_backend("auto") == "bitset"
+class TestE10UnderCheck:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_e10_csp_agrees(self, k):
+        # The CSPs `sweep --n 3` searches: k = 3 = n is answered without
+        # one.  `check` runs every available backend and raises on any
+        # disagreement; its answer must then be the memoized bitset one.
+        classes = _classes_densest_first(3)
+        assert len(classes) == 16
+        for g in classes:
+            model = symmetric_closed_above([g])
+            full = sorted(model.iter_graphs(max_graphs=DEFAULT_BUDGET))
+            checked = SolvabilitySearch(full, k, range(k + 1)).solve("check")
+            assert checked == decide_one_round_solvability(full, k)
 
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSP_BACKEND", "reference")
-        assert resolve_backend() == "reference"
-        # An explicit parameter wins over the environment.
-        assert resolve_backend("bitset") == "bitset"
 
+# ----------------------------------------------------------------------
+# Backend names and kernel versions
+# ----------------------------------------------------------------------
+
+class TestBackendNames:
     def test_unknown_name_raises(self):
         with pytest.raises(VerificationError, match="unknown CSP backend"):
-            resolve_backend("minisat")
+            solve_csp([(0,)], [(0, 1)], 1, backend="minisat")
 
     def test_sat_gated_on_import(self):
         if sat_available():
-            assert resolve_backend("sat") == "sat"
+            solvable, _assignment, _reduced = solve_csp(
+                [(0,)], [(0, 1)], 1, backend="sat"
+            )
+            assert solvable
         else:
             with pytest.raises(VerificationError, match="python-sat"):
-                resolve_backend("sat")
+                solve_csp([(0,)], [(0, 1)], 1, backend="sat")
 
-    def test_variant_registry_covers_all_backends(self):
+    def test_kernel_versions_keep_the_bitset_suffix(self):
+        # The versions the stored rows were written under, so a store
+        # banked before the memoized kernels lost their backend switch
+        # stays live.
         import repro.analysis.sweeps  # noqa: F401 — registers the kernels
 
-        assert KERNEL_VERSION_VARIANTS["one_round_solvability"] == tuple(
-            f"2+{suffix}" for suffix in CSP_BACKEND_VARIANTS
-        )
-        assert KERNEL_VERSION_VARIANTS["solvability_subshard"] == tuple(
-            f"1+{suffix}" for suffix in CSP_BACKEND_VARIANTS
-        )
+        assert KERNEL_VERSIONS["one_round_solvability"] == "2+bitset"
+        assert KERNEL_VERSIONS["solvability_subshard"] == "1+bitset"
 
 
 # ----------------------------------------------------------------------
-# Store separation: backends never share rows
+# Store versions of the CSP kernel
 # ----------------------------------------------------------------------
 
 @pytest.fixture
@@ -522,72 +528,61 @@ def _store_rows(store, kernel):
         )
 
 
-class TestStoreSeparation:
-    def test_backends_get_distinct_store_rows(self, rw_store):
-        pool = [cycle(3)]
-        a = decide_one_round_solvability(pool, 1, backend="reference")
-        b = decide_one_round_solvability(pool, 1, backend="bitset")
-        assert a == b
+def _plant_other_versions(store):
+    """Rows of an older kernel version and of two oracle backends."""
+    store.flush()
+    with sqlite3.connect(store.path) as conn:
+        for version in ("1", "2+reference", "2+check"):
+            conn.execute(
+                "INSERT INTO results "
+                "(kernel, version, key_hash, value, checksum, created) "
+                "VALUES ('one_round_solvability', ?, 'deadbeef', "
+                "x'00', 'bogus', 0)",
+                (version,),
+            )
+        conn.commit()
+
+
+class TestStoreVersions:
+    def test_row_lands_under_the_bitset_version(self, rw_store):
+        decide_one_round_solvability([cycle(3)], 1)
         assert _store_rows(rw_store, "one_round_solvability") == [
-            ("2+bitset", 1),
-            ("2+reference", 1),
+            ("2+bitset", 1)
         ]
 
-    def test_memo_tier_is_backend_scoped(self, rw_store):
-        # The second backend must recompute even inside one process: a
-        # kernel-cache hit across backends would make every cross-check
-        # vacuous.
-        pool = [cycle(3)]
-        decide_one_round_solvability(pool, 1, backend="reference")
-        before = KERNEL_CACHE.stats()
-        decide_one_round_solvability(pool, 1, backend="bitset")
-        delta = KERNEL_CACHE.stats().delta_since(before)
-        rows = {name: (h, m) for name, h, m in delta.by_kernel}
-        assert rows["one_round_solvability"] == (0, 1)
-
-    def test_same_backend_hits_warm_store(self, rw_store):
+    def test_warm_store_answers_with_a_hit(self, rw_store):
         pool = [cycle(3), star(3, 0)]
-        first = decide_one_round_solvability(pool, 2, backend="bitset")
+        first = decide_one_round_solvability(pool, 2)
         store = store_pkg.configure(path=rw_store.path, mode=rw_store.mode)
         KERNEL_CACHE.clear()
-        second = decide_one_round_solvability(pool, 2, backend="bitset")
+        second = decide_one_round_solvability(pool, 2)
         assert first == second
         stats = store.stats()
         rows = {name: (h, m) for name, h, m, _w in stats.by_kernel}
         assert rows["one_round_solvability"] == (1, 0)
 
-    def test_vacuum_keeps_every_backend_variant(self, rw_store):
-        pool = [cycle(3)]
-        decide_one_round_solvability(pool, 1, backend="reference")
-        decide_one_round_solvability(pool, 1, backend="bitset")
-        rw_store.flush()
-        # Plant a stale pre-backend row; vacuum must drop it and keep
-        # both live variants.
-        with sqlite3.connect(rw_store.path) as conn:
-            conn.execute(
-                "INSERT INTO results "
-                "(kernel, version, key_hash, value, checksum, created) "
-                "VALUES ('one_round_solvability', '1', 'deadbeef', "
-                "x'00', 'bogus', 0)"
-            )
-            conn.commit()
-        report = rw_store.vacuum()
-        assert report["deleted"] == 1
-        assert _store_rows(rw_store, "one_round_solvability") == [
-            ("2+bitset", 1),
-            ("2+reference", 1),
-        ]
-
-    def test_db_stats_marks_foreign_backend_rows_live(self, rw_store):
-        pool = [cycle(3)]
-        decide_one_round_solvability(pool, 1, backend="reference")
-        decide_one_round_solvability(pool, 1, backend="bitset")
+    def test_db_stats_marks_other_versions_stale(self, rw_store):
+        decide_one_round_solvability([cycle(3)], 1)
+        _plant_other_versions(rw_store)
         info = rw_store.db_stats()
-        solvability = [
-            row
+        stale = {
+            row["version"]: row["stale"]
             for row in info["kernels"]
             if row["kernel"] == "one_round_solvability"
+        }
+        assert stale == {
+            "1": True,
+            "2+bitset": False,
+            "2+check": True,
+            "2+reference": True,
+        }
+        assert info["stale_entries"] == 3
+
+    def test_vacuum_deletes_exactly_the_stale_rows(self, rw_store):
+        decide_one_round_solvability([cycle(3)], 1)
+        _plant_other_versions(rw_store)
+        report = rw_store.vacuum()
+        assert report["deleted"] == 3
+        assert _store_rows(rw_store, "one_round_solvability") == [
+            ("2+bitset", 1)
         ]
-        assert len(solvability) == 2
-        assert not any(row["stale"] for row in solvability)
-        assert info["stale_entries"] == 0

@@ -187,9 +187,13 @@ class TestPlanFingerprint:
         base = plan_fingerprint(plan_sweep(reps, 3))
         assert base != plan_fingerprint(plan_sweep(reps[:5], 3))  # limit
         assert base != plan_fingerprint(plan_sweep(reps, 3, budget=64))
-        assert base != plan_fingerprint(
-            plan_sweep(reps, 3, backend="reference")
-        )
+
+    def test_pinned_for_the_n3_sweep(self):
+        # The value checkpoints written while the CSP backend was a sweep
+        # parameter carry: they must keep resuming.
+        reps = _representatives(3, 16)
+        assert len(reps) == 16
+        assert plan_fingerprint(plan_sweep(reps, 3)) == "9c62cadfb3ea"
 
 
 class TestSweepResume:

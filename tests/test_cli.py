@@ -421,6 +421,21 @@ class TestStoreCLI:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()
 
+    def test_probe_on_a_directory_reports_no_store_hits(self, capsys, tmp_path):
+        # Nothing can be written to a directory, so no pass may be served
+        # from rows that only sat in the store's pending buffer.
+        try:
+            code = main(
+                ["store", "probe", "--path", str(tmp_path), "--n", "3",
+                 "--json"]
+            )
+            assert code == 0
+            probe = json.loads(capsys.readouterr().out)
+            assert probe["store"]["hits"] == 0
+        finally:
+            store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
+            KERNEL_CACHE.clear()
+
     def test_vacuum_integrity(self, capsys, tmp_path):
         path = str(tmp_path / "mgmt.sqlite")
         try:

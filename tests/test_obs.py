@@ -280,10 +280,13 @@ class TestExport:
         assert any(e.get("ph") == "X" for e in events)
 
     def test_load_trace_rejects_non_trace_json(self, tmp_path):
+        # An object without traceEvents (a `sweep --json` output, say) is
+        # not an empty trace.
         path = tmp_path / "not.json"
-        path.write_text('{"traceEvents": "nope"}')
-        with pytest.raises(ValueError):
-            load_trace(str(path))
+        for payload in ('{"traceEvents": "nope"}', '{"rows": []}'):
+            path.write_text(payload)
+            with pytest.raises(ValueError):
+                load_trace(str(path))
 
 
 class TestSummary:
@@ -435,6 +438,27 @@ class TestTraceCLI:
 
         with pytest.raises(SystemExit):
             main(["trace", "summary", "/nonexistent/trace.json"])
+
+    def test_trace_summary_refuses_a_json_file_without_events(self, tmp_path):
+        from repro.__main__ import main
+
+        path = tmp_path / "sweep.json"
+        path.write_text('{"n": 3, "rows": []}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "summary", str(path)])
+        assert str(excinfo.value.code).startswith(
+            f"trace summary: {path}: not a trace file"
+        )
+
+    def test_trace_summary_refuses_a_negative_top(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "summary", FIXTURE, "--top", "-1"])
+        assert excinfo.value.code == (
+            "trace summary: --top must be at least 0, got -1"
+        )
+        assert capsys.readouterr().out == ""
 
     def test_dist_status_watch_rejects_bad_interval(self):
         from repro.__main__ import main
