@@ -261,6 +261,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.render import render_table
     from .analysis.sweeps import check_sweep_values, solvability_sweep
+    from .engine.batch import JobError
     from .errors import ConfigError, DistError
 
     # Before the executor and the tracer: a bad value is one line, with
@@ -282,9 +283,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_path=args.checkpoint,
             resume_from=args.resume_from,
         )
-    except DistError as exc:
-        # A missing/mismatched checkpoint must fail loudly, not silently
-        # become a fresh run.
+    except (DistError, JobError) as exc:
+        # One line naming what failed: a missing or mismatched checkpoint
+        # (which must not silently become a fresh run), or every failed
+        # job, after the others were banked.
         raise SystemExit(f"sweep: {exc}") from exc
     if args.json:
         payload = {
@@ -344,20 +346,14 @@ def _render_dist_status(address: str, status: dict) -> str:
     """
     from .engine.batch import describe_dist_metrics
 
-    lines = [
+    return "\n".join([
         f"coordinator {address}: "
         f"{status['completed']}/{status['jobs']} jobs done, "
         f"queue depth {status['queue_depth']}, "
         f"{status['leases']} lease(s)",
         f"  store seeding {'on' if status['seed_store'] else 'off'}",
-    ]
-    if status.get("reductions_total"):
-        lines.append(
-            f"  reductions: {status['reductions_done']}"
-            f"/{status['reductions_total']} fired"
-        )
-    lines.append(describe_dist_metrics(status))
-    return "\n".join(lines)
+        describe_dist_metrics(status),
+    ])
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -472,7 +468,9 @@ def cmd_store(args: argparse.Namespace) -> int:
             from .engine.diagnostics import store_probe
 
             _check_probe_args("store probe", args)
-            _store_for_cli(args, "rw")
+            # A store that cannot be opened counts every write and keeps
+            # none, so refuse it (StoreError) before the first pass.
+            _store_for_cli(args, "rw").db_stats()
             report = store_probe(n=args.n, passes=args.passes)
             if args.json:
                 print(json.dumps(report.to_dict(), indent=2))

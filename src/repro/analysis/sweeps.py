@@ -16,18 +16,17 @@ hours, which is only practical because every layer below persists:
 * a rerun over a warm store is pure table assembly (every job hits).
 
 **One verdict path per class.**  :func:`plan_sweep` turns every class
-into the same two-phase plan: one ``solvability_bounds`` job (the
-paper's interval), one ``solvability_subshard`` job per candidate ``k =
-1..n`` (is ``k``-set agreement one-round solvable on the full model?),
-and one :func:`reduce_sweep_row` :class:`~repro.engine.batch.Reduction`
-that fires in the batch parent the moment the class's last job lands
-and folds the verdicts into the ``(lo, hi, exact)`` row.  Each job is
-its own ``@cached_kernel`` with a canonical store fingerprint, so
-per-``k`` verdicts persist, resume after a kill, and network-seed to
-distributed workers independently of their siblings.  Jobs are emitted
-heaviest-first by :func:`estimate_class_cost`, which the FIFO
-coordinator of :mod:`repro.dist` turns into heaviest-first scheduling
-across workers.
+into the same jobs: one ``solvability_bounds`` job (the paper's
+interval) and one ``solvability_subshard`` job per candidate ``k =
+1..n`` (is ``k``-set agreement one-round solvable on the full model?).
+Once :func:`~repro.engine.batch.run_batch` returns, the pure
+:func:`reduce_sweep_row` folds each class's job values into its ``(lo,
+hi, exact)`` row.  Each job is its own ``@cached_kernel`` with a
+canonical store fingerprint, so per-``k`` verdicts persist, resume after
+a kill, and network-seed to distributed workers independently of their
+siblings.  Jobs are emitted heaviest-first by
+:func:`estimate_class_cost`, which the FIFO coordinator of
+:mod:`repro.dist` turns into heaviest-first scheduling across workers.
 
 ``python -m repro sweep --n 4 --jobs N`` is the CLI entry point
 (``--distributed HOST:PORT`` fans the jobs out to ``python -m repro
@@ -42,7 +41,7 @@ import hashlib
 from dataclasses import dataclass
 
 from ..bounds.report import bound_report
-from ..engine.batch import BatchResult, Job, Reduction, run_batch
+from ..engine.batch import BatchResult, Job, run_batch
 from ..engine.cache import cached_kernel
 from ..engine.canonical import iso_key
 from ..errors import ConfigError
@@ -100,8 +99,8 @@ def _class_bounds(g: Digraph, n: int) -> tuple[int, int]:
     """The paper's ``(lower k, upper k)`` interval for ``g``'s class.
 
     Bound computation never enumerates the model; it is a job of its
-    own only to keep the reducer pure, and persists independently all
-    the same.
+    own so that a row is a pure fold of job values, and persists
+    independently all the same.
     """
     sym = sorted(symmetric_closure([g]))
     report = bound_report(sym)
@@ -139,7 +138,7 @@ def _subshard_solvable(g: Digraph, n: int, budget: int, k: int) -> bool:
 
 
 def reduce_sweep_row(values: tuple, g: Digraph) -> list[object]:
-    """Pure reducer: fold a class's verdicts into its table row.
+    """Pure fold of a class's job values into its table row.
 
     ``values`` is ``((lo, hi), solvable@k=1, ..., solvable@k=n)`` in the
     job order of :func:`plan_sweep`.  ``exact`` is the smallest solvable
@@ -168,7 +167,7 @@ def sweep_headers() -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Two-phase planning
+# Planning
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -179,12 +178,11 @@ class _ClassPlan:
     generator: Digraph
     estimate: int
     job_indices: tuple[int, ...]
-    reduction_index: int
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A sweep's two-phase job plan: tasks, reductions, class metadata.
+    """A sweep's job plan: tasks plus class metadata.
 
     ``tasks`` are emitted heaviest-first (estimated cost descending, then
     class index for determinism): the batch drivers consume them in
@@ -198,7 +196,6 @@ class SweepPlan:
     budget: int
     classes: tuple[_ClassPlan, ...]
     tasks: tuple[Job, ...]
-    reductions: tuple[Reduction, ...]
 
 
 def plan_sweep(
@@ -207,13 +204,13 @@ def plan_sweep(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> SweepPlan:
-    """Build the two-phase job plan for ``representatives``.
+    """Build the job plan for ``representatives``.
 
     Every class becomes one bounds job plus one job per ``k = 1..n``,
-    tied together by a :class:`~repro.engine.batch.Reduction` that fires
-    as the last of them lands.  The plan depends only on ``(g, n,
-    budget)``, so every process — serial reference, pool parent,
-    coordinator, remote worker — plans identically.
+    whose values :func:`reduce_sweep_row` folds in that order.  The plan
+    depends only on ``(g, n, budget)``, so every process — serial
+    reference, pool parent, coordinator, remote worker — plans
+    identically.
     """
     with TRACER.span("sweep:plan", cat="sweep", n=n) as _plan_span:
         entries = [
@@ -221,7 +218,6 @@ def plan_sweep(
             for index, g in enumerate(representatives)
         ]
         tasks: list[Job] = []
-        reductions: list[Reduction] = []
         classes: list[_ClassPlan | None] = [None] * len(entries)
         for index, g, estimate in sorted(
             entries, key=lambda entry: (-entry[2], entry[0])
@@ -248,28 +244,14 @@ def plan_sweep(
                 generator=g,
                 estimate=estimate,
                 job_indices=tuple(job_indices),
-                reduction_index=len(reductions),
-            )
-            reductions.append(
-                Reduction(
-                    name=f"sweep:n={n}:{index}:reduce",
-                    fn=reduce_sweep_row,
-                    over=tuple(job_indices),
-                    args=(g,),
-                )
             )
         plan = SweepPlan(
             n=n,
             budget=budget,
             classes=tuple(classes),
             tasks=tuple(tasks),
-            reductions=tuple(reductions),
         )
-        _plan_span.set(
-            classes=len(plan.classes),
-            jobs=len(plan.tasks),
-            reductions=len(plan.reductions),
-        )
+        _plan_span.set(classes=len(plan.classes), jobs=len(plan.tasks))
     return plan
 
 
@@ -329,9 +311,9 @@ class SweepClassReport:
     estimate: int
     """:func:`estimate_class_cost` — the scheduling order's input."""
     subshards: int
-    """Phase-1 jobs behind this class (bounds plus one per ``k``)."""
+    """Jobs behind this class (bounds plus one per ``k``)."""
     elapsed: float
-    """Compute seconds across the class's jobs plus its reduction."""
+    """Compute seconds summed over the class's jobs."""
     resumed: bool
     """True when every lookup was warm — no CSP ran for this class."""
 
@@ -437,8 +419,10 @@ def solvability_sweep(
     ``search --budget``.  ``executor`` (a
     :class:`repro.dist.DistExecutor`) runs the same plan across every
     connected ``python -m repro worker`` instead, with the coordinator
-    persisting each job as it completes and firing the reductions
-    itself — identical results, identical resumability.
+    persisting each job as it completes — identical results, identical
+    resumability.  A failed job raises one
+    :class:`~repro.engine.batch.JobError` naming every failed job, once
+    every other job has been banked.
     A non-positive ``n``, ``jobs``, ``limit`` or ``budget`` raises
     :class:`~repro.errors.ConfigError` before anything is planned (see
     :func:`check_sweep_values`).
@@ -506,7 +490,6 @@ def solvability_sweep(
         list(plan.tasks),
         jobs=jobs,
         executor=executor,
-        reductions=plan.reductions,
         completed=completed_indices,
         checkpoint=writer,
     )
@@ -514,15 +497,18 @@ def solvability_sweep(
     class_reports: list[SweepClassReport] = []
     for cls in plan.classes:
         job_results = [batch.results[i] for i in cls.job_indices]
-        reduced = batch.reduction_results[cls.reduction_index]
-        rows.append(reduced.value)
+        rows.append(
+            reduce_sweep_row(
+                tuple(r.value for r in job_results), cls.generator
+            )
+        )
         class_reports.append(
             SweepClassReport(
                 index=cls.index,
                 edges=cls.generator.proper_edge_count,
                 estimate=cls.estimate,
                 subshards=len(cls.job_indices),
-                elapsed=sum(r.elapsed for r in job_results) + reduced.elapsed,
+                elapsed=sum(r.elapsed for r in job_results),
                 # Warm only if *every* job was served from a cache tier:
                 # one recomputed verdict means a CSP ran.
                 resumed=all(_job_warm(result) for result in job_results),

@@ -29,9 +29,7 @@ Scheduling is FIFO over the submitted task list, so submission order *is*
 priority order: the sweep planner exploits this by emitting its jobs
 heaviest-first (estimated cost descending), which keeps every worker busy
 on the expensive tail instead of stranding one worker on a giant class
-while the rest drain trivia.  Two-phase plans (``reductions=``) fire each
-reduction in this process the moment its last input job lands; see
-:class:`~repro.engine.batch.Reduction`.
+while the rest drain trivia.
 
 Concurrency model: one ``selectors``-based event loop thread multiplexes
 every connection — worker frames, status probes and seed streaming —
@@ -40,8 +38,7 @@ expiry rides the loop's select timeout.  All queue state transitions
 happen under one lock, which the snapshot/probe surface shares.
 
 Lifecycle: one batch.  The coordinator serves its task list until the
-queue drains and every reduction has fired, then tells the workers
-``done``.
+queue drains, then tells the workers ``done``.
 """
 
 from __future__ import annotations
@@ -60,10 +57,7 @@ from ..engine.batch import (
     Job,
     JobFailure,
     JobResult,
-    Reduction,
-    _ReductionState,
     finalize_outcomes,
-    fire_reduction,
     land_outcome,
     worker_row,
 )
@@ -180,19 +174,13 @@ class Coordinator:
         the worker's in-memory seed tier, so hosts without a shared
         filesystem start as warm as the coordinator.  Seeding is
         read-only; the single-writer invariant is untouched.
-    reductions:
-        Optional two-phase plan (:class:`~repro.engine.batch.Reduction`):
-        each reduction fires *in this process* — the store-writing parent
-        — the moment the last of its input jobs completes, while other
-        workers keep pulling phase-1 jobs.  Workers never see reductions,
-        so the wire protocol is untouched.
     completed:
         Submission indices already completed by an interrupted earlier
         run (from a checkpoint).  They are never dispatched to workers;
         ``start()`` replays them *in this process*, where the warm store
-        that banked them makes each a pure hit, so reductions and result
-        assembly see real outcomes without recomputing a kernel or
-        paying a worker round trip.
+        that banked them makes each a pure hit, so result assembly sees
+        real outcomes without recomputing a kernel or paying a worker
+        round trip.
     checkpoint:
         Optional :class:`~repro.dist.checkpoint.CheckpointWriter`.
         Completions and requeue counts are recorded as they happen —
@@ -212,7 +200,6 @@ class Coordinator:
         lease_timeout: float = 60.0,
         wait_delay: float = 0.25,
         seed_store: bool = True,
-        reductions: Sequence[Reduction] = (),
         completed=(),
         checkpoint=None,
         log: Callable[[str], None] | None = None,
@@ -220,8 +207,6 @@ class Coordinator:
         if lease_timeout <= 0:
             raise DistError(f"lease_timeout must be positive, got {lease_timeout}")
         self._tasks = list(tasks)
-        self._reductions = _ReductionState(len(self._tasks), reductions)
-        self._reductions_pending = len(self._reductions.reductions)
         self._host = host
         self._port = port
         self._lease_timeout = lease_timeout
@@ -319,11 +304,6 @@ class Coordinator:
                 # per-connection test: no store, nothing to seed from.
                 "seed_store": self._seed_store and self._store is not None,
                 "rows_seeded": self._rows_seeded,
-                "reductions_total": len(self._reductions.reductions),
-                "reductions_done": (
-                    len(self._reductions.reductions)
-                    - self._reductions_pending
-                ),
                 "workers": [
                     info.snapshot(name, now)
                     for name, info in sorted(self._worker_info.items())
@@ -389,10 +369,10 @@ class Coordinator:
         """Re-land checkpoint-completed jobs in this process.
 
         Against the warm store that banked them each replay is a pure
-        hit: accounting (values for reductions, rows for assembly)
-        without kernel recomputation.  Workers connecting meanwhile only
-        ever see the genuinely remaining jobs — replayed indices were
-        never put on the pending queue.
+        hit: accounting (values and rows for assembly) without kernel
+        recomputation.  Workers connecting meanwhile only ever see the
+        genuinely remaining jobs — replayed indices were never put on
+        the pending queue.
         """
         from ..engine.batch import execute_job
 
@@ -425,12 +405,13 @@ class Coordinator:
         sock.setblocking(False)
         return sock
 
-    def serve(self, *, on_error: str = "raise") -> BatchResult:
+    def serve(self) -> BatchResult:
         """Block until every job has a result, then finalize the batch.
 
         Identical post-processing to :func:`~repro.engine.batch.run_batch`:
-        merged statistics are absorbed into this process's cache/store and
-        the ``on_error`` policy is applied to any failures.
+        the workers' statistics are absorbed into this process's
+        cache/store, and any failure raises one
+        :class:`~repro.engine.batch.JobError` naming every failed job.
         """
         self.start()
         try:
@@ -439,25 +420,17 @@ class Coordinator:
             self.close()
         with self._lock:
             outcomes = list(self._outcomes)
-            reduction_outcomes = list(self._reductions.outcomes)
             workers = max(1, len(self._workers_seen))
             remote_cache = self._remote_cache_delta
             remote_store = self._remote_store_delta
         # Absorb only the activity that happened in *other* processes:
         # an in-process worker already mutated the live counters, and
         # run_batch's serial path likewise never absorbs its own deltas.
-        # (Reductions ran in this process, so finalize merges their
-        # deltas into the result without absorbing them — same rule.)
         KERNEL_CACHE.absorb(remote_cache)
         if self._store is not None and remote_store is not None:
             self._store.absorb_stats(remote_store)
         result = finalize_outcomes(
-            [o for o in outcomes if o is not None],
-            workers=workers,
-            store=self._store,
-            on_error=on_error,
-            absorb=False,
-            reduction_outcomes=reduction_outcomes,
+            [o for o in outcomes if o is not None], workers=workers
         )
         return replace(result, dist_metrics=self.metrics_snapshot())
 
@@ -903,10 +876,7 @@ class Coordinator:
                 pass
             self._outcomes[index] = outcome
             self._remaining -= 1
-            # Under the same lock as the outcome write, so a result can
-            # unblock each reduction exactly once even with several
-            # completions landing in one loop iteration.
-            ready = self._reductions.ready_after(index)
+            finished = self._remaining == 0
             if not local and isinstance(outcome, JobResult):
                 self._remote_cache_delta = self._remote_cache_delta.merge(
                     outcome.stats
@@ -926,38 +896,9 @@ class Coordinator:
             # After the store flush on purpose: a checkpoint must never
             # claim a completion whose rows a crash could still lose.
             self._checkpoint.record_done(self._tasks[index].name)
-        for rid in ready:
-            self._run_reduction(rid)
-        self._maybe_done()
-        return True
-
-    def _run_reduction(self, rid: int) -> None:
-        """Fire one ready reduction in this (the coordinator's) process.
-
-        Runs on the event-loop thread the moment the last input lands —
-        cheap by contract (reductions are pure merges), and executing
-        here is what makes "fires as the last sub-shard lands" literal
-        rather than a post-batch sweep.  The reduction's store writes are
-        flushed immediately, so a coordinator killed later has already
-        banked every reduced row.
-        """
-        reduction = self._reductions.reductions[rid]
-        with self._lock:
-            inputs = [self._outcomes[i] for i in reduction.over]
-        outcome = fire_reduction(reduction, inputs)
-        land_outcome(outcome, self._store)
-        with self._lock:
-            self._reductions.outcomes[rid] = outcome
-            self._reductions_pending -= 1
-        TRACER.instant("dist:reduction", cat="dist", reduction=reduction.name)
-        self._log(f"reduction {reduction.name} fired")
-
-    def _maybe_done(self) -> None:
-        """Signal completion once every job *and* every reduction is in."""
-        with self._lock:
-            done = self._remaining == 0 and self._reductions_pending == 0
-        if done:
+        if finished:
             self._done.set()
+        return True
 
     def _broadcast_done(self) -> None:
         """Tell parked workers the batch finished without waiting for

@@ -63,15 +63,7 @@ class DistExecutor:
         self.on_bound = on_bound
         self.bound_address: tuple[str, int] | None = None
 
-    def run(
-        self,
-        tasks,
-        *,
-        on_error="raise",
-        reductions=(),
-        completed=(),
-        checkpoint=None,
-    ):
+    def run(self, tasks, *, completed=(), checkpoint=None):
         from .coordinator import Coordinator
 
         coordinator = Coordinator(
@@ -79,7 +71,6 @@ class DistExecutor:
             host=self.host,
             port=self.port,
             seed_store=self.seed_store,
-            reductions=reductions,
             completed=completed,
             checkpoint=checkpoint,
             log=self.log,
@@ -88,7 +79,7 @@ class DistExecutor:
             self.bound_address = coordinator.address
             if self.on_bound is not None:
                 self.on_bound(self.bound_address)
-            return coordinator.serve(on_error=on_error)
+            return coordinator.serve()
 
     def __repr__(self) -> str:
         return f"DistExecutor({self.host}:{self.port})"
@@ -123,9 +114,9 @@ def probe_status(
     """Ask a running coordinator for its status snapshot.
 
     Speaks the one-shot ``status`` conversation of
-    :mod:`~repro.dist.protocol`: queue depth, leases, requeues,
-    per-worker throughput, and the seed/serve counters of the store data
-    plane.  ``python -m repro dist status HOST:PORT`` is the CLI wrapper.
+    :mod:`~repro.dist.protocol`: queue depth, leases, requeues, replays,
+    per-worker throughput, and the rows seeded to workers.  ``python -m
+    repro dist status HOST:PORT`` is the CLI wrapper.
     Raises :class:`~repro.errors.DistError` when ``timeout`` is not
     positive, nothing is listening, the peer is not a coordinator, or the
     protocol versions mismatch.

@@ -46,10 +46,8 @@ from .batch import (
     JobError,
     JobFailure,
     JobResult,
-    Reduction,
     execute_job,
     finalize_outcomes,
-    fire_reduction,
     run_batch,
 )
 from .cache import (
@@ -87,9 +85,7 @@ __all__ = [
     "JobError",
     "JobFailure",
     "JobResult",
-    "Reduction",
     "execute_job",
     "finalize_outcomes",
-    "fire_reduction",
     "run_batch",
 ]

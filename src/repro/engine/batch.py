@@ -23,21 +23,10 @@ midway has already persisted every finished job, which is what makes
 sharded sweeps resumable.  The distributed coordinator calls the same
 function in the parent role.
 
-Two-phase plans: a batch may carry :class:`Reduction`\\ s — phase-2 jobs
-that fold the values of named phase-1 jobs into one result.  Reductions
-fire *as each group's last input lands* (no barrier between phases) and
-always execute in the batch parent — the store-writing process — so a
-reduction may bank derived rows without touching the single-writer
-invariant.  The sweeps use this to plan every class as a bounds job plus
-one job per candidate ``k``, whose verdicts a pure reducer folds into
-the class's table row.
-
 Failures: every job runs to completion regardless of earlier failures,
 and each failure is recorded as a :class:`JobFailure` naming the job that
-raised.  ``on_error="raise"`` (the default) then raises a single
-:class:`JobError` enumerating *all* failed jobs; ``on_error="collect"``
-instead returns the failures on ``BatchResult.failures`` so sweep-style
-callers can bank the successes and retry the rest.
+raised.  The batch then raises a single :class:`JobError` enumerating
+*all* failed jobs, after every success has been banked.
 
 Nested batches degrade gracefully: pool workers are daemonic and cannot
 spawn their own pools, so a ``run_batch`` call inside a worker silently
@@ -62,11 +51,9 @@ __all__ = [
     "JobFailure",
     "JobError",
     "BatchResult",
-    "Reduction",
     "run_batch",
     "describe_dist_metrics",
     "execute_job",
-    "fire_reduction",
     "finalize_outcomes",
     "land_outcome",
     "worker_row",
@@ -117,31 +104,6 @@ class JobResult:
     """Trace spans drained from the executing process, shipped home like
     ``store_rows`` so the batch parent (or dist coordinator) stays the
     trace file's only writer.  Empty unless tracing is enabled."""
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """A phase-2 job: fold the values of earlier jobs into one result.
-
-    ``fn`` is called as ``fn(values, *args, **kwargs)`` where ``values``
-    are the ``over`` jobs' return values in ``over`` order.  Like every
-    job it must be a pure function of its inputs — but unlike phase-1
-    jobs it always runs in the batch parent (serial driver, pool parent,
-    or distributed coordinator), the moment the last ``over`` job's
-    result lands.  There is no barrier: with several reductions in
-    flight, each fires independently of the others' progress, so a slow
-    group never delays a finished one.
-
-    If any ``over`` job failed, the reduction is not executed and is
-    recorded as a :class:`JobFailure` naming the failed inputs.
-    """
-
-    name: str
-    fn: Callable
-    over: tuple[int, ...]
-    """Submission indices of the phase-1 jobs this reduction consumes."""
-    args: tuple = ()
-    kwargs: Mapping = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -216,18 +178,6 @@ class BatchResult:
 
     store_stats: object = None
     """Merged store-tier activity (``StoreStats``), ``None`` if off."""
-
-    failures: tuple[JobFailure, ...] = ()
-    """Failed jobs, by name and submission index (``on_error="collect"``);
-    always empty on the default raising path."""
-
-    reduction_results: tuple[JobResult | None, ...] = ()
-    """Phase-2 results, positionally aligned with the submitted
-    :class:`Reduction` list: slot ``i`` is reduction ``i``'s result, or
-    ``None`` when that reduction failed or was skipped over failed
-    inputs (``on_error="collect"`` — the failure itself lands on
-    ``failures``).  On the default raising path every slot is a
-    :class:`JobResult`."""
 
     dist_metrics: Mapping | None = None
     """Per-worker metrics (throughput, busy and idle time, rows seeded)
@@ -306,29 +256,29 @@ def worker_row(
     }
 
 
-def _pool_metrics(outcomes, wall: float) -> dict:
+def _pool_metrics(outcomes, replayed: int, wall: float) -> dict:
     """Per-worker-process metrics for a pool batch, dist-metrics shaped.
 
-    Built from each outcome's ``worker`` lane so the pool path fills
-    :attr:`BatchResult.dist_metrics` in exactly the coordinator's shape
-    (the seeding counters are present but zero — pool workers share the
-    parent's filesystem and never seed).
+    Built from the ``worker`` lane of each outcome the pool computed, so
+    the pool path fills :attr:`BatchResult.dist_metrics` in exactly the
+    coordinator's shape: checkpoint replays ran in the parent and count
+    under ``replayed``, not as a worker's completions, and the seeding
+    counters are present but zero (pool workers share the parent's
+    filesystem and never seed).  A batch with a failed job raises before
+    its metrics are built, so every row has 0 failed.
     """
-    lanes: dict[str, list] = {}  # lane -> [completed, failed, busy]
+    lanes: dict[str, list] = {}  # lane -> [completed, busy]
     for outcome in outcomes:
-        lane = getattr(outcome, "worker", "") or "?"
-        info = lanes.setdefault(lane, [0, 0, 0.0])
-        if isinstance(outcome, JobFailure):
-            info[1] += 1
-        else:
-            info[0] += 1
-            info[2] += outcome.elapsed
+        info = lanes.setdefault(outcome.worker or "?", [0, 0.0])
+        info[0] += 1
+        info[1] += outcome.elapsed
     return {
         "requeues": 0,
-        "replayed": 0,
+        "replayed": replayed,
         "rows_seeded": 0,
         "workers": [
-            worker_row(lane, *lanes[lane], wall) for lane in sorted(lanes)
+            worker_row(lane, completed, 0, busy, wall)
+            for lane, (completed, busy) in sorted(lanes.items())
         ],
     }
 
@@ -407,113 +357,24 @@ def land_outcome(outcome: JobResult | JobFailure, store) -> None:
         return
     # From pool and remote workers this is the only way spans reach the
     # (single-writer) trace buffer; re-absorbing this process's own
-    # drained spans (serial path, reductions) is a harmless round trip.
+    # drained spans (serial path, replays) is a harmless round trip.
     TRACER.absorb(outcome.trace_events)
     if store is not None and outcome.store_rows:
         store.absorb_rows(outcome.store_rows)
         store.flush()
 
 
-class _ReductionState:
-    """Track which reductions become ready as phase-1 outcomes land.
-
-    Validation happens up front (indices in range, no empty or duplicate
-    ``over``), so a malformed plan fails before any job runs.  Callers
-    serialise access themselves: :func:`run_batch` is single-threaded in
-    the parent, and the distributed coordinator calls ``ready_after``
-    under its queue lock.
-    """
-
-    def __init__(self, task_count: int, reductions: Sequence[Reduction]):
-        self.reductions = tuple(reductions)
-        self.outcomes: list[JobResult | JobFailure | None] = [None] * len(
-            self.reductions
-        )
-        self._remaining: list[int] = []
-        self._by_index: dict[int, list[int]] = {}
-        for rid, reduction in enumerate(self.reductions):
-            over = tuple(reduction.over)
-            if not over:
-                raise EngineError(
-                    f"reduction {reduction.name!r} consumes no jobs"
-                )
-            if len(set(over)) != len(over):
-                raise EngineError(
-                    f"reduction {reduction.name!r} lists a job twice"
-                )
-            for index in over:
-                if not 0 <= index < task_count:
-                    raise EngineError(
-                        f"reduction {reduction.name!r} consumes job index "
-                        f"{index}, but the batch has {task_count} job(s)"
-                    )
-                self._by_index.setdefault(index, []).append(rid)
-            self._remaining.append(len(over))
-
-    def ready_after(self, index: int) -> list[int]:
-        """Reduction ids whose last input is the job at ``index``."""
-        ready = []
-        for rid in self._by_index.get(index, ()):
-            self._remaining[rid] -= 1
-            if self._remaining[rid] == 0:
-                ready.append(rid)
-        return ready
-
-
-def fire_reduction(
-    reduction: Reduction, inputs: Sequence[JobResult | JobFailure]
-) -> JobResult | JobFailure:
-    """Execute one ready reduction over its collected input outcomes.
-
-    Runs in the calling (parent) process via :func:`execute_job`, so the
-    returned payload carries the reduction's own timings, cache/store
-    deltas and drained store rows exactly like a phase-1 job's.  If any
-    input failed, the reduction is skipped and reported as a
-    :class:`JobFailure` naming the failed inputs.
-    """
-    failed = [o for o in inputs if isinstance(o, JobFailure)]
-    if failed:
-        names = ", ".join(repr(f.name) for f in failed)
-        return JobFailure(
-            name=reduction.name,
-            message=f"not reduced: input job(s) failed: {names}",
-        )
-    job = Job(
-        name=reduction.name,
-        fn=reduction.fn,
-        args=(tuple(o.value for o in inputs), *reduction.args),
-        kwargs=reduction.kwargs,
-    )
-    return execute_job(job)
-
-
 def finalize_outcomes(
-    outcomes: Sequence[JobResult | JobFailure],
-    *,
-    workers: int,
-    store,
-    on_error: str = "raise",
-    absorb: bool | None = None,
-    reduction_outcomes: Sequence[JobResult | JobFailure] = (),
+    outcomes: Sequence[JobResult | JobFailure], *, workers: int
 ) -> BatchResult:
     """Merge per-job outcomes into a :class:`BatchResult`.
 
     Shared by :func:`run_batch` and the distributed coordinator: folds the
-    per-job cache/store deltas together, absorbs them into this process's
-    cache and store statistics when the work happened elsewhere
-    (``absorb``, defaulting to ``workers > 1``), and applies the
-    ``on_error`` policy to any :class:`JobFailure` outcomes.
-
-    ``reduction_outcomes`` are the already-fired phase-2 outcomes in
-    reduction submission order.  Reductions always ran in *this* process,
-    so their deltas are merged into the returned statistics but never
-    absorbed (the live counters already saw them) — exactly the serial
-    path's accounting.
+    per-job cache/store deltas together and raises one :class:`JobError`
+    naming every :class:`JobFailure`.  Each caller folds the deltas of
+    jobs that ran in *other* processes into this process's statistics
+    itself, since only it knows which jobs those were.
     """
-    if on_error not in ("raise", "collect"):
-        raise EngineError(
-            f"on_error must be 'raise' or 'collect', got {on_error!r}"
-        )
     results: list[JobResult] = []
     failures: list[JobFailure] = []
     merged = CacheStats()
@@ -522,7 +383,6 @@ def finalize_outcomes(
         if isinstance(outcome, JobFailure):
             failures.append(outcome)
             continue
-        assert outcome is not None
         results.append(outcome)
         merged = merged.merge(outcome.stats)
         if outcome.store_stats is not None:
@@ -531,43 +391,13 @@ def finalize_outcomes(
                 if merged_store is None
                 else merged_store.merge(outcome.store_stats)
             )
-    if absorb is None:
-        absorb = workers > 1
-    if absorb:
-        # Worker processes mutated their own cache copies; fold their
-        # statistics into the parent so cache-stats reports see them.
-        # (Reduction deltas are parent-local and excluded on purpose.)
-        KERNEL_CACHE.absorb(merged)
-        if store is not None and merged_store is not None:
-            store.absorb_stats(merged_store)
-    # Keep positional alignment with the submitted reduction list: a
-    # failed (or input-starved) reduction leaves a None slot, so
-    # collect-mode callers can still index results by reduction id.
-    reduction_results: list[JobResult | None] = []
-    for outcome in reduction_outcomes:
-        if outcome is None or isinstance(outcome, JobFailure):
-            if isinstance(outcome, JobFailure):
-                failures.append(outcome)
-            reduction_results.append(None)
-            continue
-        reduction_results.append(outcome)
-        merged = merged.merge(outcome.stats)
-        if outcome.store_stats is not None:
-            merged_store = (
-                outcome.store_stats
-                if merged_store is None
-                else merged_store.merge(outcome.store_stats)
-            )
-    if failures and on_error == "raise":
-        error = JobError(failures)
-        raise error from failures[0].cause
+    if failures:
+        raise JobError(failures) from failures[0].cause
     return BatchResult(
         results=tuple(results),
         stats=merged,
         jobs=workers,
         store_stats=merged_store,
-        failures=tuple(failures),
-        reduction_results=tuple(reduction_results),
     )
 
 
@@ -580,9 +410,7 @@ def run_batch(
     /,
     *,
     jobs: int = 1,
-    on_error: str = "raise",
     executor=None,
-    reductions: Sequence[Reduction] = (),
     completed=(),
     checkpoint=None,
 ) -> BatchResult:
@@ -594,33 +422,24 @@ def run_batch(
         The jobs to run.  Results are returned positionally.  Failing jobs
         never stop the batch: every job runs, successful work is absorbed
         into cache/store state (resumable sweeps rely on this), and only
-        then is the ``on_error`` policy applied.
+        then does one :class:`JobError` name every failed job.
     jobs:
         Worker process count.  ``1`` (default) runs serially in-process —
         the reference path the parallel path must match exactly.  Values
-        above the task count are clamped; inside an existing worker the
-        call degrades to serial.
-    on_error:
-        ``"raise"`` (default) raises one :class:`JobError` enumerating
-        every failed job; ``"collect"`` returns them on
-        ``BatchResult.failures`` instead.
+        above the number of jobs left to run are clamped; inside an
+        existing worker the call degrades to serial.
     executor:
         Optional :class:`repro.dist.DistExecutor`; when given, the batch
         runs on the workers its coordinator serves, across hosts, with
         identical results (``jobs`` is still checked, then unused).
-    reductions:
-        Optional phase-2 plan: each :class:`Reduction` fires in this
-        process the moment the last of its ``over`` jobs completes —
-        streaming, no barrier — and its store writes are persisted
-        immediately like any job's.  Results land on
-        ``BatchResult.reduction_results`` in reduction order.
     completed:
         Submission indices already completed by a previous (interrupted)
         run of the same task list.  These jobs are *replayed in the
         parent* rather than dispatched to workers: against the warm
-        store that banked them they are pure hits, so reductions and
-        result assembly see real outcomes while no kernel recomputes
-        and no worker round trip happens.
+        store that banked them they are pure hits, so result assembly
+        sees real outcomes while no kernel recomputes and no worker
+        round trip happens.  A pool's ``dist_metrics`` counts them under
+        ``replayed``, as the coordinator does.
     checkpoint:
         Optional :class:`repro.dist.checkpoint.CheckpointWriter`; each
         successful completion is recorded (throttled) so a crash leaves
@@ -630,13 +449,7 @@ def run_batch(
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     if executor is not None:
-        return executor.run(
-            tasks,
-            on_error=on_error,
-            reductions=reductions,
-            completed=completed,
-            checkpoint=checkpoint,
-        )
+        return executor.run(tasks, completed=completed, checkpoint=checkpoint)
     tasks = list(tasks)
     completed_set = frozenset(completed)
     for index in completed_set:
@@ -645,9 +458,6 @@ def run_batch(
                 f"completed index {index} out of range for "
                 f"{len(tasks)} task(s)"
             )
-    workers = min(jobs, len(tasks))
-    batch_start = time.perf_counter()
-    plan = _ReductionState(len(tasks), reductions)
     store = _active_store()
     if store is not None:
         # Persist (or at least re-own) anything already pending so forked
@@ -658,24 +468,16 @@ def run_batch(
     outcomes: list[JobResult | JobFailure | None] = [None] * len(tasks)
 
     def _land(index: int, outcome: JobResult | JobFailure) -> None:
-        """Record one completion and fire any reduction it unblocks."""
         land_outcome(outcome, store)
         outcomes[index] = outcome
         if checkpoint is not None and isinstance(outcome, JobResult):
             checkpoint.record_done(tasks[index].name)
-        for rid in plan.ready_after(index):
-            reduction = plan.reductions[rid]
-            fired = fire_reduction(
-                reduction, [outcomes[i] for i in reduction.over]
-            )
-            land_outcome(fired, store)
-            plan.outcomes[rid] = fired
 
     # Checkpoint-completed jobs re-land in the parent first.  The warm
     # store that banked them answers every kernel, so this is accounting
-    # (values for reductions, rows for assembly), not recomputation — and
-    # remaining work never waits on it because replays are the cheapest
-    # jobs in the batch by construction.
+    # (values and rows for assembly), not recomputation — and remaining
+    # work never waits on it because replays are the cheapest jobs in the
+    # batch by construction.
     for index in sorted(completed_set):
         _land(*_execute_indexed((index, tasks[index])))
     remaining = [
@@ -683,6 +485,7 @@ def run_batch(
         for index, job in enumerate(tasks)
         if index not in completed_set
     ]
+    workers = min(jobs, len(remaining))
     if workers <= 1 or _in_daemon_process():
         workers = 1
         for item in remaining:
@@ -692,25 +495,24 @@ def run_batch(
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
+        pool_start = time.perf_counter()
         with context.Pool(processes=workers) as pool:
             # imap_unordered (not map): completions stream back as they
             # finish, so the parent persists each one immediately even
-            # while a slow job holds up earlier submission slots — and
-            # reductions fire mid-batch, as soon as their group is in.
+            # while a slow job holds up earlier submission slots.
             for index, outcome in pool.imap_unordered(
                 _execute_indexed, remaining
             ):
                 _land(index, outcome)
+                if isinstance(outcome, JobResult):
+                    # The worker counted this job in its own copy of the
+                    # statistics; fold it into this process's totals.
+                    KERNEL_CACHE.absorb(outcome.stats)
+                    if store is not None and outcome.store_stats is not None:
+                        store.absorb_stats(outcome.store_stats)
     if checkpoint is not None:
         checkpoint.flush()
-    landed = [o for o in outcomes if o is not None]
-    result = finalize_outcomes(
-        landed,
-        workers=workers,
-        store=store,
-        on_error=on_error,
-        reduction_outcomes=plan.outcomes,
-    )
+    result = finalize_outcomes(outcomes, workers=workers)
     if workers > 1:
         # Pool runs fill dist_metrics in the coordinator's shape so
         # the footers render uniformly (serial stays None: one
@@ -718,7 +520,9 @@ def run_batch(
         result = replace(
             result,
             dist_metrics=_pool_metrics(
-                landed, time.perf_counter() - batch_start
+                [outcomes[index] for index, _ in remaining],
+                len(completed_set),
+                time.perf_counter() - pool_start,
             ),
         )
     return result

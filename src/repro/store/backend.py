@@ -235,8 +235,8 @@ class ResultStore:
         self._lock = RLock()
         # Which layer answered this thread's most recent load() — the
         # kernel wrapper reads it for trace-span tier attribution.
-        # Thread-local because the dist coordinator's event-loop thread
-        # runs reduction kernels while in-thread workers run theirs.
+        # Thread-local because a coordinator replays checkpointed jobs on
+        # its caller's thread while in-thread workers run theirs.
         self._last_tier = threading.local()
 
     # ------------------------------------------------------------------

@@ -90,7 +90,7 @@ def index_views(
     already distinct and undominated: the subsumption reduction is
     decided here, on sets of in-neighbourhoods, before any row exists.
 
-    Reduction.  A view names the processes it heard, and every process
+    Subsumption.  A view names the processes it heard, and every process
     hears itself, so an execution's views spell out its assignment and
     its graph's set of in-neighbourhoods ``S(G)``.  One row therefore
     holds another exactly when their assignments are equal and

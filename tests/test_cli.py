@@ -331,6 +331,20 @@ class TestSweep:
             main(["sweep", "--n", "3", *flags])
         assert excinfo.value.code == f"sweep: {message}"
 
+    def test_failed_jobs_exit_with_one_line(self, capsys, tmp_store):
+        """A model over ``--budget`` fails its class's k < n jobs: the
+        sweep exits 1 with one line naming every failed job, not a
+        traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "3", "--budget", "2", "--limit", "3"])
+        assert excinfo.value.code == (
+            "sweep: job 'sweep:n=3:1:k=1' failed: GraphError: the model "
+            "has more than the budget of 2 graphs; raise max_graphs "
+            "(+3 more failed job(s): 'sweep:n=3:1:k=2', "
+            "'sweep:n=3:2:k=1', 'sweep:n=3:2:k=2')"
+        )
+        assert capsys.readouterr().out == ""
+
 
 class TestStoreCLI:
     def test_stats_on_missing_file_is_empty(self, capsys, tmp_path):
@@ -422,16 +436,17 @@ class TestStoreCLI:
             KERNEL_CACHE.clear()
 
     def test_probe_on_a_directory_reports_no_store_hits(self, capsys, tmp_path):
-        # Nothing can be written to a directory, so no pass may be served
-        # from rows that only sat in the store's pending buffer.
+        # A directory cannot be opened as a store: a probe would count
+        # every write and keep none, so it refuses before its first pass
+        # and reports nothing, as `store stats` does.
         try:
-            code = main(
-                ["store", "probe", "--path", str(tmp_path), "--n", "3",
-                 "--json"]
+            with pytest.raises(SystemExit) as excinfo:
+                main(["store", "probe", "--path", str(tmp_path), "--n", "3",
+                      "--json"])
+            assert excinfo.value.code == (
+                f"store probe: store file {tmp_path} is unreadable"
             )
-            assert code == 0
-            probe = json.loads(capsys.readouterr().out)
-            assert probe["store"]["hits"] == 0
+            assert capsys.readouterr().out == ""
         finally:
             store_pkg.configure(path=store_pkg.DEFAULT_PATH, mode="off")
             KERNEL_CACHE.clear()

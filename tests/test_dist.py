@@ -43,14 +43,15 @@ from repro.dist.worker import run_worker
 from repro.engine import (
     KERNEL_CACHE,
     Job,
+    JobError,
     JobFailure,
     JobResult,
-    Reduction,
     execute_job,
     run_batch,
 )
 from repro.engine.batch import describe_dist_metrics
 from repro.errors import ConfigError, DistError
+from repro.obs.trace import TRACER
 
 
 def _mul_jobs(count: int = 6) -> list[Job]:
@@ -212,7 +213,7 @@ class TestMakeExecutor:
                 call()
 
 
-def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
+def _serve_with_local_worker(tasks, **coord_kwargs):
     """Run a batch through a Coordinator served by one in-thread worker."""
     coord = Coordinator(tasks, **coord_kwargs)
     host, port = coord.start()
@@ -220,9 +221,10 @@ def _serve_with_local_worker(tasks, *, on_error="raise", **coord_kwargs):
         target=run_worker, args=(host, port), daemon=True
     )
     thread.start()
-    result = coord.serve(on_error=on_error)
-    thread.join(timeout=10.0)
-    return result
+    try:
+        return coord.serve()
+    finally:
+        thread.join(timeout=10.0)
 
 
 class TestEquivalence:
@@ -256,70 +258,13 @@ class TestEquivalence:
             Job("ok", operator.mul, (3, 7)),
             Job("boom", operator.truediv, (1, 0)),
         ]
-        result = _serve_with_local_worker(tasks, on_error="collect")
-        assert result.values == (21,)
-        (failure,) = result.failures
+        with pytest.raises(JobError) as excinfo:
+            _serve_with_local_worker(tasks)
+        (failure,) = excinfo.value.failures
         assert failure.name == "boom"
         assert failure.index == 1
         assert "ZeroDivisionError" in failure.message
         assert "division by zero" in failure.traceback
-
-
-def _sum_values(values):
-    return sum(values)
-
-
-def _sum_values_pid(values):
-    return (sum(values), os.getpid())
-
-
-class TestCoordinatorReductions:
-    """Two-phase plans through the distributed executor."""
-
-    def test_reductions_fire_on_the_coordinator(self, fresh_cache):
-        tasks = _mul_jobs(6)
-        reductions = [
-            Reduction("sum:low", _sum_values_pid, over=(0, 1, 2)),
-            Reduction("sum:high", _sum_values_pid, over=(3, 4, 5)),
-        ]
-        coord = Coordinator(tasks, reductions=reductions)
-        host, port = coord.start()
-        thread = threading.Thread(
-            target=run_worker, args=(host, port), daemon=True
-        )
-        thread.start()
-        result = coord.serve()
-        thread.join(timeout=10.0)
-        assert result.values == tuple(i * 7 for i in range(6))
-        assert [r.value for r in result.reduction_results] == [
-            (0 + 7 + 14, os.getpid()),  # reductions ran in *this* process
-            (21 + 28 + 35, os.getpid()),
-        ]
-        snapshot = coord.status_snapshot()
-        assert snapshot["reductions_total"] == 2
-        assert snapshot["reductions_done"] == 2
-
-    def test_dist_reductions_match_serial(self, fresh_cache):
-        tasks = _mul_jobs(4)
-        reductions = [Reduction("sum", _sum_values, over=(0, 1, 2, 3))]
-        serial = run_batch(tasks, reductions=reductions)
-        dist = _serve_with_local_worker(tasks, reductions=reductions)
-        assert serial.values == dist.values
-        assert [r.value for r in serial.reduction_results] == [
-            r.value for r in dist.reduction_results
-        ]
-
-    def test_reduction_failure_surfaces_in_collect_mode(self, fresh_cache):
-        tasks = [
-            Job("ok", operator.mul, (3, 7)),
-            Job("boom", operator.truediv, (1, 0)),
-        ]
-        reductions = [Reduction("sum", _sum_values, over=(0, 1))]
-        result = _serve_with_local_worker(
-            tasks, on_error="collect", reductions=reductions
-        )
-        assert {f.name for f in result.failures} == {"boom", "sum"}
-        assert result.reduction_results == (None,)  # slot kept, not fired
 
 
 class TestDistMetricsInBatchResult:
@@ -504,9 +449,7 @@ class TestAtLeastOnce:
         from repro.graphs.families import cycle
 
         plan = plan_sweep([cycle(3)], 3)
-        with Coordinator(
-            plan.tasks, reductions=plan.reductions, lease_timeout=6.0
-        ) as coord:
+        with Coordinator(plan.tasks, lease_timeout=6.0) as coord:
             worker = _FakeWorker(coord.address)
             try:
                 kind, payload = worker.handshake()
@@ -1078,6 +1021,25 @@ class TestDistCheckpoint:
         assert metrics["replayed"] == 2
         # The worker only ever saw the two non-replayed jobs.
         assert sum(w["completed"] for w in metrics["workers"]) == 2
+
+    def test_pool_counts_replays_apart_from_its_workers(self, fresh_cache):
+        """A pool batch reports replays as the coordinator does: under
+        ``replayed``, with no worker row for the parent that ran them."""
+        tasks = _mul_jobs(6)
+        result = run_batch(tasks, jobs=2, completed=[0, 1])
+        assert result.values == tuple(i * 7 for i in range(6))
+        metrics = result.dist_metrics
+        assert metrics["replayed"] == 2
+        lanes = [w["worker"] for w in metrics["workers"]]
+        assert TRACER.lane() not in lanes
+        assert sum(w["completed"] for w in metrics["workers"]) == 4
+
+    def test_pool_with_nothing_left_to_run_spawns_none(self, fresh_cache):
+        tasks = _mul_jobs(4)
+        result = run_batch(tasks, jobs=2, completed=range(4))
+        assert result.values == (0, 7, 14, 21)
+        assert result.jobs == 1
+        assert result.dist_metrics is None
 
     def test_serve_records_checkpoint_completions(
         self, fresh_cache, tmp_path

@@ -283,6 +283,21 @@ class TestRunBatch:
         # The parent absorbed the workers' activity.
         assert KERNEL_CACHE.stats().lookups >= batch.stats.lookups
 
+    def test_pool_replays_are_counted_once(self):
+        """Checkpoint replays run in the parent, whose own counters saw
+        them; only the pool workers' activity is absorbed on top."""
+        tasks = [
+            Job(name=f"gamma:{n}", fn=domination_number, args=(cycle(n),))
+            for n in (5, 6, 7, 8)
+        ]
+        before = KERNEL_CACHE.stats()
+        batch = run_batch(tasks, jobs=2, completed=[0, 1])
+        assert batch.jobs == 2
+        live = KERNEL_CACHE.stats().delta_since(before)
+        assert (live.hits, live.misses) == (
+            batch.stats.hits, batch.stats.misses,
+        )
+
     def test_failing_job_raises_job_error(self):
         tasks = [
             Job(name="ok", fn=domination_number, args=(cycle(4),)),
@@ -307,29 +322,32 @@ class TestRunBatch:
         assert isinstance(error.__cause__, ZeroDivisionError)
 
     def test_collect_mode_returns_failures_in_batch_result(self):
+        """Every failure rides on the one JobError: its job's name,
+        submission index and message."""
         tasks = [
             Job(name="boom", fn=operator.truediv, args=(1, 0)),
             Job(name="ok", fn=operator.mul, args=(6, 7)),
         ]
-        batch = run_batch(tasks, jobs=1, on_error="collect")
-        assert batch.values == (42,)
-        (failure,) = batch.failures
+        with pytest.raises(JobError) as excinfo:
+            run_batch(tasks, jobs=1)
+        (failure,) = excinfo.value.failures
         assert failure.name == "boom"
         assert failure.index == 0
         assert "ZeroDivisionError" in failure.message
 
     def test_collect_mode_matches_across_serial_and_pool(self):
+        """The serial and pool paths name the same failed jobs."""
         tasks = [
             Job(name=f"job{i}", fn=operator.truediv, args=(i, i % 2))
             for i in range(6)
         ]
-        serial = run_batch(tasks, jobs=1, on_error="collect")
-        pool = run_batch(tasks, jobs=3, on_error="collect")
-        assert serial.values == pool.values
-        assert [f.name for f in serial.failures] == [
-            f.name for f in pool.failures
-        ]
-        assert [f.index for f in serial.failures] == [0, 2, 4]
+        failures = {}
+        for jobs in (1, 3):
+            with pytest.raises(JobError) as excinfo:
+                run_batch(tasks, jobs=jobs)
+            failures[jobs] = [(f.name, f.index) for f in excinfo.value.failures]
+        assert failures[1] == failures[3]
+        assert [index for _name, index in failures[1]] == [0, 2, 4]
 
     def test_successes_complete_before_the_batch_raises(self):
         """A failure must not discard the other jobs' finished work."""

@@ -1,17 +1,16 @@
-"""Tests for the sweep's two-phase plan and its persistence.
+"""Tests for the sweep's job plan and its persistence.
 
-Every class runs as one bounds job, one job per candidate ``k`` and a
-reduction.  The rows must equal the definition — the paper's bounds and
-the smallest ``k`` whose one-round CSP is solvable on the full model —
-byte for byte: serial, pool, and distributed; cold and warm from the
+Every class runs as one bounds job and one job per candidate ``k``,
+whose values are folded into the class's row once the batch returns.
+The rows must equal the definition — the paper's bounds and the
+smallest ``k`` whose one-round CSP is solvable on the full model — byte
+for byte: serial, pool, and distributed; cold and warm from the
 store.  The per-``k`` verdicts persist, resume, and bank independently
 (a sweep killed between a class's jobs loses only the unfinished ones).
 """
 
 from __future__ import annotations
 
-import operator
-import os
 import threading
 
 import pytest
@@ -28,14 +27,7 @@ from repro.analysis.sweeps import (
 from repro.bounds.report import bound_report
 from repro.dist import DistExecutor
 from repro.dist.worker import run_worker
-from repro.engine import (
-    KERNEL_CACHE,
-    Job,
-    JobError,
-    Reduction,
-    run_batch,
-)
-from repro.errors import EngineError
+from repro.engine import KERNEL_CACHE
 from repro.graphs.generators import iter_all_digraphs
 from repro.graphs.symmetry import iter_isomorphism_classes, symmetric_closure
 from repro.models.closed_above import symmetric_closed_above
@@ -94,127 +86,6 @@ def _fresh_process(store) -> None:
     store_pkg.configure(path=store.path, mode=store.mode)
 
 
-def _sum_values(values):
-    return sum(values)
-
-
-def _sum_values_plus(values, extra):
-    return sum(values) + extra
-
-
-def _reduction_pid(values):
-    return os.getpid()
-
-
-def _slow_identity(x):
-    import time
-
-    time.sleep(0.05)
-    return x
-
-
-class TestReductionMachinery:
-    """Engine-level behaviour of run_batch's two-phase plans."""
-
-    def test_serial_reductions_fire_with_values_in_over_order(self):
-        tasks = [Job(f"mul[{i}]", operator.mul, (i, 10)) for i in range(5)]
-        reductions = [
-            Reduction("sum:even", _sum_values, over=(0, 2, 4)),
-            Reduction("sum:odd", _sum_values_plus, over=(1, 3), args=(100,)),
-        ]
-        result = run_batch(tasks, jobs=1, reductions=reductions)
-        assert result.values == (0, 10, 20, 30, 40)
-        assert [r.name for r in result.reduction_results] == [
-            "sum:even", "sum:odd",
-        ]
-        assert [r.value for r in result.reduction_results] == [60, 140]
-
-    def test_pool_reductions_run_in_parent(self):
-        tasks = [Job(f"mul[{i}]", operator.mul, (i, 7)) for i in range(4)]
-        reductions = [Reduction("pid", _reduction_pid, over=(0, 1, 2, 3))]
-        result = run_batch(tasks, jobs=2, reductions=reductions)
-        (reduced,) = result.reduction_results
-        assert reduced.value == os.getpid()
-
-    def test_pool_matches_serial(self):
-        tasks = [Job(f"mul[{i}]", operator.mul, (i, 3)) for i in range(6)]
-        reductions = [
-            Reduction("low", _sum_values, over=(0, 1, 2)),
-            Reduction("high", _sum_values, over=(3, 4, 5)),
-        ]
-        serial = run_batch(tasks, jobs=1, reductions=reductions)
-        pool = run_batch(tasks, jobs=2, reductions=reductions)
-        assert serial.values == pool.values
-        assert [r.value for r in serial.reduction_results] == [
-            r.value for r in pool.reduction_results
-        ]
-
-    def test_failed_input_skips_reduction_and_raises(self):
-        tasks = [
-            Job("ok", operator.mul, (3, 7)),
-            Job("boom", operator.truediv, (1, 0)),
-        ]
-        reductions = [Reduction("sum", _sum_values, over=(0, 1))]
-        with pytest.raises(JobError) as excinfo:
-            run_batch(tasks, jobs=1, reductions=reductions)
-        names = {f.name for f in excinfo.value.failures}
-        assert names == {"boom", "sum"}
-
-    def test_collect_mode_reports_reduction_failure(self):
-        tasks = [
-            Job("ok", operator.mul, (3, 7)),
-            Job("boom", operator.truediv, (1, 0)),
-        ]
-        reductions = [
-            Reduction("sum", _sum_values, over=(0, 1)),
-            Reduction("only-ok", _sum_values, over=(0,)),
-        ]
-        result = run_batch(
-            tasks, jobs=1, on_error="collect", reductions=reductions
-        )
-        assert result.values == (21,)
-        assert {f.name for f in result.failures} == {"boom", "sum"}
-        # Positional alignment survives the failure: the skipped
-        # reduction leaves a None slot, the healthy one still fired.
-        skipped, reduced = result.reduction_results
-        assert skipped is None
-        assert (reduced.name, reduced.value) == ("only-ok", 21)
-
-    def test_plan_validation(self):
-        tasks = [Job("only", operator.mul, (2, 2))]
-        with pytest.raises(EngineError, match="consumes no jobs"):
-            run_batch(tasks, reductions=[Reduction("r", _sum_values, over=())])
-        with pytest.raises(EngineError, match="lists a job twice"):
-            run_batch(
-                tasks, reductions=[Reduction("r", _sum_values, over=(0, 0))]
-            )
-        with pytest.raises(EngineError, match="job index"):
-            run_batch(
-                tasks, reductions=[Reduction("r", _sum_values, over=(5,))]
-            )
-
-    def test_reduction_stats_counted_not_double_absorbed(self, no_store):
-        """A reduction's cache delta lands in the batch stats exactly once
-        (it ran in the parent, whose live counters already saw it)."""
-        from repro.combinatorics.domination import domination_number
-        from repro.graphs.families import cycle
-
-        def _dominate(values):
-            return domination_number(cycle(5))
-
-        tasks = [Job("warm", domination_number, (cycle(5),))]
-        before = KERNEL_CACHE.stats()
-        result = run_batch(
-            tasks, jobs=1, reductions=[Reduction("red", _dominate, over=(0,))]
-        )
-        delta = KERNEL_CACHE.stats().delta_since(before)
-        by_kernel = dict(
-            (name, (h, m)) for name, h, m in result.stats.by_kernel
-        )
-        live = dict((name, (h, m)) for name, h, m in delta.by_kernel)
-        assert by_kernel["domination_number"] == live["domination_number"]
-
-
 class TestEstimatorAndPlan:
     def test_estimate_is_two_to_missing_edges_capped(self):
         reps = _representatives(3)
@@ -229,11 +100,13 @@ class TestEstimatorAndPlan:
         plan = plan_sweep(_representatives(3), 3)
         # bounds + one job per candidate k, per class
         assert len(plan.tasks) == 16 * 4
-        assert len(plan.reductions) == 16
         for cls in plan.classes:
             assert len(cls.job_indices) == 4
-            reduction = plan.reductions[cls.reduction_index]
-            assert reduction.over == cls.job_indices
+            # In the order reduce_sweep_row folds them.
+            names = [plan.tasks[i].name for i in cls.job_indices]
+            assert names == [f"sweep:n=3:{cls.index}:bounds"] + [
+                f"sweep:n=3:{cls.index}:k={k}" for k in (1, 2, 3)
+            ]
 
     def test_jobs_emitted_heaviest_first(self):
         reps = _representatives(3)
@@ -322,8 +195,8 @@ class TestSubshardStore:
         assert hits == 4 * 3 and misses == 0
 
     def test_mid_class_kill_banks_finished_subshards(self, isolated_store):
-        """Kill a sweep mid-class — some jobs banked, the reduction never
-        fired — and the rerun serves the banked verdicts from the store
+        """Kill a sweep mid-class — some jobs banked, the row never
+        folded — and the rerun serves the banked verdicts from the store
         while recomputing only the missing ones, landing on the
         definition's exact row."""
         reps = _representatives(3)
@@ -337,8 +210,8 @@ class TestSubshardStore:
         KERNEL_CACHE.clear()
 
         # "Run" only part of the class, as a killed sweep would have:
-        # bounds and two of the three per-k jobs reach the store, the
-        # reduction does not fire.
+        # bounds and two of the three per-k jobs reach the store, k = 3
+        # never runs.
         _class_bounds(heavy, 3)
         _subshard_solvable(heavy, 3, DEFAULT_BUDGET, 1)
         _subshard_solvable(heavy, 3, DEFAULT_BUDGET, 2)
