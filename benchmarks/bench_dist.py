@@ -15,8 +15,8 @@ Acceptance (plain functions, run in CI with ``--benchmark-disable``):
   margin for socket overhead and loaded CI machines);
 * **dist transparency**: the distributed run's rows are identical to the
   serial reference's;
-* **seeding wins**: against a coordinator holding a warm store, two
-  workers with *empty* local stores (``--seed-store on``, the default)
+* **seeding wins**: against a coordinator holding a warm store, which
+  it streams at handshake, two workers with *empty* local stores
   finish the same frontier at least 2x faster than the same two workers
   unseeded — the store-seeding handshake replaces every CSP search with
   a seed-tier hit, so the seeded run is pure queue service and table

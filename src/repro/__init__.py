@@ -20,7 +20,8 @@ The library provides, from scratch:
 * :mod:`repro.engine` — the shared compute layer: canonical graph keys and
   interning, the process-global :class:`~repro.engine.cache.KernelCache`
   that memoizes the hot kernels across call sites, and the
-  ``multiprocessing`` batch driver behind every parallel workload;
+  ``multiprocessing`` batch driver (:mod:`repro.engine.batch`) behind
+  every parallel workload;
 * :mod:`repro.store` — the persistent second tier: a SQLite-backed,
   content-addressed result store (``REPRO_STORE=rw``) that warm-starts
   fresh processes from everything earlier processes computed, with
@@ -50,11 +51,15 @@ processes start warm; results carry per-kernel implementation versions,
 and the store can be switched off per block with
 ``repro.store.disabled()`` — again with identical results.  Batch
 workloads fan out with
-:func:`repro.engine.run_batch`, which keeps the serial ``jobs=1`` path as
-the reference semantics: :func:`repro.bounds.bound_report_many` batches
+:func:`repro.engine.batch.run_batch`, which keeps the serial ``jobs=1`` path
+as the reference semantics: :func:`repro.bounds.bound_report_many` batches
 bound reports over many models, and ``python -m repro experiments
 --jobs N`` runs the experiment tables on worker processes with merged
 cache statistics (``python -m repro cache-stats`` probes cache health).
+
+Importing ``repro`` and its math packages loads no batch driver, store,
+cluster, table or trace-export module (so no ``multiprocessing`` or
+``socket``): the code that runs a batch imports them.
 
 Quickstart
 ----------
@@ -73,7 +78,7 @@ Batch variant (identical results for any ``jobs``)::
 
 from .agreement import FloodMin, KSetAgreement, MinOfDominatingSet, execute
 from .bounds import Bound, BoundKind, BoundReport, bound_report, bound_report_many
-from .engine import Job, KernelCache, run_batch
+from .engine import KernelCache
 from .graphs import Digraph
 from .models import ClosedAboveModel, simple_closed_above, symmetric_closed_above
 from .verification import decide_one_round_solvability, verify_algorithm
@@ -94,9 +99,7 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "bound_report_many",
-    "Job",
     "KernelCache",
-    "run_batch",
     "decide_one_round_solvability",
     "verify_algorithm",
     "__version__",

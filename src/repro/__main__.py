@@ -32,12 +32,12 @@ Distributed execution: ``--distributed HOST:PORT`` (on ``experiments``
 and ``sweep``) binds a TCP coordinator and serves the same jobs to every
 ``python -m repro worker --connect HOST:PORT`` on any machine, instead of
 forking a local pool; results are identical to serial/pool runs and only
-the coordinator writes the result store.  With ``--seed-store on`` (the
-default) the coordinator also streams its store's relevant rows to every
-connecting remote worker at handshake, so hosts without a shared
-filesystem start warm; ``python -m repro dist status HOST:PORT`` probes
-a live coordinator for queue depth, leases, per-worker throughput, and
-rows seeded (``--watch N`` polls).
+the coordinator writes the result store.  A coordinator with an active
+store also streams its relevant rows to every connecting remote worker
+at handshake, so hosts without a shared filesystem start warm; ``python
+-m repro dist status HOST:PORT`` probes a live coordinator for queue
+depth, leases, per-worker throughput, and rows seeded (``--watch N``
+polls).
 
 Tracing: ``--trace FILE`` (on ``experiments`` and ``sweep``, or
 ``REPRO_TRACE=FILE`` for any command) records spans across every layer —
@@ -182,7 +182,6 @@ def _executor_for(args: argparse.Namespace):
     try:
         return DistExecutor(
             args.distributed,
-            seed_store=args.seed_store == "on",
             log=lambda message: print(f"[dist] {message}", file=sys.stderr),
         )
     except DistError as exc:
@@ -387,7 +386,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import describe_summary, load_trace, summarize_trace
+    from .obs.export import describe_summary, load_trace, summarize_trace
 
     # argparse restricts action to "summary" already.
     if args.top < 0:
@@ -561,13 +560,6 @@ def main(argv: list[str] | None = None) -> int:
             "HOST:PORT' (any machine) to execute them.  ':PORT' binds "
             "127.0.0.1; bind 0.0.0.0:PORT explicitly for remote workers "
             "(trusted networks only — the job protocol is pickled frames)",
-        )
-        p.add_argument(
-            "--seed-store", choices=("on", "off"), default="on",
-            help="with --distributed and an active result store: stream "
-            "the store's relevant rows to each connecting worker at "
-            "handshake, so remote hosts start warm without a shared "
-            "filesystem (default: on)",
         )
 
     def add_trace_arg(p: argparse.ArgumentParser) -> None:

@@ -5,11 +5,8 @@ Each ``e*_...`` function computes one experiment's rows and returns
 prints the table, and EXPERIMENTS.md records the outputs next to the
 paper's claims.
 
-The heavyweight builders compute each row through a module-level row
-function submitted to the engine's batch driver
-(:func:`repro.engine.batch.run_batch`), so a ``jobs=N`` argument fans the
-rows out across worker processes; ``jobs=1`` (the default) runs the same
-jobs serially in-process with identical results.
+Every builder runs in one process: ``python -m repro experiments --jobs
+N`` fans whole experiments, not rows, out over the batch driver.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from ..combinatorics.domination import (
     equal_domination_number_of_set,
 )
 from ..combinatorics.sequences import covering_sequence, rounds_to_reach_all
-from ..engine.batch import Job, run_batch
 from ..graphs.digraph import Digraph
 from ..graphs.dominating import domination_number
 from ..graphs.families import (
@@ -278,7 +274,7 @@ def e04_shellability_table() -> Table:
 # ----------------------------------------------------------------------
 
 def _e05_row(name: str, g: Digraph, include_search: bool) -> list[object]:
-    """One candidate of E5; a batch job of :func:`e05_simple_tightness_table`."""
+    """One candidate of E5 (:func:`e05_simple_tightness_table`)."""
     gamma = domination_number(g)
     model = simple_closed_above(g)
     algorithm = MinOfDominatingSet(g)
@@ -296,10 +292,7 @@ def _e05_row(name: str, g: Digraph, include_search: bool) -> list[object]:
     return [name, gamma, verified, search_result, confirmed]
 
 
-def e05_simple_tightness_table(
-    include_search: bool = True,
-    jobs: int = 1,
-) -> Table:
+def e05_simple_tightness_table(include_search: bool = True) -> Table:
     """γ(G)-set solvable (verified) and (γ(G)-1)-set impossible (searched)."""
     candidates: list[tuple[str, Digraph]] = [
         ("star(4)", star(4, 0)),
@@ -317,11 +310,9 @@ def e05_simple_tightness_table(
         "search k=gamma-1",
         "Thm5.1 confirmed",
     ]
-    tasks = [
-        Job(name=f"E5:{name}", fn=_e05_row, args=(name, g, include_search))
-        for name, g in candidates
+    return headers, [
+        _e05_row(name, g, include_search) for name, g in candidates
     ]
-    return headers, list(run_batch(tasks, jobs=jobs).values)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +320,7 @@ def e05_simple_tightness_table(
 # ----------------------------------------------------------------------
 
 def _e06_row(n: int, s: int) -> list[object]:
-    """One ``(n, s)`` case of E6; a batch job of :func:`e06_star_union_table`."""
+    """One ``(n, s)`` case of E6 (:func:`e06_star_union_table`)."""
     sym = tuple(sorted(symmetric_closure([union_of_stars(n, tuple(range(s)))])))
     gd = distributed_domination_number(sym)
     lower = lower_bound_general(sym)
@@ -349,7 +340,7 @@ def _e06_row(n: int, s: int) -> list[object]:
 
 
 def e06_star_union_table(
-    cases: Sequence[tuple[int, int]] | None = None, jobs: int = 1
+    cases: Sequence[tuple[int, int]] | None = None,
 ) -> Table:
     """The paper's flagship tight family: unions of ``s`` stars on ``n``."""
     if cases is None:
@@ -365,10 +356,7 @@ def e06_star_union_table(
         "paper solvable n-s+1",
         "tight",
     ]
-    tasks = [
-        Job(name=f"E6:n={n},s={s}", fn=_e06_row, args=(n, s)) for n, s in cases
-    ]
-    return headers, list(run_batch(tasks, jobs=jobs).values)
+    return headers, [_e06_row(n, s) for n, s in cases]
 
 
 # ----------------------------------------------------------------------
@@ -399,14 +387,14 @@ def e07_product_closure_report(n: int = 6) -> Table:
 # ----------------------------------------------------------------------
 
 def _e08_row(name: str, generators: list[Digraph]) -> list[object]:
-    """One model of E8; a batch job of :func:`e08_model_connectivity_table`."""
+    """One model of E8 (:func:`e08_model_connectivity_table`)."""
     n = generators[0].n
     complex_ = uninterpreted_complex_of_closed_above(generators)
     measured = homological_connectivity(complex_)
     return [name, n, len(complex_), measured, n - 2, measured >= n - 2]
 
 
-def e08_model_connectivity_table(jobs: int = 1) -> Table:
+def e08_model_connectivity_table() -> Table:
     """(n-2)-connectivity of uninterpreted complexes, measured by homology."""
     cases: list[tuple[str, list[Digraph]]] = [
         ("simple: fig2 (n=3)", [figure2_graph()]),
@@ -424,11 +412,9 @@ def e08_model_connectivity_table(jobs: int = 1) -> Table:
         ),
     ]
     headers = ["model", "n", "facets", "measured conn", "Thm 4.12 (n-2)", "ok"]
-    tasks = [
-        Job(name=f"E8:{name}", fn=_e08_row, args=(name, generators))
-        for name, generators in cases
+    return headers, [
+        _e08_row(name, generators) for name, generators in cases
     ]
-    return headers, list(run_batch(tasks, jobs=jobs).values)
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +460,7 @@ def e09_covering_sequence_table() -> Table:
 # E10 — exhaustive one-round solvability frontier
 # ----------------------------------------------------------------------
 
-def e10_solvability_frontier_table(n: int = 3, jobs: int = 1) -> Table:
+def e10_solvability_frontier_table(n: int = 3) -> Table:
     """Exact solvable k for every symmetric model on n processes vs bounds.
 
     Enumerates symmetric closed-above models generated by a single graph
@@ -489,7 +475,7 @@ def e10_solvability_frontier_table(n: int = 3, jobs: int = 1) -> Table:
     """
     from .sweeps import solvability_sweep
 
-    report = solvability_sweep(n, jobs=jobs)
+    report = solvability_sweep(n)
     return report.headers, report.rows
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..engine.batch import Job, run_batch
 from ..errors import GraphError
 from ..graphs.digraph import Digraph
 from .lower import (
@@ -157,20 +156,20 @@ def bound_report_many(
     rounds: int = 1,
     semantics: str = "pointwise",
     jobs: int = 1,
-    executor=None,
 ) -> list[BoundReport]:
     """Batch :func:`bound_report` over many models, optionally in parallel.
 
     ``models`` is an iterable of generator sets; reports come back in the
     same order.  ``jobs`` is the worker-process count handed to
     :func:`repro.engine.batch.run_batch` — ``jobs=1`` is the serial
-    reference path, and any value produces identical reports; an
-    ``executor`` (a :class:`repro.dist.DistExecutor`) fans the reports
-    out across hosts instead, still with identical results.  Kernel
+    reference path, and any value produces identical reports.  Kernel
     results memoized while one model is processed are reused by every
     later model that shares graphs (within a worker), which is the
     common case for sweeps over overlapping families.
     """
+    # Imported here so that importing the bounds loads no batch driver.
+    from ..engine.batch import Job, run_batch
+
     prepared = [tuple(generators) for generators in models]
     tasks = [
         Job(
@@ -181,4 +180,4 @@ def bound_report_many(
         )
         for index, generators in enumerate(prepared)
     ]
-    return list(run_batch(tasks, jobs=jobs, executor=executor).values)
+    return list(run_batch(tasks, jobs=jobs).values)

@@ -23,8 +23,8 @@ serial, pool, and distributed execution produce identical results.
 
 Network warm start: the coordinator's store is the warm substrate for
 the whole cluster.  On handshake it streams its relevant rows into each
-remote worker's in-memory seed tier (``--seed-store on|off``).  The seed
-tier is read-only; the cluster-wide single-writer invariant stands.
+remote worker's in-memory seed tier.  The seed tier is read-only; the
+cluster-wide single-writer invariant stands.
 :func:`probe_status` (CLI: ``python -m repro dist status HOST:PORT``)
 reports queue depth, leases, per-worker throughput, and rows seeded
 against a live coordinator.

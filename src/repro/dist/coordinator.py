@@ -151,6 +151,12 @@ class _Conn:
 class Coordinator:
     """Serve a batch of jobs to TCP workers and collect their results.
 
+    When a result store is active, every remote worker's handshake is
+    followed by a ``store_seed`` stream: the store's rows (current kernel
+    versions only, chunked) land in the worker's in-memory seed tier, so
+    hosts without a shared filesystem start as warm as the coordinator.
+    Seeding is read-only; the single-writer invariant is untouched.
+
     Parameters
     ----------
     tasks:
@@ -167,13 +173,6 @@ class Coordinator:
         it is requeued for another worker.  Workers heartbeat at a third
         of this interval (told to them in the handshake), so only a dead
         or wedged worker trips it.
-    seed_store:
-        When True (the default) and a result store is active, every
-        remote worker's handshake is followed by a ``store_seed`` stream:
-        the store's rows (current kernel versions only, chunked) land in
-        the worker's in-memory seed tier, so hosts without a shared
-        filesystem start as warm as the coordinator.  Seeding is
-        read-only; the single-writer invariant is untouched.
     completed:
         Submission indices already completed by an interrupted earlier
         run (from a checkpoint).  They are never dispatched to workers;
@@ -199,7 +198,6 @@ class Coordinator:
         port: int = 0,
         lease_timeout: float = 60.0,
         wait_delay: float = 0.25,
-        seed_store: bool = True,
         completed=(),
         checkpoint=None,
         log: Callable[[str], None] | None = None,
@@ -211,7 +209,6 @@ class Coordinator:
         self._port = port
         self._lease_timeout = lease_timeout
         self._wait_delay = wait_delay
-        self._seed_store = bool(seed_store)
         self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
@@ -238,7 +235,6 @@ class Coordinator:
         self._done = threading.Event()
         if self._remaining == 0:
             self._done.set()
-        self._workers_seen: set[str] = set()
         self._worker_info: dict[str, _WorkerInfo] = {}
         self._rows_seeded = 0
         self._requeues = 0
@@ -302,7 +298,7 @@ class Coordinator:
                 "replayed": self._replayed,
                 # The condition _on_first_frame seeds under, minus its
                 # per-connection test: no store, nothing to seed from.
-                "seed_store": self._seed_store and self._store is not None,
+                "seed_store": self._store is not None,
                 "rows_seeded": self._rows_seeded,
                 "workers": [
                     info.snapshot(name, now)
@@ -313,23 +309,17 @@ class Coordinator:
     def metrics_snapshot(self) -> dict:
         """The coordinator-side metrics threaded onto the batch result.
 
-        A subset of :meth:`status_snapshot` that stays meaningful after
+        The subset of :meth:`status_snapshot` that stays meaningful after
         the run: per-worker throughput plus the seed/requeue counters.
         :meth:`serve` attaches it to ``BatchResult.dist_metrics`` so
         experiment footers and ``sweep --json`` can report cluster
         behaviour without a live probe.
         """
-        now = time.monotonic()
-        with self._lock:
-            return {
-                "requeues": self._requeues,
-                "replayed": self._replayed,
-                "rows_seeded": self._rows_seeded,
-                "workers": [
-                    info.snapshot(name, now)
-                    for name, info in sorted(self._worker_info.items())
-                ],
-            }
+        status = self.status_snapshot()
+        return {
+            key: status[key]
+            for key in ("requeues", "replayed", "rows_seeded", "workers")
+        }
 
     def start(self) -> tuple[str, int]:
         """Bind, listen, and start the event loop in one background thread."""
@@ -420,7 +410,7 @@ class Coordinator:
             self.close()
         with self._lock:
             outcomes = list(self._outcomes)
-            workers = max(1, len(self._workers_seen))
+            workers = max(1, len(self._worker_info))
             remote_cache = self._remote_cache_delta
             remote_store = self._remote_store_delta
         # Absorb only the activity that happened in *other* processes:
@@ -804,9 +794,8 @@ class Coordinator:
         )
         # Seeding targets *remote* workers: an in-process worker
         # already reads this very store directly.
-        seed = self._seed_store and self._store is not None and not conn.local
+        seed = self._store is not None and not conn.local
         with self._lock:
-            self._workers_seen.add(conn.worker_name)
             conn.info = self._worker_info.setdefault(
                 conn.worker_name, _WorkerInfo(connected_at=time.monotonic())
             )

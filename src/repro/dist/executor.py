@@ -51,14 +51,12 @@ class DistExecutor:
         self,
         address: str | tuple[str, int],
         *,
-        seed_store: bool = True,
         log: Callable[[str], None] | None = None,
         on_bound: Callable[[tuple[str, int]], object] | None = None,
     ):
         if isinstance(address, str):
             address = parse_address(address)
         self.host, self.port = address
-        self.seed_store = seed_store
         self.log = log
         self.on_bound = on_bound
         self.bound_address: tuple[str, int] | None = None
@@ -70,7 +68,6 @@ class DistExecutor:
             tasks,
             host=self.host,
             port=self.port,
-            seed_store=self.seed_store,
             completed=completed,
             checkpoint=checkpoint,
             log=self.log,

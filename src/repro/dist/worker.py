@@ -18,15 +18,15 @@ result (or are recomputed).  Reads still work, so a worker pointed at a
 shared (or pre-seeded) store file warm-starts from everything already
 computed.
 
-Network warm start: when the coordinator offers seeding (``--seed-store``,
-the default), the handshake is followed by a ``store_seed`` stream — the
-coordinator's store rows land in this worker's in-memory seed tier, so a
-host with an *empty* local store still starts warm.  A worker with no
-active store at all gets a throwaway in-memory one (worker mode, never
-touching disk) just to host the seed tier and carry rows home.  The
-seed tier is read-only; writes still ride home inside each ``JobResult``.
-A lookup that misses the memo, the seed tier and the local store file
-computes.
+Network warm start: when the coordinator offers seeding (it does when
+it has an active store), the handshake is followed by a ``store_seed``
+stream — the coordinator's store rows land in this worker's in-memory
+seed tier, so a host with an *empty* local store still starts warm.  A
+worker with no active store at all gets a throwaway in-memory one
+(worker mode, never touching disk) just to host the seed tier and carry
+rows home.  The seed tier is read-only; writes still ride home inside
+each ``JobResult``.  A lookup that misses the memo, the seed tier and
+the local store file computes.
 
 While a job computes, a background thread heartbeats the coordinator at
 the interval named in the handshake (a third of the coordinator's lease

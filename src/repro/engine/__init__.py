@@ -1,4 +1,4 @@
-"""Shared compute engine: interned graphs, memoized kernels, batch driver.
+"""Shared compute engine: interned graphs and memoized kernels.
 
 Every bound and experiment in this reproduction reduces to a handful of
 expensive kernels — domination / covering numbers, homology ranks, the
@@ -17,11 +17,13 @@ infrastructure out of the call sites:
   :func:`cached_kernel` decorator adopted by the hot kernels in
   :mod:`repro.graphs`, :mod:`repro.combinatorics`, :mod:`repro.topology`
   and :mod:`repro.verification`.
-* :mod:`~repro.engine.batch` — :class:`Job` / :func:`run_batch`, a
+* :mod:`~repro.engine.batch` — ``Job`` / ``run_batch``, a
   ``multiprocessing`` fan-out driver whose fork workers inherit the
   parent's warm cache, with merged statistics, used by
-  ``bounds.bound_report_many`` and the experiment runner (``python -m
-  repro experiments --jobs N``).
+  ``bounds.bound_report_many``, the sweeps and the experiment runner
+  (``python -m repro experiments --jobs N``).  This package does not
+  import it, so the math kernels load no ``multiprocessing``; import its
+  names from :mod:`repro.engine.batch`.
 
 The cache can be disabled globally (``KERNEL_CACHE.enabled = False``),
 temporarily (:func:`cache_disabled`), or via the ``REPRO_NO_CACHE``
@@ -40,16 +42,6 @@ makes sharded sweeps (:mod:`repro.analysis.sweeps`) resumable after a
 kill.
 """
 
-from .batch import (
-    BatchResult,
-    Job,
-    JobError,
-    JobFailure,
-    JobResult,
-    execute_job,
-    finalize_outcomes,
-    run_batch,
-)
 from .cache import (
     KERNEL_CACHE,
     KERNEL_VERSIONS,
@@ -80,12 +72,4 @@ __all__ = [
     "graph_set_key",
     "intern_graph",
     "iso_key",
-    "BatchResult",
-    "Job",
-    "JobError",
-    "JobFailure",
-    "JobResult",
-    "execute_job",
-    "finalize_outcomes",
-    "run_batch",
 ]

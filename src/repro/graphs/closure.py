@@ -61,7 +61,7 @@ def _check_upset_budget(g: Digraph, max_graphs: int | None) -> None:
     if max_graphs is not None and upward_closure_size(g) > max_graphs:
         raise GraphError(
             f"↑G has {upward_closure_size(g)} graphs, more than the budget of "
-            f"{max_graphs}; use sample_superset or raise max_graphs"
+            f"{max_graphs}; use sample_superset or a larger budget"
         )
 
 
@@ -109,8 +109,7 @@ def iter_model_graphs(
                 continue
             if max_graphs is not None and len(seen) == max_graphs:
                 raise GraphError(
-                    f"the model has more than the budget of {max_graphs} "
-                    "graphs; raise max_graphs"
+                    f"the model has more than the budget of {max_graphs} graphs"
                 )
             seen.add(rows)
             yield Digraph(n, rows)

@@ -1,17 +1,16 @@
 """repro.obs — unified tracing for every execution tier.
 
-One import surface for the two observability pieces:
-
-* :func:`span` / :func:`instant` / :data:`TRACER` — the structured
-  tracing hot path (:mod:`repro.obs.trace`).  Disabled by default;
-  enable with ``REPRO_TRACE=FILE``, ``--trace FILE`` on the CLIs, or
+* :data:`TRACER` — the structured tracing hot path
+  (:mod:`repro.obs.trace`).  Disabled by default; enable with
+  ``REPRO_TRACE=FILE``, ``--trace FILE`` on the CLIs, or
   :func:`configure_trace`.
-* :func:`write_trace` / :func:`load_trace` / :func:`summarize_trace` —
-  Chrome ``trace_event`` export and the offline aggregator behind
-  ``python -m repro trace summary`` (:mod:`repro.obs.export`).
+* :func:`write_trace` — Chrome ``trace_event`` export.  The writer and
+  the offline aggregator behind ``python -m repro trace summary`` are
+  in :mod:`repro.obs.export`, which this module imports only to write.
 
-This module imports only the stdlib at module scope: the instrumented
-layers (``engine.cache``, ``store.backend``, ``dist.*``) import *us*.
+This module imports only the stdlib and :mod:`repro.obs.trace` at module
+scope: the instrumented layers (``engine.cache``, ``store.backend``,
+``dist.*``) import *us*.
 """
 
 from __future__ import annotations
@@ -24,30 +23,15 @@ from .trace import (
     Tracer,
     TraceSpan,
     estimate_clock_offset,
-    instant,
-    span,
-)
-from .export import (
-    describe_summary,
-    load_trace,
-    summarize_trace,
-    write_chrome_trace,
 )
 
 __all__ = [
     "TRACER",
     "Tracer",
     "TraceSpan",
-    "span",
-    "instant",
     "estimate_clock_offset",
     "configure_trace",
-    "trace_enabled",
     "write_trace",
-    "write_chrome_trace",
-    "load_trace",
-    "summarize_trace",
-    "describe_summary",
 ]
 
 #: Pid that called :func:`configure_trace` (or imported this module with
@@ -79,10 +63,6 @@ def configure_trace(path: str | None, *, enabled: bool = True) -> None:
     _exported.clear()
 
 
-def trace_enabled() -> bool:
-    return TRACER.enabled
-
-
 def write_trace(path: str | None = None) -> int:
     """Drain the tracer's buffer into the Chrome trace file.
 
@@ -97,6 +77,8 @@ def write_trace(path: str | None = None) -> int:
     target = path or TRACER.path
     if not target:
         return 0
+    from .export import write_chrome_trace
+
     events = TRACER.drain()
     if path is None or path == TRACER.path:
         _exported.extend(events)

@@ -42,8 +42,6 @@ __all__ = [
     "TraceSpan",
     "Tracer",
     "TRACER",
-    "span",
-    "instant",
     "estimate_clock_offset",
 ]
 
@@ -268,16 +266,6 @@ TRACER = Tracer(
     enabled=bool(os.environ.get("REPRO_TRACE")),
     path=os.environ.get("REPRO_TRACE") or None,
 )
-
-
-def span(name: str, cat: str = "span", **attrs):
-    """Module-level shortcut: ``with span("kernel:x", tier="memo"): ...``"""
-    return TRACER.span(name, cat, **attrs)
-
-
-def instant(name: str, cat: str = "event", **attrs) -> None:
-    """Module-level shortcut for :meth:`Tracer.instant`."""
-    TRACER.instant(name, cat, **attrs)
 
 
 def estimate_clock_offset(

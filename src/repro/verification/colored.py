@@ -19,9 +19,14 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
-from ..errors import VerificationError
 from ..graphs.digraph import Digraph
-from .solvability import SolvabilityResult, _domains, _solve_csp, index_views
+from .solvability import (
+    SolvabilityResult,
+    _domains,
+    _search_inputs,
+    _solve_csp,
+    index_views,
+)
 
 __all__ = ["decide_one_round_solvability_colored"]
 
@@ -38,20 +43,7 @@ def decide_one_round_solvability_colored(
     identity-independent).  Same soundness caveats as the oblivious search:
     UNSAT on a subset of a model is sound, SAT needs the full model.
     """
-    graphs = tuple(graphs)
-    if not graphs:
-        raise VerificationError("need at least one graph")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise VerificationError("graphs must share the process count")
-    if k < 1:
-        raise VerificationError(f"k must be positive, got {k}")
-    if values is None:
-        values = tuple(range(k + 1))
-    values = tuple(values)
-    if len(values) < 2:
-        raise VerificationError("need at least two values")
-
+    graphs, values = _search_inputs(graphs, k, values)
     index, executions = index_views(graphs, values, colored=True)
     domains = _domains(view for _, view in index)
     return _solve_csp(index, executions, k, domains=domains)

@@ -26,7 +26,7 @@ from ..agreement.views import initial_oblivious_view, oblivious_round
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
 from .backends.bitset import reduce_executions
-from .solvability import SolvabilityResult, _solve_csp
+from .solvability import SolvabilityResult, _search_inputs, _solve_csp
 
 __all__ = ["decide_multi_round_solvability"]
 
@@ -43,21 +43,10 @@ def decide_multi_round_solvability(
     independently — the oblivious adversary); ``values`` defaults to
     ``0..k``.
     """
-    graphs = tuple(graphs)
-    if not graphs:
-        raise VerificationError("need at least one graph")
+    graphs, values = _search_inputs(graphs, k, values)
     if rounds < 1:
         raise VerificationError(f"rounds must be positive, got {rounds}")
-    if k < 1:
-        raise VerificationError(f"k must be positive, got {k}")
     n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise VerificationError("graphs must share the process count")
-    if values is None:
-        values = tuple(range(k + 1))
-    values = tuple(values)
-    if len(values) < 2:
-        raise VerificationError("need at least two values")
 
     view_index: dict = {}
     executions: list[tuple[int, ...]] = []

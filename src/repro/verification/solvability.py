@@ -236,6 +236,33 @@ def _solve_csp(
     )
 
 
+def _search_inputs(
+    graphs: Sequence[Digraph],
+    k: int,
+    values: Sequence[Hashable] | None,
+) -> tuple[tuple[Digraph, ...], tuple[Hashable, ...]]:
+    """The checks every solvability search makes on its arguments.
+
+    Returns ``graphs`` and ``values`` as tuples, ``values`` defaulting to
+    ``0..k``; raises :class:`VerificationError` on the first bad input.
+    """
+    graphs = tuple(graphs)
+    if not graphs:
+        raise VerificationError("need at least one graph")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise VerificationError("graphs must share the process count")
+    if k < 1:
+        raise VerificationError(f"k must be positive, got {k}")
+    values = tuple(range(k + 1)) if values is None else tuple(values)
+    if len(values) < 2:
+        raise VerificationError(
+            "need at least two values (one value makes the task trivial "
+            "and breaks the validity-restriction argument)"
+        )
+    return graphs, values
+
+
 class SolvabilitySearch:
     """Backtracking + forward-checking CSP search over decision maps."""
 
@@ -245,23 +272,8 @@ class SolvabilitySearch:
         k: int,
         values: Sequence[Hashable],
     ):
-        graphs = tuple(graphs)
-        if not graphs:
-            raise VerificationError("need at least one graph")
-        n = graphs[0].n
-        if any(g.n != n for g in graphs):
-            raise VerificationError("graphs must share the process count")
-        if k < 1:
-            raise VerificationError(f"k must be positive, got {k}")
-        values = tuple(values)
-        if len(values) < 2:
-            raise VerificationError(
-                "need at least two values (one value makes the task trivial "
-                "and breaks the validity-restriction argument)"
-            )
-        self._graphs = graphs
+        self._graphs, self._values = _search_inputs(graphs, k, values)
         self._k = k
-        self._values = values
         self._build_csp()
 
     def _build_csp(self) -> None:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +50,38 @@ class TestPackageSurface:
         ):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module, name)
+
+    def test_math_packages_load_no_batch_driver(self):
+        """Importing ``repro`` and its math packages loads no batch
+        driver, store, cluster, tables or trace exporter, nor the stdlib
+        modules they need, beyond what a bare interpreter has loaded."""
+        code = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import repro, repro.agreement, repro.bounds, "
+            "repro.combinatorics, repro.graphs, repro.models, "
+            "repro.topology, repro.verification\n"
+            "print(*sorted(set(sys.modules) - bare))\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        ).stdout.split()
+        assert "repro.verification" in loaded
+        forbidden = (
+            "repro.engine.batch", "repro.engine.diagnostics", "repro.store",
+            "repro.dist", "repro.analysis", "repro.obs.export",
+            "multiprocessing", "socket", "selectors", "sqlite3",
+        )
+        assert [
+            name for name in loaded
+            if any(name == f or name.startswith(f + ".") for f in forbidden)
+        ] == []
 
     def test_version(self):
         assert repro.__version__ == "1.10.0"

@@ -125,6 +125,26 @@ class TestSearch:
         assert message in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "4", "--full", "--budget", "10"],
+             "search: ↑G has 256 graphs, more than the budget of 10; "
+             "use sample_superset or a larger budget"),
+            (["--n", "4", "--symmetric", "--full", "--budget", "256"],
+             "search: the model has more than the budget of 256 graphs"),
+        ],
+        ids=["upset", "model"],
+    )
+    def test_budget_errors_name_no_library_parameter(
+        self, capsys, flags, message
+    ):
+        """The one flag is ``--budget``; the line names no parameter."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--family", "cycle", "--k", "2", *flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestVerify:
     def test_passing(self, capsys):
@@ -339,7 +359,7 @@ class TestSweep:
             main(["sweep", "--n", "3", "--budget", "2", "--limit", "3"])
         assert excinfo.value.code == (
             "sweep: job 'sweep:n=3:1:k=1' failed: GraphError: the model "
-            "has more than the budget of 2 graphs; raise max_graphs "
+            "has more than the budget of 2 graphs "
             "(+3 more failed job(s): 'sweep:n=3:1:k=2', "
             "'sweep:n=3:2:k=1', 'sweep:n=3:2:k=2')"
         )

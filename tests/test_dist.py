@@ -40,16 +40,16 @@ from repro.dist.protocol import (
     send_message,
 )
 from repro.dist.worker import run_worker
-from repro.engine import (
-    KERNEL_CACHE,
+from repro.engine import KERNEL_CACHE
+from repro.engine.batch import (
     Job,
     JobError,
     JobFailure,
     JobResult,
+    describe_dist_metrics,
     execute_job,
     run_batch,
 )
-from repro.engine.batch import describe_dist_metrics
 from repro.errors import ConfigError, DistError
 from repro.obs.trace import TRACER
 
@@ -187,13 +187,10 @@ class TestMakeExecutor:
 
         from repro.__main__ import _executor_for
 
-        args = Namespace(
-            command="sweep", jobs=1, distributed=":0", seed_store="off"
-        )
+        args = Namespace(command="sweep", jobs=1, distributed=":0")
         executor = _executor_for(args)
         assert isinstance(executor, DistExecutor)
         assert (executor.host, executor.port) == ("127.0.0.1", 0)
-        assert executor.seed_store is False
         # Without --distributed the batch runs here, on --jobs.
         args.distributed = None
         assert _executor_for(args) is None

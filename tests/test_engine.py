@@ -23,8 +23,6 @@ from repro.combinatorics import (
 from repro.engine import (
     KERNEL_CACHE,
     CacheStats,
-    Job,
-    JobError,
     KernelCache,
     adjacency_key,
     cache_disabled,
@@ -32,8 +30,8 @@ from repro.engine import (
     graph_set_key,
     intern_graph,
     iso_key,
-    run_batch,
 )
+from repro.engine.batch import Job, JobError, run_batch
 from repro.engine.diagnostics import cache_probe
 from repro.graphs import (
     Digraph,

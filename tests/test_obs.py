@@ -33,12 +33,14 @@ from repro.errors import DistError
 from repro.obs import (
     TRACER,
     configure_trace,
-    describe_summary,
     estimate_clock_offset,
+    write_trace,
+)
+from repro.obs.export import (
+    describe_summary,
     load_trace,
     summarize_trace,
     write_chrome_trace,
-    write_trace,
 )
 from repro.obs.trace import Tracer
 

@@ -20,7 +20,8 @@ import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
 from repro.bounds import bound_report
 from repro.combinatorics import covering_numbers, equal_domination_number
-from repro.engine import KERNEL_CACHE, Job, KernelCache, cached_kernel, run_batch
+from repro.engine import KERNEL_CACHE, KernelCache, cached_kernel
+from repro.engine.batch import Job, run_batch
 from repro.engine.cache import KERNEL_VERSIONS, cache_disabled
 from repro.engine.canonical import graph_set_key
 from repro.errors import StoreError

@@ -26,7 +26,9 @@ from repro.graphs import (
 from repro.models import simple_closed_above, symmetric_closed_above
 from repro.verification import (
     SolvabilitySearch,
+    decide_multi_round_solvability,
     decide_one_round_solvability,
+    decide_one_round_solvability_colored,
     exhaustive_inputs,
     find_violation,
     tightness_certificate,
@@ -106,7 +108,38 @@ class TestVerifyAlgorithm:
         assert len(set(failure.decisions.values())) > 1
 
 
+#: The three solvability searches, called as ``search(graphs, k, values)``.
+_SEARCHES = {
+    "one-round": decide_one_round_solvability,
+    "multi-round": lambda graphs, k, values: decide_multi_round_solvability(
+        graphs, 1, k, values
+    ),
+    "colored": decide_one_round_solvability_colored,
+}
+
+
 class TestSolvabilitySearch:
+    @pytest.mark.parametrize("search", _SEARCHES.values(), ids=list(_SEARCHES))
+    @pytest.mark.parametrize(
+        "graphs, k, values, message",
+        [
+            ([], 1, None, "need at least one graph"),
+            ([cycle(3), cycle(4)], 1, None,
+             "graphs must share the process count"),
+            ([cycle(3)], 0, None, "k must be positive, got 0"),
+            ([cycle(3)], 1, (0,),
+             "need at least two values (one value makes the task trivial "
+             "and breaks the validity-restriction argument)"),
+        ],
+        ids=["no-graphs", "mixed-n", "k-zero", "one-value"],
+    )
+    def test_every_search_checks_its_inputs_alike(
+        self, search, graphs, k, values, message
+    ):
+        with pytest.raises(VerificationError) as excinfo:
+            search(graphs, k, values)
+        assert str(excinfo.value) == message
+
     def test_validation(self):
         with pytest.raises(VerificationError):
             SolvabilitySearch([], 1, (0, 1))
