@@ -11,7 +11,6 @@ Usage::
     python -m repro sweep --n 4 [--jobs 4 | --distributed :7071] [--limit K]
                           [--budget 4096]
                           [--trace FILE]
-                          [--checkpoint FILE] [--resume-from FILE]
     python -m repro worker --connect HOST:7071 [--jobs 2] [--retry 30]
     python -m repro dist status HOST:7071 [--json] [--watch N [--count K]] [--timeout S]
     python -m repro trace summary FILE [--json] [--top 8]
@@ -279,13 +278,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             limit=args.limit,
             budget=args.budget,
             executor=_executor_for(args),
-            checkpoint_path=args.checkpoint,
-            resume_from=args.resume_from,
         )
     except (DistError, JobError) as exc:
-        # One line naming what failed: a missing or mismatched checkpoint
-        # (which must not silently become a fresh run), or every failed
-        # job, after the others were banked.
+        # One line naming what failed: a coordinator that cannot bind, or
+        # every failed job, after the others were banked.
         raise SystemExit(f"sweep: {exc}") from exc
     if args.json:
         payload = {
@@ -293,8 +289,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "total_classes": report.total_classes,
             "sharded": report.sharded,
             "resumed": report.resumed,
-            "replayed": report.replayed,
-            "checkpoint_dropped": report.checkpoint_dropped,
             "classes": [cls.to_dict() for cls in report.classes],
             "headers": report.headers,
             "rows": [[repr(cell) for cell in row] for row in report.rows],
@@ -687,20 +681,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument(
         "--budget", type=int, default=1 << 12,
         help="cap on each class's fully enumerated model",
-    )
-    p_sweep.add_argument(
-        "--checkpoint", metavar="FILE", default=None,
-        help="snapshot queue progress (completed job names, requeues) "
-        "atomically to FILE as shards land, alongside the store; a "
-        "killed sweep resumes from it with --resume-from",
-    )
-    p_sweep.add_argument(
-        "--resume-from", metavar="FILE", default=None, dest="resume_from",
-        help="rehydrate the remaining plan from a checkpoint written by "
-        "an earlier --checkpoint run: completed jobs replay as warm "
-        "store hits (zero kernel recompute), only the remainder is "
-        "scheduled.  Pass the same FILE to both flags for a "
-        "crash-restart loop",
     )
     p_sweep.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"

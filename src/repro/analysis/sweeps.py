@@ -1,4 +1,4 @@
-"""Sharded exhaustive solvability sweeps with resumable progress (E10).
+"""Sharded exhaustive solvability sweeps, resumable through the store (E10).
 
 The E10 experiment asks, for *every* symmetric closed-above model
 generated by a single graph on ``n`` processes (one representative per
@@ -11,8 +11,8 @@ hours, which is only practical because every layer below persists:
   class* (``iso_key``), so it is computed once per class ever,
   machine-wide, when the result store is in ``rw`` mode;
 * jobs fan out over :func:`~repro.engine.batch.run_batch`, whose parent
-  process persists each job as it completes — a sweep killed midway
-  resumes exactly where it stopped, recomputing nothing;
+  process persists each job as it completes — rerunning a sweep killed
+  midway against the same store recomputes no finished job;
 * a rerun over a warm store is pure table assembly (every job hits).
 
 **One verdict path per class.**  :func:`plan_sweep` turns every class
@@ -37,7 +37,6 @@ here so the experiment table and the sweep never diverge.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..bounds.report import bound_report
@@ -58,7 +57,6 @@ __all__ = [
     "SweepReport",
     "check_sweep_values",
     "estimate_class_cost",
-    "plan_fingerprint",
     "plan_sweep",
     "reduce_sweep_row",
     "solvability_sweep",
@@ -255,25 +253,6 @@ def plan_sweep(
     return plan
 
 
-def plan_fingerprint(plan: SweepPlan) -> str:
-    """12-hex identity of a sweep plan, for checkpoint resume.
-
-    Hashes exactly the parameters that pin *which rows* a plan produces —
-    ``(n, budget, class count)`` — and nothing that only steers
-    scheduling, such as job order or task names.  A checkpoint whose
-    completed names the re-built plan lacks (one written by an older
-    plan layout) is still accepted; those names are dropped with a count
-    (see :func:`repro.dist.checkpoint.resume_completed`) at the cost of
-    a warm store hit, not a kernel.  A mismatch in anything hashed here
-    means the checkpoint belongs to a genuinely different sweep, and
-    resuming is refused.
-    """
-    # "bitset" keeps the fingerprints of checkpoints written while the
-    # CSP backend was a sweep parameter, so they still resume.
-    core = ("sweep-plan", plan.n, plan.budget, "bitset", len(plan.classes))
-    return hashlib.sha256(repr(core).encode("utf-8")).hexdigest()[:12]
-
-
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
@@ -344,15 +323,6 @@ class SweepReport:
     classes: tuple[SweepClassReport, ...] = ()
     """Per-class cost estimates and timings."""
 
-    replayed: int = 0
-    """Jobs restored from a ``--resume-from`` checkpoint this call:
-    completed in the interrupted run, replayed here against the warm
-    store (a pure hit, no kernel recompute) instead of re-dispatched."""
-
-    checkpoint_dropped: int = 0
-    """Checkpointed completions the re-built plan no longer names (a
-    checkpoint written by an older plan layout); re-run warm."""
-
     @property
     def resumed(self) -> int:
         """Classes answered without running the CSP search this call:
@@ -362,14 +332,11 @@ class SweepReport:
 
     def describe(self) -> str:
         within = sum(1 for row in self.rows if row[3])
-        text = (
+        return (
             f"sweep n={self.n}: {self.sharded}/{self.total_classes} "
             f"isomorphism classes, {self.resumed} resumed (no recompute), "
             f"{within}/{len(self.rows)} within the paper's bounds"
         )
-        if self.replayed:
-            text += f"; {self.replayed} job(s) replayed from checkpoint"
-        return text
 
 
 def check_sweep_values(
@@ -403,8 +370,6 @@ def solvability_sweep(
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
     executor=None,
-    checkpoint_path: str | None = None,
-    resume_from: str | None = None,
 ) -> SweepReport:
     """Run (or resume) the exhaustive solvability sweep on ``n`` processes.
 
@@ -413,10 +378,11 @@ def solvability_sweep(
     order, so incremental runs keep their meaning across invocations.
     Within the selection, *jobs* are scheduled heaviest-first (see
     :func:`plan_sweep`), so distributed workers share the giant classes
-    instead of stranding on them.  Resume is per job: any bounds or
-    per-``k`` verdict persisted by an earlier run, in any order, is
-    skipped.  ``budget`` caps each class's enumerated model exactly like
-    ``search --budget``.  ``executor`` (a
+    instead of stranding on them.  Resume is per job: rerun the same
+    call against the same ``rw`` store, and every bounds or per-``k``
+    verdict an earlier (possibly killed) run banked is a store hit, not
+    a computation.  ``budget`` caps each class's enumerated model
+    exactly like ``search --budget``.  ``executor`` (a
     :class:`repro.dist.DistExecutor`) runs the same plan across every
     connected ``python -m repro worker`` instead, with the coordinator
     persisting each job as it completes — identical results, identical
@@ -426,18 +392,6 @@ def solvability_sweep(
     A non-positive ``n``, ``jobs``, ``limit`` or ``budget`` raises
     :class:`~repro.errors.ConfigError` before anything is planned (see
     :func:`check_sweep_values`).
-
-    ``checkpoint_path`` snapshots queue progress (a
-    :class:`repro.dist.checkpoint.CheckpointState`) atomically alongside
-    the store as jobs land; ``resume_from`` loads such a snapshot and
-    rehydrates the exact remaining plan — completed jobs are *replayed*
-    against the warm store in the parent (a pure hit, never a kernel)
-    instead of re-dispatched, and only the remainder is scheduled.  Both
-    are run-state, not sweep identity: the checkpoint carries the
-    :func:`plan_fingerprint` and resume refuses a snapshot from a
-    different plan.  (``sweep --checkpoint PATH`` / ``--resume-from
-    PATH`` on the CLI; passing the same path to both is the normal
-    crash-restart loop.)
     """
     from ..graphs.generators import iter_all_digraphs
     from ..graphs.symmetry import iter_isomorphism_classes
@@ -453,46 +407,7 @@ def solvability_sweep(
     if limit is not None:
         representatives = representatives[:limit]
     plan = plan_sweep(representatives, n, budget=budget)
-    completed_indices: tuple[int, ...] = ()
-    writer = None
-    dropped = 0
-    if resume_from is not None or checkpoint_path is not None:
-        from ..dist.checkpoint import (
-            CheckpointWriter,
-            load_checkpoint,
-            resume_completed,
-        )
-
-        names = tuple(job.name for job in plan.tasks)
-        sweep_fingerprint = plan_fingerprint(plan)
-        carried: tuple[str, ...] = ()
-        if resume_from is not None:
-            state = load_checkpoint(resume_from)
-            present, dropped = resume_completed(
-                state, names, fingerprint=sweep_fingerprint
-            )
-            completed_indices = tuple(
-                index for index, name in enumerate(names) if name in present
-            )
-            carried = tuple(names[index] for index in completed_indices)
-            TRACER.instant(
-                "sweep:resume", cat="sweep", checkpoint=resume_from,
-                replayed=len(completed_indices), dropped=dropped,
-            )
-        if checkpoint_path is not None:
-            writer = CheckpointWriter(
-                path=checkpoint_path,
-                fingerprint=sweep_fingerprint,
-                tasks=names,
-                completed=carried,
-            )
-    batch = run_batch(
-        list(plan.tasks),
-        jobs=jobs,
-        executor=executor,
-        completed=completed_indices,
-        checkpoint=writer,
-    )
+    batch = run_batch(list(plan.tasks), jobs=jobs, executor=executor)
     rows: list[list[object]] = []
     class_reports: list[SweepClassReport] = []
     for cls in plan.classes:
@@ -522,6 +437,4 @@ def solvability_sweep(
         sharded=len(representatives),
         batch=batch,
         classes=tuple(class_reports),
-        replayed=len(completed_indices),
-        checkpoint_dropped=dropped,
     )

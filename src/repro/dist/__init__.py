@@ -29,21 +29,12 @@ cluster-wide single-writer invariant stands.
 reports queue depth, leases, per-worker throughput, and rows seeded
 against a live coordinator.
 
-Survivability: requeue covers a lost worker, and
-:mod:`~repro.dist.checkpoint` covers a lost coordinator.  It snapshots
-the coordinator's queue accounting atomically alongside the store, so
-``sweep --resume-from CHECKPOINT`` rehydrates the exact remaining plan
-after a coordinator crash (completed jobs replay as warm store hits —
-zero kernel recompute).
+Survivability: requeue covers a lost worker, and the store covers a
+lost coordinator.  The coordinator banks every job as it lands, so
+rerunning the same sweep against the same store recomputes nothing that
+finished before the crash.
 """
 
-from .checkpoint import (
-    CheckpointState,
-    CheckpointWriter,
-    load_checkpoint,
-    resume_completed,
-    write_checkpoint,
-)
 from .executor import (
     DistExecutor,
     parse_address,
@@ -56,20 +47,15 @@ from .protocol import PROTOCOL_VERSION, ProtocolError
 from .worker import WorkerReport, run_worker, run_workers
 
 __all__ = [
-    "CheckpointState",
-    "CheckpointWriter",
     "Coordinator",
     "DistExecutor",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WorkerReport",
-    "load_checkpoint",
     "parse_address",
     "probe_status",
     "render_status_json",
-    "resume_completed",
     "run_worker",
     "run_workers",
     "watch_status",
-    "write_checkpoint",
 ]

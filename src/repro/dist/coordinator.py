@@ -173,18 +173,6 @@ class Coordinator:
         it is requeued for another worker.  Workers heartbeat at a third
         of this interval (told to them in the handshake), so only a dead
         or wedged worker trips it.
-    completed:
-        Submission indices already completed by an interrupted earlier
-        run (from a checkpoint).  They are never dispatched to workers;
-        ``start()`` replays them *in this process*, where the warm store
-        that banked them makes each a pure hit, so result assembly sees
-        real outcomes without recomputing a kernel or paying a worker
-        round trip.
-    checkpoint:
-        Optional :class:`~repro.dist.checkpoint.CheckpointWriter`.
-        Completions and requeue counts are recorded as they happen —
-        throttled — and the final snapshot is flushed at ``close()``, so
-        a killed coordinator leaves a resumable file next to the store.
     log:
         Optional callable receiving one-line progress strings (worker
         connects/disconnects, requeues); silent when ``None``.
@@ -198,8 +186,6 @@ class Coordinator:
         port: int = 0,
         lease_timeout: float = 60.0,
         wait_delay: float = 0.25,
-        completed=(),
-        checkpoint=None,
         log: Callable[[str], None] | None = None,
     ):
         if lease_timeout <= 0:
@@ -209,24 +195,10 @@ class Coordinator:
         self._port = port
         self._lease_timeout = lease_timeout
         self._wait_delay = wait_delay
-        self._checkpoint = checkpoint
         self._log = log or (lambda message: None)
 
-        completed_set = frozenset(completed)
-        for index in completed_set:
-            if not 0 <= index < len(self._tasks):
-                raise DistError(
-                    f"completed index {index} out of range for "
-                    f"{len(self._tasks)} task(s)"
-                )
-        self._replay = sorted(completed_set)
-
         self._lock = threading.Lock()
-        self._pending: deque[int] = deque(
-            index
-            for index in range(len(self._tasks))
-            if index not in completed_set
-        )
+        self._pending: deque[int] = deque(range(len(self._tasks)))
         self._leases: dict[int, _Lease] = {}
         self._outcomes: list[JobResult | JobFailure | None] = [None] * len(
             self._tasks
@@ -238,7 +210,6 @@ class Coordinator:
         self._worker_info: dict[str, _WorkerInfo] = {}
         self._rows_seeded = 0
         self._requeues = 0
-        self._replayed = 0
         self._owner_counter = 0
         # Stats deltas produced in *other* processes — the only ones this
         # process must absorb into its cache/store totals at the end (an
@@ -273,12 +244,6 @@ class Coordinator:
             return self._requeues
 
     @property
-    def replayed(self) -> int:
-        """Checkpoint-completed jobs replayed in-process at start()."""
-        with self._lock:
-            return self._replayed
-
-    @property
     def rows_seeded(self) -> int:
         """Store rows streamed to connecting workers (all handshakes)."""
         with self._lock:
@@ -295,7 +260,6 @@ class Coordinator:
                 "queue_depth": len(self._pending),
                 "leases": len(self._leases),
                 "requeues": self._requeues,
-                "replayed": self._replayed,
                 # The condition _on_first_frame seeds under, minus its
                 # per-connection test: no store, nothing to seed from.
                 "seed_store": self._store is not None,
@@ -318,7 +282,7 @@ class Coordinator:
         status = self.status_snapshot()
         return {
             key: status[key]
-            for key in ("requeues", "replayed", "rows_seeded", "workers")
+            for key in ("requeues", "rows_seeded", "workers")
         }
 
     def start(self) -> tuple[str, int]:
@@ -351,35 +315,7 @@ class Coordinator:
         )
         self._loop_thread.start()
         self._log(f"coordinator listening on {self.address[0]}:{self.address[1]}")
-        if self._replay:
-            self._replay_completed()
         return self.address
-
-    def _replay_completed(self) -> None:
-        """Re-land checkpoint-completed jobs in this process.
-
-        Against the warm store that banked them each replay is a pure
-        hit: accounting (values and rows for assembly) without kernel
-        recomputation.  Workers connecting meanwhile only ever see the
-        genuinely remaining jobs — replayed indices were never put on
-        the pending queue.
-        """
-        from ..engine.batch import execute_job
-
-        for index in self._replay:
-            outcome = execute_job(self._tasks[index])
-            if isinstance(outcome, JobFailure):
-                outcome = replace(outcome, index=index)
-            self._complete(index, outcome, True)
-        with self._lock:
-            self._replayed = len(self._replay)
-        TRACER.instant(
-            "dist:replay", cat="dist", jobs=len(self._replay)
-        )
-        self._log(
-            f"replayed {len(self._replay)} checkpointed job(s) "
-            "against the warm store"
-        )
 
     def _bind(self) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -427,11 +363,6 @@ class Coordinator:
     def close(self) -> None:
         """Stop listening, drain in-flight farewells, stop the loop."""
         self._closing = True
-        if self._checkpoint is not None:
-            try:
-                self._checkpoint.flush()
-            except OSError as exc:  # pragma: no cover - disk full etc.
-                self._log(f"final checkpoint write failed: {exc}")
         if self._owns_store and self._store is not None:
             self._store.coordinator_owned -= 1
             self._owns_store = False
@@ -881,10 +812,6 @@ class Coordinator:
         # Persist outside the queue lock: the store has its own lock, and
         # a slow flush must not stall a status probe mid-snapshot.
         land_outcome(outcome, self._store)
-        if self._checkpoint is not None and isinstance(outcome, JobResult):
-            # After the store flush on purpose: a checkpoint must never
-            # claim a completion whose rows a crash could still lose.
-            self._checkpoint.record_done(self._tasks[index].name)
         if finished:
             self._done.set()
         return True
@@ -926,15 +853,12 @@ class Coordinator:
                 del self._leases[index]
                 self._pending.appendleft(index)
                 self._requeues += 1
-            requeues = self._requeues
         for index in expired:
             TRACER.instant("dist:requeue", cat="dist", index=index)
             self._log(
                 f"requeued job {index} after {self._lease_timeout:.1f}s "
                 "without a heartbeat"
             )
-        if expired and self._checkpoint is not None:
-            self._checkpoint.record_requeues(requeues)
 
     def _expire_farewells(self) -> None:
         """Close post-``done`` connections whose farewell never came."""
@@ -954,11 +878,8 @@ class Coordinator:
                     self._pending.appendleft(index)
                     self._requeues += 1
                     requeued.append(index)
-            requeues = self._requeues
         for index in requeued:
             self._log(f"requeued job {index} after {worker} disconnected")
-        if requeued and self._checkpoint is not None:
-            self._checkpoint.record_requeues(requeues)
 
     # ------------------------------------------------------------------
     # The status probe

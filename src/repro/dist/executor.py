@@ -61,16 +61,11 @@ class DistExecutor:
         self.on_bound = on_bound
         self.bound_address: tuple[str, int] | None = None
 
-    def run(self, tasks, *, completed=(), checkpoint=None):
+    def run(self, tasks):
         from .coordinator import Coordinator
 
         coordinator = Coordinator(
-            tasks,
-            host=self.host,
-            port=self.port,
-            completed=completed,
-            checkpoint=checkpoint,
-            log=self.log,
+            tasks, host=self.host, port=self.port, log=self.log
         )
         with coordinator:
             self.bound_address = coordinator.address
@@ -111,7 +106,7 @@ def probe_status(
     """Ask a running coordinator for its status snapshot.
 
     Speaks the one-shot ``status`` conversation of
-    :mod:`~repro.dist.protocol`: queue depth, leases, requeues, replays,
+    :mod:`~repro.dist.protocol`: queue depth, leases, requeues,
     per-worker throughput, and the rows seeded to workers.  ``python -m
     repro dist status HOST:PORT`` is the CLI wrapper.
     Raises :class:`~repro.errors.DistError` when ``timeout`` is not

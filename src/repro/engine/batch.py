@@ -181,9 +181,9 @@ class BatchResult:
 
     dist_metrics: Mapping | None = None
     """Per-worker metrics (throughput, busy and idle time, rows seeded)
-    plus the requeue and replay counters: the coordinator's on a
-    distributed batch, the same shape built from the job lanes on a
-    pool batch, and ``None`` on the serial path."""
+    plus the requeue counter: the coordinator's on a distributed batch,
+    the same shape built from the job lanes on a pool batch, and
+    ``None`` on the serial path."""
 
     @property
     def values(self) -> tuple[object, ...]:
@@ -214,9 +214,6 @@ def describe_dist_metrics(metrics: Mapping) -> str:
         f"dist: {metrics['rows_seeded']} row(s) seeded, "
         f"{metrics['requeues']} requeue(s)"
     ]
-    replayed = metrics.get("replayed", 0)
-    if replayed:
-        lines[0] += f", {replayed} replayed"
     for worker in metrics.get("workers", ()):
         lines.append(
             f"  worker {worker['worker']}: {worker['completed']} done, "
@@ -256,16 +253,14 @@ def worker_row(
     }
 
 
-def _pool_metrics(outcomes, replayed: int, wall: float) -> dict:
+def _pool_metrics(outcomes, wall: float) -> dict:
     """Per-worker-process metrics for a pool batch, dist-metrics shaped.
 
-    Built from the ``worker`` lane of each outcome the pool computed, so
-    the pool path fills :attr:`BatchResult.dist_metrics` in exactly the
-    coordinator's shape: checkpoint replays ran in the parent and count
-    under ``replayed``, not as a worker's completions, and the seeding
-    counters are present but zero (pool workers share the parent's
-    filesystem and never seed).  A batch with a failed job raises before
-    its metrics are built, so every row has 0 failed.
+    Built from the ``worker`` lane of each outcome, so the pool path
+    fills :attr:`BatchResult.dist_metrics` in exactly the coordinator's
+    shape; the seeding counters are present but zero (pool workers share
+    the parent's filesystem and never seed).  A batch with a failed job
+    raises before its metrics are built, so every row has 0 failed.
     """
     lanes: dict[str, list] = {}  # lane -> [completed, busy]
     for outcome in outcomes:
@@ -274,7 +269,6 @@ def _pool_metrics(outcomes, replayed: int, wall: float) -> dict:
         info[1] += outcome.elapsed
     return {
         "requeues": 0,
-        "replayed": replayed,
         "rows_seeded": 0,
         "workers": [
             worker_row(lane, completed, 0, busy, wall)
@@ -288,7 +282,7 @@ def _execute_indexed(
 ) -> tuple[int, JobResult | JobFailure]:
     """Run one job, keeping its submission index with the outcome so the
     pool parent can consume completions out of order and reorder at the
-    end (the serial path and checkpoint replays use it too)."""
+    end (the serial path uses it too)."""
     index, job = item
     outcome = execute_job(job)
     if isinstance(outcome, JobFailure):
@@ -357,7 +351,7 @@ def land_outcome(outcome: JobResult | JobFailure, store) -> None:
         return
     # From pool and remote workers this is the only way spans reach the
     # (single-writer) trace buffer; re-absorbing this process's own
-    # drained spans (serial path, replays) is a harmless round trip.
+    # drained spans (serial path) is a harmless round trip.
     TRACER.absorb(outcome.trace_events)
     if store is not None and outcome.store_rows:
         store.absorb_rows(outcome.store_rows)
@@ -411,8 +405,6 @@ def run_batch(
     *,
     jobs: int = 1,
     executor=None,
-    completed=(),
-    checkpoint=None,
 ) -> BatchResult:
     """Execute ``tasks`` and return their results in submission order.
 
@@ -426,38 +418,18 @@ def run_batch(
     jobs:
         Worker process count.  ``1`` (default) runs serially in-process —
         the reference path the parallel path must match exactly.  Values
-        above the number of jobs left to run are clamped; inside an
-        existing worker the call degrades to serial.
+        above the number of jobs are clamped; inside an existing worker
+        the call degrades to serial.
     executor:
         Optional :class:`repro.dist.DistExecutor`; when given, the batch
         runs on the workers its coordinator serves, across hosts, with
         identical results (``jobs`` is still checked, then unused).
-    completed:
-        Submission indices already completed by a previous (interrupted)
-        run of the same task list.  These jobs are *replayed in the
-        parent* rather than dispatched to workers: against the warm
-        store that banked them they are pure hits, so result assembly
-        sees real outcomes while no kernel recomputes and no worker
-        round trip happens.  A pool's ``dist_metrics`` counts them under
-        ``replayed``, as the coordinator does.
-    checkpoint:
-        Optional :class:`repro.dist.checkpoint.CheckpointWriter`; each
-        successful completion is recorded (throttled) so a crash leaves
-        a resumable snapshot, and the final state is flushed when the
-        batch finishes.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     if executor is not None:
-        return executor.run(tasks, completed=completed, checkpoint=checkpoint)
+        return executor.run(tasks)
     tasks = list(tasks)
-    completed_set = frozenset(completed)
-    for index in completed_set:
-        if not 0 <= index < len(tasks):
-            raise EngineError(
-                f"completed index {index} out of range for "
-                f"{len(tasks)} task(s)"
-            )
     store = _active_store()
     if store is not None:
         # Persist (or at least re-own) anything already pending so forked
@@ -470,25 +442,11 @@ def run_batch(
     def _land(index: int, outcome: JobResult | JobFailure) -> None:
         land_outcome(outcome, store)
         outcomes[index] = outcome
-        if checkpoint is not None and isinstance(outcome, JobResult):
-            checkpoint.record_done(tasks[index].name)
 
-    # Checkpoint-completed jobs re-land in the parent first.  The warm
-    # store that banked them answers every kernel, so this is accounting
-    # (values and rows for assembly), not recomputation — and remaining
-    # work never waits on it because replays are the cheapest jobs in the
-    # batch by construction.
-    for index in sorted(completed_set):
-        _land(*_execute_indexed((index, tasks[index])))
-    remaining = [
-        (index, job)
-        for index, job in enumerate(tasks)
-        if index not in completed_set
-    ]
-    workers = min(jobs, len(remaining))
+    workers = min(jobs, len(tasks))
     if workers <= 1 or _in_daemon_process():
         workers = 1
-        for item in remaining:
+        for item in enumerate(tasks):
             _land(*_execute_indexed(item))
     else:
         try:
@@ -501,7 +459,7 @@ def run_batch(
             # finish, so the parent persists each one immediately even
             # while a slow job holds up earlier submission slots.
             for index, outcome in pool.imap_unordered(
-                _execute_indexed, remaining
+                _execute_indexed, enumerate(tasks)
             ):
                 _land(index, outcome)
                 if isinstance(outcome, JobResult):
@@ -510,8 +468,6 @@ def run_batch(
                     KERNEL_CACHE.absorb(outcome.stats)
                     if store is not None and outcome.store_stats is not None:
                         store.absorb_stats(outcome.store_stats)
-    if checkpoint is not None:
-        checkpoint.flush()
     result = finalize_outcomes(outcomes, workers=workers)
     if workers > 1:
         # Pool runs fill dist_metrics in the coordinator's shape so
@@ -520,9 +476,7 @@ def run_batch(
         result = replace(
             result,
             dist_metrics=_pool_metrics(
-                [outcomes[index] for index, _ in remaining],
-                len(completed_set),
-                time.perf_counter() - pool_start,
+                outcomes, time.perf_counter() - pool_start
             ),
         )
     return result

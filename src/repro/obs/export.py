@@ -259,7 +259,7 @@ def summarize_trace(events) -> dict:
             "gap": last - prev,
         }
 
-    # --- instants by name (lease grants, requeues, replays...) --------
+    # --- instants by name (lease grants, requeues, ...) ---------------
     instant_counts: dict[str, int] = {}
     for i in instants:
         instant_counts[i.get("name", "?")] = instant_counts.get(i.get("name", "?"), 0) + 1

@@ -10,10 +10,10 @@ value index at every node, same fail-first tie-breaking — so the two
 produce the *same witness*, not merely the same verdict.
 
 The subsumption reduction lives here too, but the backend does not run
-it: :func:`reduce_executions` is the helper the CSP builders call, and
-:func:`solve` searches the rows it is given.  The one-round builders
-reduce sets of in-neighbourhoods, before any row exists; the
-multi-round builder reduces its rows.  The reduction is an inverted
+it: :func:`reduce_executions` is the helper the CSP builder calls, and
+:func:`solve` searches the rows it is given.  The builder
+(:func:`~repro.verification.solvability.index_views`) reduces sets of
+in-neighbourhoods, before any row exists.  The reduction is an inverted
 index — one int bitset of rows per view, so the rows containing a row
 are the AND of its views' bitsets, and a row is dropped when that AND
 holds any row but itself.  Its cost grows with the rows times their

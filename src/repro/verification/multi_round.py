@@ -7,26 +7,33 @@ remember pairs, not history).  Executions are sequences of graphs; for a
 model given by an explicit graph pool we quantify over all ``pool^r``
 sequences and all input assignments.
 
+A process's oblivious view after the rounds ``G_1, ..., G_r`` is the set
+of ``(q, input_q)`` pairs whose process reaches it along a path through
+those graphs: exactly its one-round view in the path product
+``G_1 ⊗ ... ⊗ G_r`` (Sec 6.1).  So the ``r``-round search is the
+one-round search over ``S^r``, every ``r``-fold product of the pool
+(:func:`~repro.graphs.operations.set_power`), and its witness map is an
+``r``-round decision map.
+
 Soundness mirrors the one-round case:
 
 * UNSAT over a subset of the model's graphs ⟹ no oblivious algorithm on
   the model (certifies Thm 6.10/6.11 instances);
 * SAT over the complete allowed set ⟹ a genuine oblivious algorithm.
 
-The search cost grows as ``|pool|^r · |values|^n`` executions, so this is a
+The search cost grows as ``|S^r| · |values|^n`` executions, so this is a
 small-``n``, small-``r`` instrument.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from itertools import product
+from dataclasses import replace
 
-from ..agreement.views import initial_oblivious_view, oblivious_round
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
-from .backends.bitset import reduce_executions
-from .solvability import SolvabilityResult, _search_inputs, _solve_csp
+from ..graphs.operations import set_power
+from .solvability import SolvabilityResult, SolvabilitySearch, _search_inputs
 
 __all__ = ["decide_multi_round_solvability"]
 
@@ -41,24 +48,12 @@ def decide_multi_round_solvability(
 
     ``graphs`` is the per-round pool (each round's graph drawn from it
     independently — the oblivious adversary); ``values`` defaults to
-    ``0..k``.
+    ``0..k``.  Unmemoized: the one-round search runs on ``S^r`` every
+    call.
     """
     graphs, values = _search_inputs(graphs, k, values)
     if rounds < 1:
         raise VerificationError(f"rounds must be positive, got {rounds}")
-    n = graphs[0].n
-
-    view_index: dict = {}
-    executions: list[tuple[int, ...]] = []
-    for sequence in product(graphs, repeat=rounds):
-        for assignment in product(values, repeat=n):
-            views = [initial_oblivious_view(p, assignment[p]) for p in range(n)]
-            for g in sequence:
-                views = oblivious_round(views, g)
-            exec_views = set()
-            for view in views:
-                idx = view_index.setdefault(view, len(view_index))
-                exec_views.add(idx)
-            executions.append(tuple(sorted(exec_views)))
-    executions = reduce_executions(list(dict.fromkeys(executions)))
-    return _solve_csp(view_index, executions, k, rounds=rounds)
+    products = sorted(set_power(graphs, rounds))
+    result = SolvabilitySearch(products, k, values).solve()
+    return replace(result, rounds=rounds)

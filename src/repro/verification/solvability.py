@@ -187,7 +187,6 @@ def _solve_csp(
     view_index: dict,
     executions: list[tuple[int, ...]],
     k: int,
-    rounds: int = 1,
     domains: list[tuple] | None = None,
     backend: str = "bitset",
 ) -> SolvabilityResult:
@@ -199,7 +198,8 @@ def _solve_csp(
     colored search keys variables by ``(process, view)`` and supplies
     domains itself), maps values to small ints, and hands the abstract
     CSP to the named compute backend for the search.  Used by the
-    one-round, multi-round and colored searches.
+    one-round and colored searches (the multi-round search is the
+    one-round one on ``S^r``).
     """
     views: list[ObliviousView | None] = [None] * len(view_index)
     for view, idx in view_index.items():
@@ -232,7 +232,6 @@ def _solve_csp(
         view_count=len(views),
         execution_count=reduced_count,
         decision_map=decision_map,
-        rounds=rounds,
     )
 
 

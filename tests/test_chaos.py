@@ -5,7 +5,7 @@ Each test here is one scenario of the CI ``chaos-smoke`` matrix (PR 10):
 * ``kill-worker-mid-job`` — SIGKILL a worker subprocess while it holds a
   leased sweep job;
 * ``kill-coordinator-mid-sweep`` — SIGKILL the *coordinator* process of
-  a checkpointed distributed sweep, then resume from the checkpoint.
+  a distributed sweep, then rerun the sweep against the same store.
 
 Every scenario asserts the same ground truth: the rows produced under
 chaos are byte-identical to a serial reference computed with no store
@@ -219,23 +219,22 @@ def test_kill_worker_mid_job(chaos_store):
     _run_kill_worker_scenario(chaos_store, "kill-worker-mid-job")
 
 
-def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
-    """Scenario 2: SIGKILL the coordinator of a checkpointed distributed
-    sweep mid-run, then resume from the checkpoint — byte-identical rows,
-    checkpointed completions replayed, not re-dispatched."""
+def test_kill_coordinator_mid_sweep_then_rerun(chaos_store):
+    """Scenario 2: SIGKILL the coordinator of a distributed sweep mid-run,
+    then rerun the same sweep against the same store — byte-identical
+    rows, and the jobs the dead coordinator banked answered from the
+    store instead of recomputed."""
     scenario = "kill-coordinator-mid-sweep"
     limit = _LIMIT
     rows_ref = _serial_reference(limit)
     store_path = chaos_store / f"{scenario}.sqlite"
-    ckpt = str(chaos_store / f"{scenario}.ckpt")
     port = _free_port()
 
     coordinator = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "sweep",
             "--n", "3", "--limit", str(limit),
-            "--distributed", f"127.0.0.1:{port}",
-            "--checkpoint", ckpt, "--json",
+            "--distributed", f"127.0.0.1:{port}", "--json",
         ],
         env=_worker_env(store_path),
         stdout=subprocess.PIPE,
@@ -271,15 +270,18 @@ def test_kill_coordinator_mid_sweep_then_resume(chaos_store):
         _drain_worker(worker, scenario, "worker")
     assert killed or coordinator.returncode == 0
 
-    # Resume on the survivor: same store, same checkpoint.
+    # Rerun on the survivor: same command, same store.
     store = store_pkg.configure(path=store_path, mode="rw")
     KERNEL_CACHE.clear()
-    resumed = solvability_sweep(
-        3, limit=limit, resume_from=ckpt, checkpoint_path=ckpt
+    rerun = solvability_sweep(3, limit=limit)
+    assert rerun.rows == rows_ref
+    # The coordinator answers a status probe only between landings, and
+    # it lands a job by flushing its rows, so the two completions the
+    # kill waited for are in the store: the rerun must hit them.
+    hits = sum(
+        hits
+        for name, hits, _misses, _writes in rerun.batch.store_stats.by_kernel
+        if name in ("solvability_bounds", "solvability_subshard")
     )
-    assert resumed.rows == rows_ref
-    # The first checkpoint write lands on the first completion and the
-    # kill waited for two, so the checkpoint must replay something —
-    # and nothing the dead coordinator banked may be recomputed or lost.
-    assert resumed.replayed >= 1
+    assert hits >= 1
     _assert_nothing_lost(store, limit)

@@ -23,10 +23,8 @@ import pytest
 import repro.store as store_pkg
 from repro.analysis.sweeps import solvability_sweep
 from repro.dist import (
-    CheckpointWriter,
     Coordinator,
     DistExecutor,
-    load_checkpoint,
     parse_address,
     probe_status,
     run_workers,
@@ -51,7 +49,6 @@ from repro.engine.batch import (
     run_batch,
 )
 from repro.errors import ConfigError, DistError
-from repro.obs.trace import TRACER
 
 
 def _mul_jobs(count: int = 6) -> list[Job]:
@@ -1003,59 +1000,3 @@ class TestNetworkWarmStart:
                     worker.kill()
                 else:
                     worker.communicate(timeout=10)
-
-
-class TestDistCheckpoint:
-    """Coordinator-side checkpoint recording and completed-job replay."""
-
-    def test_completed_jobs_replay_in_parent_not_redispatch(
-        self, fresh_cache
-    ):
-        tasks = _mul_jobs(4)
-        result = _serve_with_local_worker(tasks, completed=[0, 2])
-        assert result.values == (0, 7, 14, 21)
-        metrics = result.dist_metrics
-        assert metrics["replayed"] == 2
-        # The worker only ever saw the two non-replayed jobs.
-        assert sum(w["completed"] for w in metrics["workers"]) == 2
-
-    def test_pool_counts_replays_apart_from_its_workers(self, fresh_cache):
-        """A pool batch reports replays as the coordinator does: under
-        ``replayed``, with no worker row for the parent that ran them."""
-        tasks = _mul_jobs(6)
-        result = run_batch(tasks, jobs=2, completed=[0, 1])
-        assert result.values == tuple(i * 7 for i in range(6))
-        metrics = result.dist_metrics
-        assert metrics["replayed"] == 2
-        lanes = [w["worker"] for w in metrics["workers"]]
-        assert TRACER.lane() not in lanes
-        assert sum(w["completed"] for w in metrics["workers"]) == 4
-
-    def test_pool_with_nothing_left_to_run_spawns_none(self, fresh_cache):
-        tasks = _mul_jobs(4)
-        result = run_batch(tasks, jobs=2, completed=range(4))
-        assert result.values == (0, 7, 14, 21)
-        assert result.jobs == 1
-        assert result.dist_metrics is None
-
-    def test_serve_records_checkpoint_completions(
-        self, fresh_cache, tmp_path
-    ):
-        tasks = _mul_jobs(4)
-        path = tmp_path / "dist.ckpt"
-        writer = CheckpointWriter(
-            path=path,
-            fingerprint="fp",
-            tasks=tuple(t.name for t in tasks),
-            interval=0.0,
-        )
-        result = _serve_with_local_worker(tasks, checkpoint=writer)
-        assert result.values == (0, 7, 14, 21)
-        state = load_checkpoint(path)
-        assert state.fingerprint == "fp"
-        assert set(state.completed) == {t.name for t in tasks}
-        assert state.remaining == ()
-
-    def test_out_of_range_completed_rejected(self):
-        with pytest.raises(DistError, match="completed"):
-            Coordinator(_mul_jobs(2), completed=[5])

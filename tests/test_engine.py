@@ -281,15 +281,15 @@ class TestRunBatch:
         # The parent absorbed the workers' activity.
         assert KERNEL_CACHE.stats().lookups >= batch.stats.lookups
 
-    def test_pool_replays_are_counted_once(self):
-        """Checkpoint replays run in the parent, whose own counters saw
-        them; only the pool workers' activity is absorbed on top."""
+    def test_pool_live_counters_equal_batch_stats(self):
+        """Each pool worker's activity is absorbed into the parent's live
+        counters exactly once: their delta equals the batch's stats."""
         tasks = [
             Job(name=f"gamma:{n}", fn=domination_number, args=(cycle(n),))
             for n in (5, 6, 7, 8)
         ]
         before = KERNEL_CACHE.stats()
-        batch = run_batch(tasks, jobs=2, completed=[0, 1])
+        batch = run_batch(tasks, jobs=2)
         assert batch.jobs == 2
         live = KERNEL_CACHE.stats().delta_since(before)
         assert (live.hits, live.misses) == (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from repro.agreement import DecisionMapAlgorithm, KSetAgreement, execute
@@ -64,6 +66,35 @@ class TestMultiRoundSolvability:
             decide_multi_round_solvability([cycle(3), cycle(4)], 1, 1)
         with pytest.raises(VerificationError):
             decide_multi_round_solvability([cycle(3)], 1, 1, values=(7,))
+
+
+class TestMultiRoundWitnesses:
+    @pytest.mark.parametrize(
+        "pool, k, executions",
+        [
+            ([cycle(4)], 2, 81),
+            ([cycle(3)], 1, 8),
+            (sorted(symmetric_closure([cycle(3)])), 2, 108),
+        ],
+        ids=["C4-k2", "C3-k1", "Sym(C3)-k2"],
+    )
+    def test_two_round_witness_is_a_two_round_algorithm(
+        self, pool, k, executions
+    ):
+        """The SAT witness, run as a 2-round algorithm on every script
+        over the pool and every input, decides at most k values."""
+        result = decide_multi_round_solvability(pool, 2, k)
+        assert result.solvable
+        algorithm = DecisionMapAlgorithm(result.decision_map, rounds=2)
+        n = pool[0].n
+        ran = 0
+        for script in product(pool, repeat=2):
+            for assignment in product(range(k + 1), repeat=n):
+                inputs = dict(enumerate(assignment))
+                outcome = execute(algorithm, inputs, script)
+                assert len(set(outcome.decisions.values())) <= k
+                ran += 1
+        assert ran == executions
 
 
 class TestDecisionMapAlgorithm:
