@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.agreement import FloodMin, KSetAgreement, random_trials
-from repro.analysis import render_table
+from repro.analysis.render import render_table
 from repro.bounds import bound_report
 from repro.graphs import has_nonempty_kernel, is_non_split, is_tournament
 from repro.models import (

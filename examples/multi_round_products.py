@@ -14,7 +14,7 @@ Run:  python examples/multi_round_products.py
 from __future__ import annotations
 
 from repro.agreement import FloodMin, KSetAgreement
-from repro.analysis import render_table
+from repro.analysis.render import render_table
 from repro.bounds import (
     lower_bound_simple_multi_round,
     upper_bound_covering_sequence,

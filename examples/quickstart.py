@@ -20,7 +20,7 @@ from repro import (
     decide_one_round_solvability,
     verify_algorithm,
 )
-from repro.analysis import render_graph
+from repro.analysis.render import render_graph
 from repro.graphs import figure1_second, symmetric_closure
 from repro.models import symmetric_closed_above
 

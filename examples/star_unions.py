@@ -15,7 +15,7 @@ import random
 import sys
 
 from repro.agreement import FloodMin, KSetAgreement, random_trials
-from repro.analysis import render_table
+from repro.analysis.render import render_table
 from repro.bounds import (
     best_upper_bound,
     lower_bound_general,

@@ -17,7 +17,7 @@ Run:  python examples/topology_tour.py
 
 from __future__ import annotations
 
-from repro.analysis import render_complex, render_simplex
+from repro.analysis.render import render_complex, render_simplex
 from repro.analysis.tables import figure4a_complex, figure4b_complex
 from repro.graphs import figure2_graph, star, symmetric_closure
 from repro.models import symmetric_closed_above

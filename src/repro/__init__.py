@@ -58,8 +58,12 @@ bound reports over many models, and ``python -m repro experiments
 cache statistics (``python -m repro cache-stats`` probes cache health).
 
 Importing ``repro`` and its math packages loads no batch driver, store,
-cluster, table or trace-export module (so no ``multiprocessing`` or
-``socket``): the code that runs a batch imports them.
+cluster, table or trace-export module, and no ``multiprocessing``,
+``socket``, ``sqlite3``, ``pickle`` or ``hashlib``: the code that runs a
+batch imports them.  A serial ``python -m repro sweep`` with the store
+off goes no further than the batch driver, the store's classes and the
+sweep: it loads none of those stdlib modules, no table and no
+:mod:`repro.topology`.
 
 Quickstart
 ----------

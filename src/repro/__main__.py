@@ -257,7 +257,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .analysis.render import render_table
     from .analysis.sweeps import check_sweep_values, solvability_sweep
     from .engine.batch import JobError
     from .errors import ConfigError, DistError
@@ -300,6 +299,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             payload["dist"] = report.batch.dist_metrics
         print(json.dumps(payload, indent=2))
     else:
+        from .analysis.render import render_table
+
         print(render_table(report.headers, report.rows))
         print(report.describe())
         if report.batch.dist_metrics is not None:
@@ -470,9 +471,9 @@ def cmd_store(args: argparse.Namespace) -> int:
             else:
                 print(report.describe())
         elif action == "vacuum":
-            # Import the kernel-bearing packages so every kernel version
+            # Import the kernel-bearing modules so every kernel version
             # is registered before staleness is judged.
-            from . import analysis  # noqa: F401
+            from .analysis import sweeps, tables  # noqa: F401
 
             store = _store_for_cli(args, "rw")
             result = store.vacuum()

@@ -1,51 +1,7 @@
-"""Experiment harness: table builders (E1..E16), sweeps, ASCII renderers."""
+"""Experiment harness: table builders (E1..E16), sweeps, ASCII renderers.
 
-from .render import render_complex, render_graph, render_simplex, render_table
-from .sweeps import SweepReport, solvability_sweep
-from .tables import (
-    e01_figure1_table,
-    e02_figure2_report,
-    e03_pseudosphere_table,
-    e04_shellability_table,
-    e05_simple_tightness_table,
-    e06_star_union_table,
-    e07_product_closure_report,
-    e08_model_connectivity_table,
-    e09_covering_sequence_table,
-    e10_solvability_frontier_table,
-    e11_multiround_upper_table,
-    e12_multiround_lower_table,
-    e13_lemma48_table,
-    e14_heard_of_table,
-    e15_achieved_k_table,
-    e16_colored_vs_oblivious_table,
-    figure4a_complex,
-    figure4b_complex,
-)
-
-__all__ = [
-    "render_complex",
-    "render_graph",
-    "render_simplex",
-    "render_table",
-    "SweepReport",
-    "solvability_sweep",
-    "e01_figure1_table",
-    "e02_figure2_report",
-    "e03_pseudosphere_table",
-    "e04_shellability_table",
-    "e05_simple_tightness_table",
-    "e06_star_union_table",
-    "e07_product_closure_report",
-    "e08_model_connectivity_table",
-    "e09_covering_sequence_table",
-    "e10_solvability_frontier_table",
-    "e11_multiround_upper_table",
-    "e12_multiround_lower_table",
-    "e13_lemma48_table",
-    "e14_heard_of_table",
-    "e15_achieved_k_table",
-    "e16_colored_vs_oblivious_table",
-    "figure4a_complex",
-    "figure4b_complex",
-]
+This package re-exports nothing, so importing one of its modules loads
+only what that module needs: import the renderers from
+:mod:`repro.analysis.render`, the tables from :mod:`repro.analysis.tables`
+and the sweeps from :mod:`repro.analysis.sweeps`.
+"""

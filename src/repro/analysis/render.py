@@ -1,12 +1,18 @@
-"""ASCII rendering of graphs, complexes and tables for reports and benches."""
+"""ASCII rendering of graphs, complexes and tables for reports and benches.
+
+The graph and topology types are annotations only, so rendering a table
+loads no :mod:`repro.topology`.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from ..graphs.digraph import Digraph
-from ..topology.complexes import SimplicialComplex
-from ..topology.simplex import Simplex, stable_key
+if TYPE_CHECKING:
+    from ..graphs.digraph import Digraph
+    from ..topology.complexes import SimplicialComplex
+    from ..topology.simplex import Simplex
 
 __all__ = ["render_graph", "render_simplex", "render_complex", "render_table"]
 
@@ -23,6 +29,8 @@ def render_graph(g: Digraph, label: str | None = None) -> str:
 
 
 def _view_str(view) -> str:
+    from ..topology.simplex import stable_key
+
     if isinstance(view, frozenset):
         inner = ", ".join(
             str(x) if not isinstance(x, tuple) else f"p{x[0] + 1}={x[1]}"

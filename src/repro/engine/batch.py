@@ -31,13 +31,14 @@ raised.  The batch then raises a single :class:`JobError` enumerating
 Nested batches degrade gracefully: pool workers are daemonic and cannot
 spawn their own pools, so a ``run_batch`` call inside a worker silently
 runs serially instead of crashing.
+
+``multiprocessing`` is imported by the pool path and the daemon check
+only, so a serial batch does not load it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import traceback as _traceback
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -129,8 +130,10 @@ class JobFailure:
         """A copy safe to pickle across hosts (exception object dropped)."""
         tb = self.traceback
         if tb is None and self.cause is not None:
+            import traceback
+
             tb = "".join(
-                _traceback.format_exception(
+                traceback.format_exception(
                     type(self.cause), self.cause, self.cause.__traceback__
                 )
             )
@@ -396,6 +399,8 @@ def finalize_outcomes(
 
 
 def _in_daemon_process() -> bool:
+    import multiprocessing
+
     return multiprocessing.current_process().daemon
 
 
@@ -449,6 +454,8 @@ def run_batch(
         for item in enumerate(tasks):
             _land(*_execute_indexed(item))
     else:
+        import multiprocessing
+
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms

@@ -23,7 +23,9 @@ computed results are written back — so a brand-new process starts warm
 against work any previous process already did.  Each kernel carries a
 *version* (explicit ``@cached_kernel(version=...)`` or a hash of its
 source) that is part of the store identity, ensuring an edited kernel
-never reads results computed by its former implementation.  The store is
+never reads results computed by its former implementation.  A source
+hash is taken from the lines read at decoration, on the first read of
+the version, so start-up tokenizes and hashes nothing.  The store is
 consulted only on the enabled-cache path: :func:`cache_disabled` and
 ``REPRO_NO_CACHE`` bypass *all* memoization tiers, keeping the
 uncached reference semantics byte-exact.
@@ -31,14 +33,13 @@ uncached reference semantics byte-exact.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import os
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import wraps
+from dataclasses import dataclass
+from functools import lru_cache, wraps
 from threading import RLock
 
 from ..obs.trace import TRACER
@@ -250,16 +251,67 @@ class KernelCache:
 #: The process-global cache every :func:`cached_kernel` routes through.
 KERNEL_CACHE = KernelCache(enabled=not os.environ.get("REPRO_NO_CACHE"))
 
+
+class _KernelVersions(Mapping):
+    """Kernel name -> implementation version, for every decorated kernel.
+
+    A version is resolved when it is read, so every reader (the store's
+    loads and saves, seeding, ``store vacuum``) gets the string.
+    """
+
+    def __init__(self) -> None:
+        self._resolvers: dict[str, Callable[[], str]] = {}
+
+    def register(self, kernel: str, resolve: Callable[[], str]) -> None:
+        self._resolvers[kernel] = resolve
+
+    def __getitem__(self, kernel: str) -> str:
+        return self._resolvers[kernel]()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._resolvers)
+
+    def __len__(self) -> int:
+        return len(self._resolvers)
+
+
 #: Registry of every decorated kernel's implementation version,
 #: populated at decoration time.  The persistent store uses it to refuse
 #: results of other implementations and to garbage-collect stale rows
 #: (``python -m repro store vacuum``).
-KERNEL_VERSIONS: dict[str, str] = {}
+KERNEL_VERSIONS = _KernelVersions()
 
 
 def cache_disabled():
     """Context manager disabling the global :data:`KERNEL_CACHE`."""
     return KERNEL_CACHE.disabled()
+
+
+def _source_version(fn: Callable) -> Callable[[], str]:
+    """``fn``'s default version: its source read now, hashed on first call.
+
+    ``inspect.getsource`` is ``findsource`` (the file's lines) followed
+    by ``getblock`` (tokenizing the function out of them).  The lines
+    are read here, at decoration, so the version is always that of the
+    code that runs, even if the file is edited after import; tokenizing
+    and hashing wait until something reads the version.
+    """
+    try:
+        lines, lnum = inspect.findsource(inspect.unwrap(fn))
+    except (OSError, TypeError):  # pragma: no cover - no source available
+        lines, lnum = None, 0
+
+    @lru_cache(maxsize=None)
+    def version() -> str:
+        import hashlib
+
+        if lines is None:  # pragma: no cover - no source available
+            source = fn.__qualname__
+        else:
+            source = "".join(inspect.getblock(lines[lnum:]))
+        return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+
+    return version
 
 
 def kernel_source_version(fn: Callable) -> str:
@@ -271,11 +323,7 @@ def kernel_source_version(fn: Callable) -> str:
     reformat does not cold-start the store.  Falls back to the qualified
     name when source is unavailable (REPLs, frozen builds).
     """
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):  # pragma: no cover - no source available
-        source = fn.__qualname__
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+    return _source_version(fn)()
 
 
 def _second_tier():
@@ -316,17 +364,23 @@ def cached_kernel(
         Implementation version for the persistent second tier; defaults
         to :func:`kernel_source_version`.  Bump an explicit version on
         any semantic change, or keep the default to invalidate on every
-        source edit.
+        source edit.  :data:`KERNEL_VERSIONS` maps the kernel's name to
+        it.
 
     The undecorated function stays reachable via ``__wrapped__``.
     """
 
     def decorate(fn):
         kernel = name or fn.__qualname__
-        kernel_version = (
-            str(version) if version is not None else kernel_source_version(fn)
-        )
-        KERNEL_VERSIONS[kernel] = kernel_version
+        if version is None:
+            kernel_version = _source_version(fn)
+        else:
+            pinned = str(version)
+
+            def kernel_version() -> str:
+                return pinned
+
+        KERNEL_VERSIONS.register(kernel, kernel_version)
         store = cache
 
         def _invoke(args, kwargs):
@@ -356,10 +410,10 @@ def cached_kernel(
             if tier is not None:
                 from ..store.backend import MISS as _STORE_MISS
 
-                stored = tier.load(kernel, kernel_version, cache_key)
+                stored = tier.load(kernel, kernel_version(), cache_key)
                 if stored is _STORE_MISS:
                     value = fn(*args, **kwargs)
-                    tier.save(kernel, kernel_version, cache_key, value)
+                    tier.save(kernel, kernel_version(), cache_key, value)
                     served = "computed"
                 else:
                     value = stored
@@ -382,7 +436,6 @@ def cached_kernel(
             return value
 
         wrapper.kernel_name = kernel
-        wrapper.kernel_version = kernel_version
         return wrapper
 
     return decorate

@@ -150,9 +150,9 @@ class Tracer:
         """
         pid = os.getpid()
         if self._lane is None or pid != self._pid:
-            import socket
-
-            lane = f"{socket.gethostname()}:{pid}"
+            # The host name without importing socket (same value on
+            # POSIX hosts).
+            lane = f"{os.uname().nodename}:{pid}"
             with self._lock:
                 if pid != self._pid:
                     # Forked child: the buffered events belong to the

@@ -35,24 +35,29 @@ Design points:
 Modes: ``rw`` (read + write-back), ``ro`` (warm-start only, never writes),
 ``off`` (inert).  The module-level switchboard lives in
 :mod:`repro.store` (``REPRO_STORE`` / ``REPRO_STORE_PATH``).
+
+``sqlite3``, ``pickle``, ``hashlib`` and ``multiprocessing`` are
+imported by the methods that open the file, encode or decode a row,
+checksum it, or check for a daemon worker, so a process with the store
+off loads none of them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
 import os
-import pickle
-import sqlite3
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import RLock
+from typing import TYPE_CHECKING
 
 from ..errors import StoreError
 from ..obs.trace import TRACER
 from .keys import fingerprint
+
+if TYPE_CHECKING:
+    import sqlite3
 
 __all__ = [
     "MISS",
@@ -188,10 +193,14 @@ class _StoreCounters:
 
 
 def _checksum(blob: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(blob).hexdigest()
 
 
 def _in_daemon_process() -> bool:
+    import multiprocessing
+
     return multiprocessing.current_process().daemon
 
 
@@ -294,6 +303,8 @@ class ResultStore:
         slowed by reconnect attempts (:meth:`integrity_report` surfaces
         the breakage).
         """
+        import sqlite3
+
         with self._lock:
             pid = os.getpid()
             if self._conn is not None and self._conn_pid == pid:
@@ -359,6 +370,9 @@ class ResultStore:
         key_hash = fingerprint(key)
         if key_hash is None:
             return MISS
+        import pickle
+        import sqlite3
+
         with self._lock:
             counters = self._counters.setdefault(kernel, _StoreCounters())
             full_key = (kernel, version, key_hash)
@@ -411,6 +425,8 @@ class ResultStore:
         key_hash = fingerprint(key)
         if key_hash is None:
             return
+        import pickle
+
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -430,6 +446,8 @@ class ResultStore:
         conn = self._connection()
         if conn is None:
             return
+        import sqlite3
+
         try:
             conn.execute(
                 "DELETE FROM results "
@@ -451,8 +469,11 @@ class ResultStore:
         is the only database writer, and the batch driver or coordinator
         ships the worker's rows home with its job results
         (:meth:`drain_pending`).
+
+        An empty buffer returns 0 before the worker check, so the exit
+        flush of a process that never wrote loads no ``multiprocessing``.
         """
-        if self._defer_writes():
+        if not self._pending or self._defer_writes():
             return 0
         with self._lock:
             if not self.writable:
@@ -589,6 +610,8 @@ class ResultStore:
             "ORDER BY rowid LIMIT ?"
         )
         filter_params = [value for pair in pairs for value in pair]
+        import sqlite3
+
         last_rowid = 0
         while True:
             with self._lock:
@@ -643,6 +666,8 @@ class ResultStore:
         empty store; a file SQLite cannot read raises
         :class:`StoreError`, as the maintenance calls do.
         """
+        import sqlite3
+
         with self._lock:
             self.flush()
             conn = self._connection()
@@ -733,6 +758,8 @@ class ResultStore:
 
     def integrity_report(self) -> dict:
         """Audit the file: SQLite quick_check plus per-row checksums."""
+        import sqlite3
+
         with self._lock:
             self.flush()
             conn = self._connection()

@@ -26,7 +26,6 @@ while refusing to persist is only a missed optimisation.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import chain
 
 __all__ = ["fingerprint", "encode_key", "Unfingerprintable"]
@@ -151,6 +150,8 @@ def fingerprint(key: object) -> str | None:
         encoded = encode_key(key)
     except Unfingerprintable:
         return None
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(_ENCODING_VERSION)
     digest.update(encoded)

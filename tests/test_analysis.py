@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.render import (
+    render_complex,
+    render_graph,
+    render_simplex,
+    render_table,
+)
+from repro.analysis.tables import (
     e01_figure1_table,
     e02_figure2_report,
     e04_shellability_table,
@@ -13,10 +19,6 @@ from repro.analysis import (
     e13_lemma48_table,
     figure4a_complex,
     figure4b_complex,
-    render_complex,
-    render_graph,
-    render_simplex,
-    render_table,
 )
 from repro.graphs import figure2_graph, star
 from repro.topology import Simplex, SimplicialComplex, uninterpreted_simplex

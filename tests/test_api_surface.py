@@ -26,7 +26,9 @@ class TestPackageSurface:
 
     def test_subpackage_exports_resolve(self):
         import repro.agreement
-        import repro.analysis
+        import repro.analysis.render
+        import repro.analysis.sweeps
+        import repro.analysis.tables
         import repro.bounds
         import repro.combinatorics
         import repro.engine
@@ -38,7 +40,9 @@ class TestPackageSurface:
 
         for module in (
             repro.agreement,
-            repro.analysis,
+            repro.analysis.render,
+            repro.analysis.sweeps,
+            repro.analysis.tables,
             repro.bounds,
             repro.combinatorics,
             repro.engine,
@@ -77,11 +81,53 @@ class TestPackageSurface:
             "repro.engine.batch", "repro.engine.diagnostics", "repro.store",
             "repro.dist", "repro.analysis", "repro.obs.export",
             "multiprocessing", "socket", "selectors", "sqlite3",
+            "hashlib", "pickle",
         )
         assert [
             name for name in loaded
             if any(name == f or name.startswith(f + ".") for f in forbidden)
         ] == []
+
+    @pytest.mark.parametrize("output", [["--json"], []])
+    def test_serial_sweep_loads_only_what_it_runs(self, output, tmp_path):
+        """A serial sweep with the store off loads no pool, cluster,
+        store file, table or topology module, nor the stdlib modules
+        they need.  ``-X importtime`` also lists what atexit hooks
+        import, which a ``sys.modules`` snapshot taken before exit
+        misses."""
+
+        def imported(*args: str) -> set[str]:
+            env = {
+                k: v for k, v in os.environ.items()
+                if not k.startswith("REPRO_")
+            }
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            stderr = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                capture_output=True, text=True, env=env, check=True,
+                timeout=120, cwd=tmp_path,
+            ).stderr
+            return {
+                line.rsplit("|", 1)[1].strip()
+                for line in stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2
+            }
+
+        loaded = imported(
+            "-m", "repro", "sweep", "--n", "3", "--limit", "2", *output
+        ) - imported("-c", "pass")
+        assert "repro.analysis.sweeps" in loaded
+        forbidden = (
+            "multiprocessing", "socket", "selectors", "signal", "pickle",
+            "traceback", "sqlite3", "datetime", "hashlib", "decimal",
+            "fractions", "repro.analysis.tables", "repro.topology",
+            "repro.dist", "repro.obs.export",
+        )
+        assert sorted(
+            name for name in loaded
+            if any(name == f or name.startswith(f + ".") for f in forbidden)
+        ) == []
 
     def test_version(self):
         assert repro.__version__ == "1.10.0"

@@ -38,7 +38,7 @@ from repro.dist.protocol import (
     send_message,
 )
 from repro.dist.worker import run_worker
-from repro.engine import KERNEL_CACHE
+from repro.engine import KERNEL_CACHE, KERNEL_VERSIONS
 from repro.engine.batch import (
     Job,
     JobError,
@@ -533,7 +533,7 @@ class TestStoreInvariant:
         assert KERNEL_CACHE.stats().lookups == result.stats.lookups
         # The rows are genuinely in SQLite, not stranded in a buffer.
         fresh = store_pkg.ResultStore(tmp_store.path, mode="ro")
-        version = domination_number.kernel_version
+        version = KERNEL_VERSIONS["domination_number"]
         from repro.engine import iso_key
 
         assert (

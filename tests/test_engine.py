@@ -7,9 +7,14 @@ disabled, and across a ``run_batch`` round-trip.
 
 from __future__ import annotations
 
+import hashlib
+import importlib
+import inspect
+import linecache
 import operator
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.combinatorics import (
 )
 from repro.engine import (
     KERNEL_CACHE,
+    KERNEL_VERSIONS,
     CacheStats,
     KernelCache,
     adjacency_key,
@@ -387,3 +393,71 @@ class TestDiagnostics:
     def test_cache_probe_rejects_single_pass(self):
         with pytest.raises(ValueError):
             cache_probe(n=4, passes=1)
+
+
+#: Every pinned kernel version, as the decorators give it.
+PINNED_VERSIONS = {
+    "graph_power": "1",
+    "one_round_solvability": "2+bitset",
+    "pseudosphere_complex": "1",
+    "set_power": "1",
+    "shelling_order": "1",
+    "solvability_bounds": "1",
+    "solvability_subshard": "1+bitset",
+}
+
+
+def _source_hash(fn) -> str:
+    """A default kernel version as ``inspect.getsource`` defines it."""
+    source = inspect.getsource(fn)
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+
+
+class TestKernelVersions:
+    def test_every_registered_version_is_its_pin_or_source_hash(self):
+        import repro.analysis.sweeps  # noqa: F401 — registers the kernels
+        import repro.analysis.tables  # noqa: F401
+        import repro.topology  # noqa: F401
+
+        kernels = {
+            fn.kernel_name: fn
+            for name, module in list(sys.modules.items())
+            if name == "repro" or name.startswith("repro.")
+            for fn in vars(module).values()
+            if callable(fn) and hasattr(fn, "kernel_name")
+        }
+        repro_kernels = {
+            name for name in KERNEL_VERSIONS if name in kernels
+        }
+        assert set(PINNED_VERSIONS) <= repro_kernels
+        assert len(repro_kernels) == 20
+        for name in sorted(repro_kernels):
+            want = PINNED_VERSIONS.get(name) or _source_hash(kernels[name])
+            assert KERNEL_VERSIONS[name] == want, name
+
+    def test_version_is_the_source_as_imported(self, tmp_path, monkeypatch):
+        """Editing a kernel's file after import does not move its version:
+        the lines are read at decoration, only the hash waits."""
+        path = tmp_path / "edited_kernel_probe.py"
+        path.write_text(
+            "from repro.engine import cached_kernel\n\n\n"
+            '@cached_kernel(name="edited_kernel_probe", key=lambda x: x)\n'
+            "def probe(x):\n"
+            "    return x + 1\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "edited_kernel_probe", raising=False)
+        module = importlib.import_module("edited_kernel_probe")
+        imported = _source_hash(module.probe)
+        try:
+            path.write_text(
+                "from repro.engine import cached_kernel\n\n\n"
+                '@cached_kernel(name="edited_kernel_probe", key=lambda x: x)\n'
+                "def probe(x):\n"
+                "    return x + 2  # edited after import\n"
+            )
+            linecache.checkcache(str(path))
+            assert _source_hash(module.probe) != imported
+            assert KERNEL_VERSIONS["edited_kernel_probe"] == imported
+        finally:
+            sys.modules.pop("edited_kernel_probe", None)

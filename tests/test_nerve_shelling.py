@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import figure4a_complex, figure4b_complex
+from repro.analysis.tables import figure4a_complex, figure4b_complex
 from repro.errors import TopologyError
 from repro.topology import (
     Simplex,
