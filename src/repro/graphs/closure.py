@@ -54,13 +54,16 @@ def missing_edges(g: Digraph) -> list[tuple[int, int]]:
 
 def upward_closure_size(g: Digraph) -> int:
     """``|↑g| = 2**#missing_edges`` — often astronomically large."""
-    return 1 << len(missing_edges(g))
+    return 1 << (g.n * (g.n - 1) - g.proper_edge_count)
 
 
 def _check_upset_budget(g: Digraph, max_graphs: int | None) -> None:
-    if max_graphs is not None and upward_closure_size(g) > max_graphs:
+    if max_graphs is None:
+        return
+    size = upward_closure_size(g)
+    if size > max_graphs:
         raise GraphError(
-            f"↑G has {upward_closure_size(g)} graphs, more than the budget of "
+            f"↑G has {size} graphs, more than the budget of "
             f"{max_graphs}; use sample_superset or a larger budget"
         )
 
@@ -71,7 +74,8 @@ def _iter_upset_rows(g: Digraph) -> Iterator[tuple[int, ...]]:
     The last process's row varies fastest, and each row runs through its
     supersets from the full row down to ``g``'s own, so ``↑g`` opens with
     the complete graph and ends with ``g``.  Every tuple already carries
-    ``g``'s self-loops.
+    ``g``'s self-loops, so the graphs are built without the constructor's
+    checks (:meth:`Digraph._from_derived_rows`).
     """
     universe = full_mask(g.n)
     return product(*[tuple(iter_supersets(row, universe)) for row in g.out_rows])
@@ -85,8 +89,9 @@ def iter_upward_closure(g: Digraph, max_graphs: int | None = 1 << 20) -> Iterato
     """
     _check_upset_budget(g, max_graphs)
     n = g.n
+    derived = Digraph._from_derived_rows
     for rows in _iter_upset_rows(g):
-        yield Digraph(n, rows)
+        yield derived(n, rows)
 
 
 def iter_model_graphs(
@@ -101,6 +106,7 @@ def iter_model_graphs(
     :class:`GraphError` is raised once the distinct graphs outnumber it.
     """
     seen: set[tuple[int, ...]] = set()
+    derived = Digraph._from_derived_rows
     for g in generators:
         _check_upset_budget(g, max_graphs)
         n = g.n
@@ -112,7 +118,7 @@ def iter_model_graphs(
                     f"the model has more than the budget of {max_graphs} graphs"
                 )
             seen.add(rows)
-            yield Digraph(n, rows)
+            yield derived(n, rows)
 
 
 def minimal_generators(graphs: Iterable[Digraph]) -> frozenset[Digraph]:

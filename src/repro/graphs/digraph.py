@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from operator import getitem
 
 from .._bitops import (
     bit,
@@ -33,6 +34,23 @@ from .._bitops import (
 from ..errors import GraphError, ProcessMismatchError
 
 __all__ = ["Digraph"]
+
+#: ``n -> table`` for the in-rows of graphs on ``n <= 8`` processes: byte
+#: ``v`` of ``table[u][row]`` is ``1 << u`` for each ``v`` in ``row`` and 0
+#: otherwise.  Built on first use for each ``n``.
+_IN_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _in_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The transposition table of ``n <= 8`` processes (see ``_IN_TABLES``)."""
+    spread = [0] * (1 << n)  # spread[row]: byte v is 1 for each v in row
+    for row in range(1, 1 << n):
+        low = row & -row
+        spread[row] = spread[row ^ low] | 1 << 8 * (low.bit_length() - 1)
+    table = _IN_TABLES[n] = tuple(
+        tuple([s << u for s in spread]) for u in range(n)
+    )
+    return table
 
 
 class Digraph:
@@ -82,6 +100,22 @@ class Digraph:
         self._out = rows
         self._in = None
         self._hash = hash((n, rows))
+
+    @classmethod
+    def _from_derived_rows(cls, n: int, rows: tuple[int, ...]) -> "Digraph":
+        """The graph of ``rows``, derived from an already valid graph's.
+
+        ``rows`` must be what :meth:`__init__` keeps as given: a tuple of
+        ``n`` ints, each inside the universe and carrying its process's
+        self-loop.  Nothing is checked; the result is the graph
+        ``Digraph(n, rows)`` builds, with the same hash and pickle.
+        """
+        g = object.__new__(cls)
+        g._n = n
+        g._out = rows
+        g._in = None
+        g._hash = hash((n, rows))
+        return g
 
     def __getstate__(self) -> tuple:
         # The in-rows stay out of a pickle.  That keeps the form pickles
@@ -149,17 +183,27 @@ class Digraph:
     def in_rows(self) -> tuple[int, ...]:
         """In-neighbour bitmask of each process (row ``v`` = ``In(v)``).
 
-        Transposed from the out-rows on first read and kept in a slot.
+        Transposed from the out-rows on first read and kept in a slot.  On
+        at most 8 processes, a byte's worth, each in-row is one byte of a
+        sum of ``_IN_TABLES[n]`` entries, one per out-row (no two processes
+        share a bit, so the sum is exact); past 8 a loop moves the bits one
+        by one.
         """
         rows = self._in
         if rows is None:
-            rows = [0] * self._n
-            for u, out in enumerate(self._out):
-                here = 1 << u
-                while out:
-                    low = out & -out
-                    rows[low.bit_length() - 1] |= here
-                    out ^= low
+            n = self._n
+            if n <= 8:
+                table = _IN_TABLES.get(n) or _in_table(n)
+                packed = sum(map(getitem, table, self._out))
+                rows = packed.to_bytes(n, "little")
+            else:
+                rows = [0] * n
+                for u, out in enumerate(self._out):
+                    here = 1 << u
+                    while out:
+                        low = out & -out
+                        rows[low.bit_length() - 1] |= here
+                        out ^= low
             rows = self._in = tuple(rows)
         return rows
 
@@ -260,7 +304,7 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         """Return the graph with every edge reversed."""
-        return Digraph(self._n, self.in_rows)
+        return Digraph._from_derived_rows(self._n, self.in_rows)
 
     def permute(self, perm: Iterable[int]) -> "Digraph":
         """Relabel processes: ``perm[i]`` is the new name of process ``i``.
@@ -278,7 +322,7 @@ class Digraph:
             for v in iter_bits(row):
                 new_row |= bit(p[v])
             rows[p[u]] = new_row
-        return Digraph(self._n, rows)
+        return Digraph._from_derived_rows(self._n, tuple(rows))
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -159,7 +159,7 @@ def index_views(
     rows: list[tuple[int, ...]] = []
     for key in reduce_executions([tuple(sorted(key)) for key in keys]):
         rows.extend(
-            tuple(sorted(row)) for row in zip(*map(columns.__getitem__, key))
+            map(tuple, map(sorted, zip(*map(columns.__getitem__, key))))
         )
     return view_index, rows
 

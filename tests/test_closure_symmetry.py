@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -233,6 +234,35 @@ class TestEnumerationOrder:
         assert got == list(reference_model_graphs(generators))
         # 2**10 + 2**10 - 2**9: the overlap is counted once.
         assert len(got) == 1536
+
+
+def assert_built_like_init(h):
+    """``h`` is what ``Digraph(h.n, h.out_rows)`` builds, slot for slot."""
+    built = Digraph(h.n, h.out_rows)
+    assert all(type(row) is int for row in h.out_rows)
+    # Pickled first: reading edge_count fills the instance dict.
+    assert pickle.dumps(h, protocol=5) == pickle.dumps(built, protocol=5)
+    assert h == built
+    assert hash(h) == hash(built)
+    assert h.in_rows == built.in_rows
+    assert h.edge_count == built.edge_count
+
+
+class TestDerivedRows:
+    """The graphs built from rows derived from a valid graph, without the
+    constructor's checks, cannot be told from checked ones."""
+
+    @pytest.mark.parametrize("n, max_missing", [(3, 6), (4, 11)])
+    def test_built_like_init(self, n, max_missing):
+        shift = (*range(1, n), 0)
+        for g, generators in class_models(n, max_missing):
+            for h in iter_upward_closure(g):
+                assert_built_like_init(h)
+            for h in iter_model_graphs(generators):
+                assert_built_like_init(h)
+            for h in generators:
+                assert_built_like_init(h.reverse())
+                assert_built_like_init(h.permute(shift))
 
 
 class TestSymmetricClosure:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,29 @@ class TestAccessors:
         g = Digraph.from_edges(3, [(0, 1), (0, 2)])
         assert g.dominates(mask_of([0]))
         assert not g.dominates(mask_of([1]))
+
+
+def plain_in_rows(g):
+    """The in-rows transposed edge by edge."""
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+class TestInRows:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_match_a_plain_transposition(self, n):
+        # Up to 8 processes the in-rows come from a table, past 8 from a
+        # loop: both sides of the limit are read here.
+        rng = random.Random(n)
+        graphs = [Digraph.empty(n), Digraph.complete(n)] + [
+            Digraph(n, [rng.getrandbits(n) for _ in range(n)])
+            for _ in range(25)
+        ]
+        for g in graphs:
+            assert g.in_rows == plain_in_rows(g)
+            assert all(type(row) is int for row in g.in_rows)
 
 
 class TestDerived:

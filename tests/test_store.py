@@ -24,7 +24,7 @@ from repro.engine import KERNEL_CACHE, KernelCache, cached_kernel
 from repro.engine.batch import Job, run_batch
 from repro.engine.cache import KERNEL_VERSIONS, cache_disabled
 from repro.engine.canonical import graph_set_key
-from repro.errors import StoreError
+from repro.errors import GraphError, StoreError
 from repro.graphs import (
     Digraph,
     cycle,
@@ -101,6 +101,29 @@ class TestFingerprint:
         key = ((3, (1, 2, 4)), 2, frozenset({"a", "b"}))
         assert fingerprint(key) == (
             "63cb1f08c912040ac05642aa63c616a2be0b711b46ccc6799f8f0a00038f0a3e"
+        )
+
+    def test_model_graph_sets_are_pinned(self):
+        # One digest over the k = 1 `one_round_solvability` fingerprints
+        # of the symmetric model of every n = 3 class and of every n = 4
+        # class whose model has at most 1,000 graphs, in class order.  If
+        # it changes, the verdicts banked for those models are orphaned:
+        # however model graphs are built, their rows must stay.
+        digest = hashlib.sha256()
+        models = 0
+        for n, budget in ((3, None), (4, 1000)):
+            for g in iter_isomorphism_classes(iter_all_digraphs(n)):
+                model = symmetric_closed_above([g])
+                try:
+                    graphs = list(model.iter_graphs(budget))
+                except GraphError:
+                    continue
+                key = (graph_set_key(graphs), 1, (0, 1))
+                digest.update(fingerprint(key).encode())
+                models += 1
+        assert models == 159
+        assert digest.hexdigest() == (
+            "ccbe8b9ad767f96c1b5c4afdea49798145776c9b8e2d7730f28a6b3918c45830"
         )
 
 
