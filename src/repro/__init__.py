@@ -60,10 +60,14 @@ cache statistics (``python -m repro cache-stats`` probes cache health).
 Importing ``repro`` and its math packages loads no batch driver, store,
 cluster, table or trace-export module, and no ``multiprocessing``,
 ``socket``, ``sqlite3``, ``pickle`` or ``hashlib``: the code that runs a
-batch imports them.  A serial ``python -m repro sweep`` with the store
-off goes no further than the batch driver, the store's classes and the
-sweep: it loads none of those stdlib modules, no table and no
-:mod:`repro.topology`.
+batch imports them.  Nor does it load ``dataclasses``, ``inspect``,
+``ast`` or ``dis``: value classes are :func:`repro._record.record`
+classes, built from shared methods rather than generated code, and a
+kernel's source lines come from :mod:`linecache`, tokenized by
+``inspect`` only when its version is first read.  A serial ``python -m
+repro sweep`` with the store off goes no further than the batch driver,
+the store's classes and the sweep: it loads none of those stdlib
+modules, no table and no :mod:`repro.topology`.
 
 Quickstart
 ----------

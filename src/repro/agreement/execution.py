@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass, field
 
+from .._record import record
 from ..errors import AlgorithmError
 from ..graphs.digraph import Digraph
 from ..models.adversary import Adversary, RandomAdversary
@@ -23,7 +23,7 @@ from .views import ObliviousView, run_oblivious
 __all__ = ["ExecutionResult", "execute", "execute_with_adversary", "random_trials"]
 
 
-@dataclass(frozen=True)
+@record
 class ExecutionResult:
     """Everything observable about one finished execution."""
 
@@ -31,7 +31,7 @@ class ExecutionResult:
     graphs: tuple[Digraph, ...]
     views: tuple[ObliviousView, ...]
     decisions: dict[int, Hashable]
-    outcome: AgreementOutcome | None = field(default=None)
+    outcome: AgreementOutcome | None = None
 
     @property
     def ok(self) -> bool:

@@ -13,14 +13,14 @@ Every process starts with an input value and must decide a value such that
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import AlgorithmError
 
 __all__ = ["KSetAgreement", "AgreementOutcome"]
 
 
-@dataclass(frozen=True)
+@record
 class AgreementOutcome:
     """Verdict of checking one execution's decisions against the task."""
 

@@ -37,8 +37,7 @@ here so the experiment table and the sweep never diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..bounds.report import bound_report
 from ..engine.batch import BatchResult, Job, run_batch
 from ..engine.cache import cached_kernel
@@ -168,7 +167,7 @@ def sweep_headers() -> list[str]:
 # Planning
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class _ClassPlan:
     """One class's slice of the job plan (internal to assembly)."""
 
@@ -178,7 +177,7 @@ class _ClassPlan:
     job_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SweepPlan:
     """A sweep's job plan: tasks plus class metadata.
 
@@ -280,7 +279,7 @@ def _job_warm(result) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class SweepClassReport:
     """One class's accounting: cost estimate, job count, timing."""
 
@@ -308,7 +307,7 @@ class SweepClassReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SweepReport:
     """A sweep's table plus the per-class and resume accounting."""
 

@@ -8,8 +8,8 @@ lower bound, and summarise them as an interval
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import GraphError
 from ..graphs.digraph import Digraph
 from .lower import (
@@ -42,7 +42,7 @@ def _dedup(bounds: list[Bound]) -> list[Bound]:
     return result
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """All bounds known for a model at a given round count.
 

@@ -8,8 +8,9 @@ tables can cite the paper line by line.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .._record import factory, record
 
 __all__ = ["BoundKind", "Bound"]
 
@@ -21,7 +22,7 @@ class BoundKind(Enum):
     LOWER = "lower"  # k-set agreement is NOT solvable
 
 
-@dataclass(frozen=True)
+@record
 class Bound:
     """A provenance-carrying bound on k-set agreement.
 
@@ -35,7 +36,7 @@ class Bound:
     rounds: int
     theorem: str
     oblivious_only: bool = False
-    details: Mapping[str, object] = field(default_factory=dict)
+    details: Mapping[str, object] = factory(dict)
 
     def __post_init__(self) -> None:
         if self.k < 0:

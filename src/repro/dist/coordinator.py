@@ -50,8 +50,8 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
 
+from .._record import replace
 from ..engine.batch import (
     BatchResult,
     Job,
@@ -91,24 +91,28 @@ _FAREWELL_GRACE = 5.0
 _CLOSE_GRACE = 1.5
 
 
-@dataclass
 class _Lease:
     """One outstanding job assignment: who holds it, and until when."""
 
-    owner: int
-    deadline: float
+    __slots__ = ("owner", "deadline")
+
+    def __init__(self, owner: int, deadline: float) -> None:
+        self.owner = owner
+        self.deadline = deadline
 
 
-@dataclass
 class _WorkerInfo:
-    """Per-worker accounting behind the ``dist status`` probe."""
+    """Per-worker accounting behind the ``dist status`` probe.
 
-    connected_at: float
-    completed: int = 0
-    failed: int = 0
-    busy: float = 0.0
-    """Summed ``elapsed`` of this worker's accepted results."""
-    seeded_rows: int = 0
+    ``busy`` is the summed ``elapsed`` of this worker's accepted results.
+    """
+
+    __slots__ = ("connected_at", "completed", "failed", "busy", "seeded_rows")
+
+    def __init__(self, connected_at: float) -> None:
+        self.connected_at = connected_at
+        self.completed = self.failed = self.seeded_rows = 0
+        self.busy = 0.0
 
     def snapshot(self, name: str, now: float) -> dict:
         return worker_row(

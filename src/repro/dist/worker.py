@@ -42,8 +42,8 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
 
+from .._record import record, replace
 from ..engine.batch import JobFailure, execute_job
 from ..errors import ConfigError, DistError
 from ..obs.trace import TRACER, estimate_clock_offset
@@ -52,7 +52,7 @@ from .protocol import PROTOCOL_VERSION, STORE_SEED, recv_message, send_message
 __all__ = ["WorkerReport", "run_worker", "run_workers"]
 
 
-@dataclass(frozen=True)
+@record
 class WorkerReport:
     """What one worker process did before the coordinator released it."""
 

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
 
+from .._record import factory, record, replace
 from ..errors import ConfigError, EngineError
 from ..obs.trace import TRACER
 from .cache import KERNEL_CACHE, CacheStats
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Job:
     """One unit of batch work: ``fn(*args, **kwargs)``.
 
@@ -73,13 +73,13 @@ class Job:
     name: str
     fn: Callable
     args: tuple = ()
-    kwargs: Mapping = field(default_factory=dict)
+    kwargs: Mapping = factory(dict)
 
     def run(self) -> object:
         return self.fn(*self.args, **dict(self.kwargs))
 
 
-@dataclass(frozen=True)
+@record
 class JobResult:
     """A job's value plus its observability payload."""
 
@@ -107,7 +107,7 @@ class JobResult:
     trace file's only writer.  Empty unless tracing is enabled."""
 
 
-@dataclass(frozen=True)
+@record
 class JobFailure:
     """One failed job: the name that raised plus the failure detail.
 
@@ -169,7 +169,7 @@ class JobError(EngineError):
         self.job_name = first.name
 
 
-@dataclass(frozen=True)
+@record
 class BatchResult:
     """All job results in submission order, plus merged statistics."""
 

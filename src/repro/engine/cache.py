@@ -8,7 +8,7 @@ that maps its arguments to a hashable cache key (usually built from the
 canonical graph keys of :mod:`~repro.engine.canonical`).
 
 Cached kernels must be pure and must return values the caller will not
-mutate (ints, tuples, frozen dataclasses); the cache hands back the stored
+mutate (ints, tuples, frozen records); the cache hands back the stored
 object itself, not a copy.
 
 The cache is deliberately process-local.  Under :func:`~repro.engine.batch.
@@ -33,15 +33,15 @@ uncached reference semantics byte-exact.
 
 from __future__ import annotations
 
-import inspect
+import linecache
 import os
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from threading import RLock
 
+from .._record import record
 from ..obs.trace import TRACER
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
 _MISSING = object()
 
 
-@dataclass(frozen=True)
+@record
 class CacheStats:
     """Immutable snapshot of cache activity, mergeable across workers."""
 
@@ -139,10 +139,11 @@ class CacheStats:
         return "\n".join(lines)
 
 
-@dataclass
 class _KernelCounters:
-    hits: int = 0
-    misses: int = 0
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = 0
 
 
 class KernelCache:
@@ -290,25 +291,29 @@ def cache_disabled():
 def _source_version(fn: Callable) -> Callable[[], str]:
     """``fn``'s default version: its source read now, hashed on first call.
 
-    ``inspect.getsource`` is ``findsource`` (the file's lines) followed
-    by ``getblock`` (tokenizing the function out of them).  The lines
-    are read here, at decoration, so the version is always that of the
-    code that runs, even if the file is edited after import; tokenizing
-    and hashing wait until something reads the version.
+    ``inspect.getsource`` is ``findsource`` (the file's lines, from the
+    first decorator or ``def`` line on) followed by ``getblock``
+    (tokenizing the function out of them).  The lines are read here, at
+    decoration, straight from :mod:`linecache` as ``findsource`` reads
+    them, so the version is always that of the code that runs, even if
+    the file is edited after import; ``inspect``, tokenizing and hashing
+    wait until something reads the version.
     """
-    try:
-        lines, lnum = inspect.findsource(inspect.unwrap(fn))
-    except (OSError, TypeError):  # pragma: no cover - no source available
-        lines, lnum = None, 0
+    while hasattr(fn, "__wrapped__"):  # inspect.unwrap
+        fn = fn.__wrapped__
+    code = fn.__code__
+    linecache.checkcache(code.co_filename)
+    lines = linecache.getlines(code.co_filename, fn.__globals__)
 
     @lru_cache(maxsize=None)
     def version() -> str:
         import hashlib
+        import inspect
 
-        if lines is None:  # pragma: no cover - no source available
+        if not lines:  # pragma: no cover - no source available
             source = fn.__qualname__
         else:
-            source = "".join(inspect.getblock(lines[lnum:]))
+            source = "".join(inspect.getblock(lines[code.co_firstlineno - 1:]))
         return hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
 
     return version

@@ -18,14 +18,14 @@ Both reports serialise to JSON (``--json``) for CI assertions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from .._record import record
 from .cache import KERNEL_CACHE, CacheStats
 
 __all__ = ["ProbeReport", "StoreProbeReport", "cache_probe", "store_probe"]
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     """Per-pass wall times over a fixed workload, plus cache statistics."""
 
@@ -106,7 +106,7 @@ def cache_probe(n: int = 5, passes: int = 3) -> ProbeReport:
     return ProbeReport(pass_times=tuple(times), stats=KERNEL_CACHE.stats())
 
 
-@dataclass(frozen=True)
+@record
 class StoreProbeReport:
     """Per-pass wall times with the in-process cache cleared every pass.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from operator import getitem
+from operator import getitem, index
 
 from .._bitops import (
     bit,
@@ -314,7 +314,12 @@ class Digraph:
         is an edge of ``self``.
         """
         p = tuple(perm)
-        if sorted(p) != list(range(self._n)):
+        try:
+            # Sorting by operator.index rejects float and string labels.
+            valid = sorted(p, key=index) == list(range(self._n))
+        except TypeError:
+            valid = False
+        if not valid:
             raise GraphError(f"{p!r} is not a permutation of 0..{self._n - 1}")
         rows = [0] * self._n
         for u, row in enumerate(self._out):

@@ -48,10 +48,10 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from threading import RLock
 from typing import TYPE_CHECKING
 
+from .._record import record
 from ..errors import StoreError
 from ..obs.trace import TRACER
 from .keys import fingerprint
@@ -87,7 +87,7 @@ CREATE TABLE IF NOT EXISTS results (
 """
 
 
-@dataclass(frozen=True)
+@record
 class StoreStats:
     """Immutable snapshot of store-tier activity, mergeable across workers."""
 
@@ -184,12 +184,11 @@ class StoreStats:
 StoreRow = tuple[str, str, str, bytes, str, float]
 
 
-@dataclass
 class _StoreCounters:
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    seed_hits: int = 0
+    __slots__ = ("hits", "misses", "writes", "seed_hits")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.writes = self.seed_hits = 0
 
 
 def _checksum(blob: bytes) -> str:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
 from itertools import product
 
+from .._record import record
 from ..agreement.algorithms import ObliviousAlgorithm
 from ..agreement.execution import ExecutionResult, execute
 from ..errors import VerificationError
@@ -29,7 +29,7 @@ from .exhaustive import exhaustive_inputs
 __all__ = ["WorstCase", "worst_case_decisions", "achieved_k"]
 
 
-@dataclass(frozen=True)
+@record
 class WorstCase:
     """The most distinct decisions the adversary forced, with a witness."""
 

@@ -28,8 +28,8 @@ small-``n``, small-``r`` instrument.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from dataclasses import replace
 
+from .._record import replace
 from ..errors import VerificationError
 from ..graphs.digraph import Digraph
 from ..graphs.operations import set_power

@@ -35,9 +35,9 @@ reduction) before handing the rows over; see :func:`index_views`.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
 from itertools import product
 
+from .._record import record
 from ..agreement.views import ObliviousView
 from ..engine.cache import cached_kernel
 from ..engine.canonical import graph_set_key
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SolvabilityResult:
     """Verdict of the search, with a witness decision map when solvable."""
 

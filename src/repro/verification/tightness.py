@@ -8,8 +8,7 @@ graph set, and :func:`analyze_tightness` compares it against the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..bounds.report import BoundReport, bound_report
 from ..errors import VerificationError
 from ..models.closed_above import ClosedAboveModel
@@ -18,7 +17,7 @@ from .solvability import decide_one_round_solvability
 __all__ = ["TightnessAnalysis", "exact_one_round_frontier", "analyze_tightness"]
 
 
-@dataclass(frozen=True)
+@record
 class TightnessAnalysis:
     """Comparison of the paper's interval with the exact frontier."""
 

@@ -58,7 +58,10 @@ class TestPackageSurface:
     def test_math_packages_load_no_batch_driver(self):
         """Importing ``repro`` and its math packages loads no batch
         driver, store, cluster, tables or trace exporter, nor the stdlib
-        modules they need, beyond what a bare interpreter has loaded."""
+        modules they need, beyond what a bare interpreter has loaded;
+        nor ``dataclasses`` or ``inspect`` (with ``ast`` and ``dis``):
+        value classes are records and kernel sources come from
+        ``linecache``."""
         code = (
             "import sys\n"
             "bare = set(sys.modules)\n"
@@ -81,7 +84,7 @@ class TestPackageSurface:
             "repro.engine.batch", "repro.engine.diagnostics", "repro.store",
             "repro.dist", "repro.analysis", "repro.obs.export",
             "multiprocessing", "socket", "selectors", "sqlite3",
-            "hashlib", "pickle",
+            "hashlib", "pickle", "dataclasses", "inspect", "ast", "dis",
         )
         assert [
             name for name in loaded
@@ -92,7 +95,8 @@ class TestPackageSurface:
     def test_serial_sweep_loads_only_what_it_runs(self, output, tmp_path):
         """A serial sweep with the store off loads no pool, cluster,
         store file, table or topology module, nor the stdlib modules
-        they need.  ``-X importtime`` also lists what atexit hooks
+        they need, nor ``dataclasses`` or ``inspect``: it reads no
+        kernel version.  ``-X importtime`` also lists what atexit hooks
         import, which a ``sys.modules`` snapshot taken before exit
         misses."""
 
@@ -122,7 +126,8 @@ class TestPackageSurface:
             "multiprocessing", "socket", "selectors", "signal", "pickle",
             "traceback", "sqlite3", "datetime", "hashlib", "decimal",
             "fractions", "repro.analysis.tables", "repro.topology",
-            "repro.dist", "repro.obs.export",
+            "repro.dist", "repro.obs.export", "dataclasses", "inspect",
+            "ast", "dis",
         )
         assert sorted(
             name for name in loaded

@@ -156,6 +156,11 @@ class TestDerived:
         g = Digraph.empty(3)
         with pytest.raises(GraphError):
             g.permute([0, 0, 1])
+        g = Digraph.from_edges(2, [(0, 1)])
+        for perm in ([1.0, 0.0], ["1", "0"]):
+            with pytest.raises(GraphError, match=r"is not a permutation of 0\.\.1"):
+                g.permute(perm)
+        assert g.permute([True, False]) == g.permute([1, 0])
 
     def test_subgraph_mismatch_rejected(self):
         with pytest.raises(ProcessMismatchError):
